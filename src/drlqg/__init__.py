@@ -13,7 +13,9 @@ from .ambiguity import (
     OracleResult,
     gelbrich_distance,
     oracle_maximize,
+    oracle_maximize_blocks,
     sample_feasible,
+    sample_feasible_blocks,
 )
 from .gradient import GradientBlocks, fd_grad, grad_f
 from .instances import banded_system, generate_instance, sample_nominal_profile
@@ -88,12 +90,14 @@ __all__ = [
     "lqg_value",
     "monte_carlo_cost",
     "oracle_maximize",
+    "oracle_maximize_blocks",
     "output_to_purified",
     "purified_from_rollout",
     "purified_to_output",
     "riccati_backward",
     "saddle_check",
     "sample_feasible",
+    "sample_feasible_blocks",
     "sample_noise",
     "sample_nominal_profile",
     "simulate",

@@ -9,11 +9,11 @@ ambiguity ball around a nominal Zhat keeps, in addition, every member above
 the spectral floor lambda_min(Zhat) I; the floor never cuts off a maximizer
 because the objective gradients handed to the oracle are PSD.
 
-``oracle_maximize`` solves  max <Gamma, L - Z>  over the floored ball to a
-relative accuracy ``delta`` by bisection on the scalar dual variable gamma.
-For gamma > lambda_max(Gamma) the candidate
+``oracle_maximize_blocks`` solves  max <Gamma, L - Z>  over each floored
+ball to a relative accuracy ``delta`` by bisection on the scalar dual
+variable gamma.  For gamma > lambda_max(Gamma) the candidate
 
-    L(gamma) = gamma^2 (gamma I - Gamma)^{-1} Zhat (gamma I - Gamma)^{-1}
+    L(gamma) = M Zhat M,   M = gamma (gamma I - Gamma)^{-1},
 
 has squared distance psi(gamma) = <Zhat, Gamma^2 (gamma I - Gamma)^{-2}>
 from the center, the dual function is
@@ -22,11 +22,23 @@ from the center, the dual function is
 
 and phi'(gamma) = rho^2 - psi(gamma), so the sign of the analytic derivative
 tells simultaneously which way to move and whether L(gamma) is feasible.
-The loop accepts once phi'(gamma) > 0 and <Gamma, L - Z> >= delta * phi(gamma)
-(weak duality makes phi an upper bound on the primal maximum); if the bracket
-collapses to its common limit first -- which happens immediately in the
-scalar case, where both bracket ends coincide with the exact dual solution --
-the right endpoint is accepted, staying on the feasible side.
+With Gamma = P diag(lam) P' and zhat_i the diagonal of P' Zhat P, all three
+quantities are O(d) sums in that eigenbasis; in particular the candidate's
+gap is  <Gamma, L(gamma)> - <Gamma, Z> = sum_i lam_i s_i^2 zhat_i - <Gamma, Z>
+with s_i = gamma / (gamma - lam_i), so no candidate matrix is formed while
+bisecting.  The loop accepts once phi'(gamma) > 0 and the gap is at least
+delta * phi(gamma) (weak duality makes phi an upper bound on the primal
+maximum); if the bracket collapses to its common limit first -- which
+happens immediately in the scalar case, where both bracket ends coincide
+with the exact dual solution -- the right endpoint is accepted, staying on
+the feasible side.  The maximizer M Zhat M is built once, at the accepted
+gamma.
+
+All blocks of one shape are solved together: one batched eigendecomposition
+of the stacked gradients, then one vectorized bisection in which every block
+keeps its own bracket and drops out at its own exit test, so each block
+accepts the gamma a separate call would.  ``oracle_maximize`` is the
+single-block call.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
+from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
 from .lqg import CovarianceProfile, _frozen
 
 _MAX_BISECT = 200
@@ -143,86 +155,196 @@ class OracleResult:
     iterations: int
 
 
-def oracle_maximize(
-    ball: GelbrichBall, gradient, reference, delta: float = 0.95
-) -> OracleResult:
-    """delta-approximate maximizer of <gradient, L - reference> over the ball.
+def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
+    """``symmetrize`` for each matrix of a (B,d,d) stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
-    ``gradient`` must be symmetric and PSD up to roundoff (tiny negative
-    eigenvalues are clamped; genuinely indefinite input is an error).  The
-    returned ``gap_contribution`` is at least ``delta`` times the true
-    maximum and never meaningfully negative.  Degenerate cases short-circuit:
-    a zero radius returns the center and a zero (clamped) gradient returns
-    the reference, both with zero gap.
+
+def _diag_in_basis(vec: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Diagonals of vec' M vec for stacks (B,d,d): the M's in each eigenbasis."""
+    return np.sum(vec * (m @ vec), axis=-2)
+
+
+def _oracle_stack(centers, radii, gradients, references, delta, labels):
+    """Batched bisection over a (B,d,d) stack of same-shape blocks.
+
+    Returns (maximizers, gammas, gaps, iterations) as arrays over B; see
+    ``oracle_maximize_blocks`` for the contract.  Every block runs its own
+    bracket and leaves the loop at its own exit test; the dual, its
+    derivative and the primal gap are O(d) per block in the gradient's
+    eigenbasis, and the maximizers are built once, after the loop.
+    """
+    B = len(radii)
+    maximizers = _symmetrize_stack(np.asarray(references, dtype=float))
+    gammas = np.full(B, math.nan)
+    gaps = np.zeros(B)
+    iterations = np.zeros(B, dtype=int)
+    flat = radii == 0.0
+    maximizers[flat] = centers[flat]
+    live = np.flatnonzero(~flat)
+    if live.size == 0:
+        return maximizers, gammas, gaps, iterations
+
+    grads = _symmetrize_stack(np.asarray(gradients, dtype=float)[live])
+    for j in np.flatnonzero(~np.all(np.isfinite(grads), axis=(1, 2))):
+        raise ValueError(f"gradient block {labels[live[j]]} contains non-finite entries")
+    lam, vec = np.linalg.eigh(grads)  # ascending eigenvalues
+    floor = -PSD_CLAMP_REL * np.linalg.norm(grads, axis=(1, 2))
+    for j in np.flatnonzero(lam[:, 0] < floor):
+        raise NotPSDError(
+            f"gradient block {labels[live[j]]}: minimum eigenvalue {lam[j, 0]:.6e} "
+            f"is below the PSD tolerance {floor[j]:.6e}"
+        )
+    lam = np.clip(lam, 0.0, None)
+    keep = lam[:, -1] > 0.0  # a zero gradient keeps the reference, gap 0
+    live, lam, vec = live[keep], lam[keep], vec[keep]
+    if live.size == 0:
+        return maximizers, gammas, gaps, iterations
+
+    zhat = centers[live]
+    rho = radii[live]
+    zdiag = _diag_in_basis(vec, zhat)
+    ref_ip = np.sum(lam * _diag_in_basis(vec, maximizers[live]), axis=1)
+    lamz = lam * zdiag
+    lam1 = lam[:, -1]
+    # zdiag[:, -1] is p1' Zhat p1 for the top eigenvector p1
+    lo = lam1 * (1.0 + np.sqrt(np.maximum(zdiag[:, -1], 0.0)) / rho)
+    hi = lam1 * (1.0 + np.sqrt(np.maximum(np.trace(zhat, axis1=1, axis2=2), 0.0)) / rho)
+
+    gamma = np.empty(live.size)
+    iters = np.zeros(live.size, dtype=int)
+    collapsed = np.zeros(live.size, dtype=bool)
+    # Per-block arrays restricted to the blocks still bisecting; ``rows``
+    # maps them back, and a block's row is dropped once it exits.
+    state = (np.arange(live.size), lo, hi, lam, lamz, lamz * lam, rho**2, ref_ip)
+    for it in range(1, _MAX_BISECT + 1):
+        rows, lo, hi = state[:3]
+        # Bracket exhausted: hi stays on the feasible side (phi' >= 0), and
+        # in the scalar case the initial bracket is already the root.
+        out = hi - lo <= 1e-12 * np.maximum(1.0, hi)
+        if out.any():
+            gamma[rows[out]], iters[rows[out]], collapsed[rows[out]] = hi[out], it, True
+            state = tuple(x[~out] for x in state)
+            if state[0].size == 0:
+                break
+        rows, lo, hi, lam_a, lamz_a, lz2_a, rho2_a, ref_a = state
+        g = 0.5 * (lo + hi)
+        inv = 1.0 / (g[:, None] - lam_a)
+        inv2 = inv * inv
+        # phi(g) = g (rho^2 + sum_i lam_i z_i / (g - lam_i)) - <Gamma, Z>,
+        # phi'(g) = rho^2 - psi(g), and the gap of L(g) is
+        # g^2 sum_i lam_i z_i / (g - lam_i)^2 - <Gamma, Z>.
+        phi = g * (rho2_a + np.add.reduce(lamz_a * inv, axis=1)) - ref_a
+        dphi = rho2_a - np.add.reduce(lz2_a * inv2, axis=1)
+        gap = g * g * np.add.reduce(lamz_a * inv2, axis=1) - ref_a
+        feasible = dphi > 0.0
+        out = feasible & (gap >= delta * phi)
+        if out.any():
+            gamma[rows[out]], iters[rows[out]] = g[out], it
+            keep = ~out
+            state = tuple(x[keep] for x in state)
+            if state[0].size == 0:
+                break
+            g, feasible = g[keep], feasible[keep]
+            lo, hi = state[1:3]
+        state = (state[0], np.where(feasible, lo, g), np.where(feasible, g, hi)) + state[3:]
+    else:
+        rows, lo, hi = state[:3]
+        raise OracleError(
+            f"gradient block {labels[live[rows[0]]]}: bisection did not meet the exit test "
+            f"in {_MAX_BISECT} iterations; final bracket [{lo[0]:.17g}, {hi[0]:.17g}]"
+        )
+
+    # One build per block, at its accepted gamma: L = M Zhat M with
+    # M = gamma (gamma I - Gamma)^{-1}.
+    inv = 1.0 / (gamma[:, None] - lam)
+    gap = gamma * gamma * np.add.reduce(lamz * inv * inv, axis=1) - ref_ip
+    mult = (vec * (gamma[:, None] * inv)[:, None, :]) @ vec.swapaxes(-1, -2)
+    cand = mult @ zhat @ mult
+    # a collapsed bracket whose candidate loses to the reference keeps the reference
+    won = ~(collapsed & (gap < 0.0))
+    maximizers[live[won]] = _symmetrize_stack(cand[won])
+    gaps[live[won]] = gap[won]
+    gammas[live], iterations[live] = gamma, iters
+    return maximizers, gammas, gaps, iterations
+
+
+def oracle_maximize_blocks(
+    balls, gradients, references, delta: float = 0.95
+) -> list[OracleResult]:
+    """delta-approximate maximizers of <gradient, L - reference>, one per ball.
+
+    The blocks are solved together: one batched bisection per block shape,
+    with a per-block active mask, so every block accepts the same gamma a
+    separate call would.  Each ``gradient`` must be symmetric and PSD up to
+    roundoff (tiny negative eigenvalues are clamped; genuinely indefinite or
+    non-finite input raises, naming the block's index in ``balls``).  Every
+    returned ``gap_contribution`` is at least ``delta`` times the block's
+    true maximum and never meaningfully negative.  Degenerate blocks
+    short-circuit with zero gap and NaN gamma: a zero radius returns the
+    center and a zero (clamped) gradient returns the reference.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    zhat = ball.center
-    rho = float(ball.radius)
-    ref = symmetrize(reference)
-    if rho == 0.0:
-        return OracleResult(maximizer=zhat.copy(), gamma=math.nan, gap_contribution=0.0, iterations=0)
-    lam, vec = psd_eig(gradient)  # clamps roundoff negatives, ascending order
-    lam1 = lam[-1]
-    if lam1 <= 0.0:
-        return OracleResult(maximizer=ref, gamma=math.nan, gap_contribution=0.0, iterations=0)
-    gam_clamped = symmetrize((vec * lam) @ vec.T)
-    p1 = vec[:, -1]
-    zrot = vec.T @ zhat @ vec  # Zhat in the gradient's eigenbasis
-    zdiag = np.diag(zrot).copy()
-    ref_ip = float(np.sum(gam_clamped * ref))
+    groups: dict[int, list[int]] = {}
+    for i, ball in enumerate(balls):
+        groups.setdefault(ball.dim, []).append(i)
+    out = [None] * len(balls)
+    for idx in groups.values():
+        maximizers, gammas, gaps, iterations = _oracle_stack(
+            np.stack([balls[i].center for i in idx]),
+            np.array([float(balls[i].radius) for i in idx]),
+            np.stack([gradients[i] for i in idx]),
+            np.stack([references[i] for i in idx]),
+            delta,
+            idx,
+        )
+        for j, i in enumerate(idx):
+            out[i] = OracleResult(
+                maximizer=maximizers[j],
+                gamma=float(gammas[j]),
+                gap_contribution=float(gaps[j]),
+                iterations=int(iterations[j]),
+            )
+    return out
 
-    lo = lam1 * (1.0 + math.sqrt(max(float(p1 @ zhat @ p1), 0.0)) / rho)
-    hi = lam1 * (1.0 + math.sqrt(max(float(np.trace(zhat)), 0.0)) / rho)
 
-    def dual(gamma):
-        scale = gamma / (gamma - lam)  # eigenvalues of gamma (gamma I - Gamma)^{-1}
-        phi = gamma * (rho**2 + float(np.sum((scale - 1.0) * zdiag))) - ref_ip
-        dphi = rho**2 - float(np.sum((lam * zdiag * lam) / (gamma - lam) ** 2))
-        return phi, dphi
+def oracle_maximize(
+    ball: GelbrichBall, gradient, reference, delta: float = 0.95
+) -> OracleResult:
+    """``oracle_maximize_blocks`` for a single block."""
+    return oracle_maximize_blocks((ball,), (gradient,), (reference,), delta)[0]
 
-    def candidate(gamma):
-        mult = (vec * (gamma / (gamma - lam))) @ vec.T
-        L = symmetrize(mult @ zhat @ mult)
-        gap = float(np.sum(gam_clamped * L)) - ref_ip
-        return L, gap
 
-    for it in range(1, _MAX_BISECT + 1):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            # Bracket exhausted: hi stays on the feasible side (phi' >= 0),
-            # and in the scalar case the initial bracket is already the root.
-            L, gap = candidate(hi)
-            if gap < 0.0:
-                return OracleResult(maximizer=ref, gamma=hi, gap_contribution=0.0, iterations=it)
-            return OracleResult(maximizer=L, gamma=hi, gap_contribution=gap, iterations=it)
-        gamma = 0.5 * (lo + hi)
-        phi, dphi = dual(gamma)
-        if dphi > 0.0:
-            L, gap = candidate(gamma)
-            if gap >= delta * phi:
-                return OracleResult(
-                    maximizer=L, gamma=gamma, gap_contribution=gap, iterations=it
-                )
-            hi = gamma
-        else:
-            lo = gamma
-    raise OracleError(
-        f"bisection did not meet the exit test in {_MAX_BISECT} iterations; "
-        f"final bracket [{lo:.17g}, {hi:.17g}]"
+def sample_feasible_blocks(balls, rng: np.random.Generator) -> list[np.ndarray]:
+    """Draw a random feasible member of each ball.
+
+    For each ball in order, draws the normals of a random PSD direction and
+    then a uniform u; the sample is the point a fraction u of the way from
+    the center to the oracle maximizer along that direction, which is
+    feasible by convexity of the floored ball.  Zero-radius balls return
+    their center and draw nothing.  The draws come in the order that one
+    ``sample_feasible`` call per ball would make, and the oracle draws
+    nothing, so a seed yields the same samples either way.
+    """
+    moving, directions, weights = [], [], []
+    for i, ball in enumerate(balls):
+        if ball.radius == 0.0:
+            continue
+        a = rng.standard_normal((ball.dim, ball.dim))
+        moving.append(i)
+        directions.append(symmetrize(a @ a.T))
+        weights.append(rng.uniform())
+    out = [ball.center.copy() for ball in balls]
+    chosen = [balls[i] for i in moving]
+    extremes = oracle_maximize_blocks(
+        chosen, directions, [b.center for b in chosen], delta=0.9
     )
+    for i, ball, res, u in zip(moving, chosen, extremes, weights):
+        out[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
+    return out
 
 
 def sample_feasible(ball: GelbrichBall, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random feasible member of the ball.
-
-    Takes a random convex combination of the center and the oracle maximizer
-    along a random PSD direction; feasibility follows from convexity of the
-    floored ball.
-    """
-    if ball.radius == 0.0:
-        return ball.center.copy()
-    a = rng.standard_normal((ball.dim, ball.dim))
-    direction = symmetrize(a @ a.T)
-    extreme = oracle_maximize(ball, direction, ball.center, delta=0.9).maximizer
-    u = rng.uniform()
-    return symmetrize(ball.center + u * (extreme - ball.center))
+    """``sample_feasible_blocks`` for a single ball."""
+    return sample_feasible_blocks((ball,), rng)[0]

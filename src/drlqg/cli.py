@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-3, help="surrogate-gap stopping threshold")
     s.add_argument("--delta", type=float, default=0.95, help="oracle accuracy in (0,1)")
     s.add_argument("--max-iter", type=int, default=1000)
-    s.add_argument("--threads", type=int, default=1, help=">1 runs per-block oracles on a pool")
 
     e = sub.add_parser("evaluate", help="evaluate a stored controller under a noise model")
     e.add_argument("instance")
@@ -85,13 +84,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     system, amb, _ = io.read_instance(args.instance)
-    cfg = FWConfig(
-        delta=args.delta,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        parallel_oracles=args.threads > 1,
-        threads=args.threads if args.threads > 1 else None,
-    )
+    cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter)
     sol = solve(system, amb, cfg)
     gain = unroll_kalman(system, sol.worst_case)
     io.write_result_bundle(args.out, sol, gain.U)

@@ -149,6 +149,22 @@ class CovarianceProfile:
             self, "V", tuple(_frozen(symmetrize(v)) for v in _stage_tuple(V, T, (p, p), "V"))
         )
 
+    @classmethod
+    def _trusted(cls, blocks, T: int) -> "CovarianceProfile":
+        """Wrap blocks X0, W_0.., V_0.. that are already symmetric and PSD.
+
+        Skips the checks of public construction; the caller hands over fresh
+        symmetrized arrays, which are frozen in place.  Used for iterates
+        the solver builds as convex combinations of feasible blocks.
+        """
+        for b in blocks:
+            b.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "X0", blocks[0])
+        object.__setattr__(out, "W", tuple(blocks[1 : 1 + T]))
+        object.__setattr__(out, "V", tuple(blocks[1 + T :]))
+        return out
+
     @property
     def T(self) -> int:
         return len(self.W)

@@ -2,13 +2,15 @@
 
 The inner maximization  max f(X0, W, V)  over the product of floored
 Gelbrich balls is concave, so a Frank-Wolfe scheme applies: at each iterate
-compute the gradient blocks, call the per-block linearization oracle
-(independent calls, optionally run on a thread pool, always combined in the
-fixed block order X0, W_0.., V_0..), sum the per-block surrogate gaps into
-g_k, stop once g_k falls below the tolerance, and otherwise move with the
-open-loop step 2/(2+k).  The returned controller is the Kalman controller
-assembled at the worst-case profile; by the separation structure it is a
-best response, which makes the pair a saddle point.
+compute the gradient blocks, solve the linearization over all 2T+1 balls
+with one batched oracle call (one vectorized bisection per block shape, see
+``drlqg.ambiguity``), sum the per-block surrogate gaps into g_k in the fixed
+block order X0, W_0.., V_0.., stop once g_k falls below the tolerance, and
+otherwise move with the open-loop step 2/(2+k).  Iterates are convex
+combinations of feasible blocks, so they are wrapped without re-validation.
+The returned controller is the Kalman controller assembled at the
+worst-case profile; by the separation structure it is a best response,
+which makes the pair a saddle point.
 
 ``saddle_check`` audits a claimed solution from both sides: no feasible
 noise profile (including an adversarially constructed best response) should
@@ -19,12 +21,11 @@ perturbation of the controller should do better against the worst case.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySpec, oracle_maximize, sample_feasible
+from .ambiguity import AmbiguitySpec, oracle_maximize_blocks, sample_feasible_blocks
 from .gradient import grad_f, _grad_from_solutions
 from .lqg import (
     CovarianceProfile,
@@ -49,16 +50,13 @@ from .stacked import (
 class FWConfig:
     """Solver knobs.
 
-    ``tol`` is an absolute threshold on the summed surrogate gap, ``delta``
-    the per-block oracle accuracy, and ``threads`` the worker count when
-    ``parallel_oracles`` is on (defaults to one worker per block).
+    ``tol`` is an absolute threshold on the summed surrogate gap and
+    ``delta`` the per-block oracle accuracy.
     """
 
     delta: float = 0.95
     tol: float = 1e-3
     max_iter: int = 1000
-    parallel_oracles: bool = False
-    threads: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -67,8 +65,6 @@ class FWConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,6 @@ def _blocks(cov: CovarianceProfile) -> list[np.ndarray]:
     return [cov.X0, *cov.W, *cov.V]
 
 
-def _profile_from_blocks(blocks, T: int) -> CovarianceProfile:
-    return CovarianceProfile(X0=blocks[0], W=tuple(blocks[1 : 1 + T]), V=tuple(blocks[1 + T :]))
-
-
 def solve(
     sys: TimeVaryingSystem,
     amb: AmbiguitySpec,
@@ -120,45 +112,27 @@ def solve(
     trace = []
     best = None  # (gap, f, cov)
     converged = False
-    pool = None
-    if cfg.parallel_oracles:
-        workers = cfg.threads if cfg.threads is not None else len(balls)
-        pool = ThreadPoolExecutor(max_workers=workers)
     start = time.perf_counter()
-    try:
-        for k in range(cfg.max_iter):
-            kal = kalman_forward(sys, cov)
-            f_k = _value_from_solutions(sys, ric, kal, cov.X0)
-            grads = _grad_from_solutions(sys, ric, kal).flat()
-            refs = _blocks(cov)
-            calls = list(zip(balls, grads, refs))
-            if pool is not None:
-                results = list(
-                    pool.map(lambda args: oracle_maximize(*args, delta=cfg.delta), calls)
-                )
-            else:
-                results = [oracle_maximize(*args, delta=cfg.delta) for args in calls]
-            gap = sum(r.gap_contribution for r in results)  # fixed block order
-            trace.append(
-                FWIteration(
-                    k=k, f_value=f_k, surrogate_gap=gap, wall_time=time.perf_counter() - start
-                )
-            )
-            if on_iterate is not None:
-                on_iterate(k, cov, gap)
-            if best is None or gap < best[0]:
-                best = (gap, f_k, cov)
-            if gap <= cfg.tol:
-                converged = True
-                break
-            alpha = 2.0 / (2.0 + k)
-            stepped = [
-                symmetrize(z + alpha * (r.maximizer - z)) for z, r in zip(refs, results)
-            ]
-            cov = _profile_from_blocks(stepped, sys.T)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for k in range(cfg.max_iter):
+        kal = kalman_forward(sys, cov)
+        f_k = _value_from_solutions(sys, ric, kal, cov.X0)
+        grads = _grad_from_solutions(sys, ric, kal).flat()
+        refs = _blocks(cov)
+        results = oracle_maximize_blocks(balls, grads, refs, delta=cfg.delta)
+        gap = sum(r.gap_contribution for r in results)  # fixed block order
+        trace.append(
+            FWIteration(k=k, f_value=f_k, surrogate_gap=gap, wall_time=time.perf_counter() - start)
+        )
+        if on_iterate is not None:
+            on_iterate(k, cov, gap)
+        if best is None or gap < best[0]:
+            best = (gap, f_k, cov)
+        if gap <= cfg.tol:
+            converged = True
+            break
+        alpha = 2.0 / (2.0 + k)
+        stepped = [symmetrize(z + alpha * (r.maximizer - z)) for z, r in zip(refs, results)]
+        cov = CovarianceProfile._trusted(stepped, sys.T)
     final_gap, f_value, worst = best
     return RobustSolution(
         worst_case=worst,
@@ -224,14 +198,12 @@ def saddle_check(
 
     nature_violations = []
     grads = grad_f(sys, sol.worst_case).flat()
-    adv_blocks = [
-        oracle_maximize(ball, g, z, delta=0.99).maximizer
-        for ball, g, z in zip(balls, grads, _blocks(sol.worst_case))
-    ]
-    candidates = [("best-response", _profile_from_blocks(adv_blocks, sys.T))]
+    best_response = oracle_maximize_blocks(balls, grads, _blocks(sol.worst_case), delta=0.99)
+    adv_blocks = [r.maximizer for r in best_response]
+    candidates = [("best-response", CovarianceProfile._trusted(adv_blocks, sys.T))]
     for i in range(n_samples):
-        blocks = [sample_feasible(ball, rng) for ball in balls]
-        candidates.append((f"sample-{i}", _profile_from_blocks(blocks, sys.T)))
+        blocks = sample_feasible_blocks(balls, rng)
+        candidates.append((f"sample-{i}", CovarianceProfile._trusted(blocks, sys.T)))
     for label, profile in candidates:
         cost = controller_cost_trace(st, upur, profile)
         if cost > f_star + nature_slack:

@@ -95,18 +95,6 @@ def test_truncated_solve_exits_2_and_fails_verify(tmp_path):
     assert rc == EXIT_VERIFY_FAILED
 
 
-def test_solve_threads_flag_matches_serial(tmp_path):
-    inst = _generate(tmp_path, n=2, m=2, p=2, T=3, seed=6, rho=0.3)
-    assert main(["solve", str(inst), "--out", str(tmp_path / "a")]) == EXIT_OK
-    assert main(["solve", str(inst), "--out", str(tmp_path / "b"), "--threads", "4"]) == EXIT_OK
-
-    def drop_elapsed(path):
-        rows = path.read_text().splitlines()
-        return [",".join(r.split(",")[:3]) for r in rows]
-
-    assert drop_elapsed(tmp_path / "a" / "trace.csv") == drop_elapsed(tmp_path / "b" / "trace.csv")
-
-
 def test_missing_instance_is_bad_input(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
 

@@ -89,16 +89,6 @@ def test_solve_is_deterministic():
     assert np.array_equal(a.worst_case.X0, b.worst_case.X0)
 
 
-def test_parallel_oracles_match_serial():
-    sys, amb, _ = generate_instance(2, 2, 2, 3, seed=6, rho=0.3)
-    serial = solve(sys, amb)
-    parallel = solve(sys, amb, FWConfig(parallel_oracles=True, threads=4))
-    assert [(r.k, r.f_value, r.surrogate_gap) for r in serial.trace] == [
-        (r.k, r.f_value, r.surrogate_gap) for r in parallel.trace
-    ]
-    assert np.array_equal(serial.worst_case.V[0], parallel.worst_case.V[0])
-
-
 def test_iteration_cap_returns_best_iterate_flagged():
     sys, amb, _ = generate_instance(2, 2, 2, 3, seed=7, rho=0.5)
     sol = solve(sys, amb, FWConfig(tol=1e-12, max_iter=4))
