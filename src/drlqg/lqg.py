@@ -225,7 +225,7 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
 
 
 def _kalman_forward_raw(sys: TimeVaryingSystem, X0, W, V) -> KalmanSolution:
-    """Forward recursion on raw arrays; V_t must be PD at every stage."""
+    """Forward recursion on raw arrays; the caller guarantees V_t PD."""
     T = sys.T
     Sig = [None] * T
     L = [None] * T
@@ -234,10 +234,6 @@ def _kalman_forward_raw(sys: TimeVaryingSystem, X0, W, V) -> KalmanSolution:
     s = pred[0]
     for t in range(T):
         C = sys.C[t]
-        if min_eigval(V[t]) <= 0.0:
-            raise SingularMatrixError(
-                f"observation covariance V[{t}] is not positive definite"
-            )
         m_t = symmetrize(C @ s @ C.T + V[t])
         gain = spd_solve(m_t, C @ s).T  # Sigma_{t|t-1} C' M^{-1}
         Sig[t] = symmetrize(s - gain @ C @ s)
@@ -260,6 +256,9 @@ def kalman_forward(sys: TimeVaryingSystem, cov: CovarianceProfile) -> KalmanSolu
         L_t = Sigma_t C_t' V_t^{-1}
     """
     _check_dims(sys, cov)
+    for t, v in enumerate(cov.V):
+        if min_eigval(v) <= 0.0:
+            raise SingularMatrixError(f"observation covariance V[{t}] is not positive definite")
     return _kalman_forward_raw(sys, cov.X0, cov.W, cov.V)
 
 
@@ -384,8 +383,11 @@ def _quad(x, M):
     return np.einsum("...i,ij,...j->...", x, M, x)
 
 
-def _roll(sys: TimeVaryingSystem, policy, x0, w, v):
-    """Roll out a policy; all arrays may carry one leading batch dimension."""
+def _roll(sys: TimeVaryingSystem, policy, x0, w, v, keep_trajectory=False):
+    """Roll out a policy's cost (and stacked x, u, y with ``keep_trajectory``).
+
+    All arrays may carry one leading batch dimension.
+    """
     T = sys.T
     x = x0
     cost = _quad(x, sys.Q[0]) * 0.0  # zeros with the right batch shape
@@ -395,10 +397,13 @@ def _roll(sys: TimeVaryingSystem, policy, x0, w, v):
         u = policy.step(t, y)
         cost = cost + _quad(x, sys.Q[t]) + _quad(u, sys.R[t])
         x = x @ sys.A[t].T + u @ sys.B[t].T + w[..., t, :]
-        xs.append(x)
-        us.append(u)
-        ys.append(y)
+        if keep_trajectory:
+            xs.append(x)
+            us.append(u)
+            ys.append(y)
     cost = cost + _quad(x, sys.Q[T])
+    if not keep_trajectory:
+        return cost
     return cost, np.stack(xs, axis=-2), np.stack(us, axis=-2), np.stack(ys, axis=-2)
 
 
@@ -414,30 +419,19 @@ def simulate(sys: TimeVaryingSystem, controller, x0, w, v) -> SimulationResult:
     if x0.shape != (sys.n,) or w.shape != (sys.T, sys.n) or v.shape != (sys.T, sys.p):
         raise ValueError("noise trajectory shapes do not match the system")
     policy = controller.make_policy(sys)
-    cost, xs, us, ys = _roll(sys, policy, x0, w, v)
+    cost, xs, us, ys = _roll(sys, policy, x0, w, v, keep_trajectory=True)
     return SimulationResult(cost=float(cost), x=xs, u=us, y=ys)
 
 
-def sample_noise(
-    cov: CovarianceProfile, n_samples: int, rng: np.random.Generator, antithetic: bool = False
-):
+def sample_noise(cov: CovarianceProfile, n_samples: int, rng: np.random.Generator):
     """Draw noise realizations (x0, w, v) with the pinned draw order.
 
     A single ``standard_normal`` call of shape ``(n_samples, n + T n + T p)``
     is split into the x0 block, then w_0..w_{T-1}, then v_0..v_{T-1}, and
     colored by the symmetric PSD square roots of the covariance blocks.
-    With ``antithetic=True`` (requires even ``n_samples``) only half the
-    normals are drawn and the other half are their negations.
     """
     n, p, T = cov.n, cov.p, cov.T
-    dim = n + T * n + T * p
-    if antithetic:
-        if n_samples % 2:
-            raise ValueError("antithetic sampling needs an even sample count")
-        half = rng.standard_normal((n_samples // 2, dim))
-        z = np.concatenate([half, -half], axis=0)
-    else:
-        z = rng.standard_normal((n_samples, dim))
+    z = rng.standard_normal((n_samples, n + T * n + T * p))
     x0 = z[:, :n] @ psd_sqrt(cov.X0)
     w = np.empty((n_samples, T, n))
     v = np.empty((n_samples, T, p))
@@ -463,14 +457,14 @@ def monte_carlo_cost(
     cov: CovarianceProfile,
     n_samples: int,
     rng: np.random.Generator | int | None = None,
-    antithetic: bool = False,
 ) -> MonteCarloStats:
-    """Estimate the expected closed-loop cost by batched simulation."""
+    """Estimate the expected closed-loop cost (and its standard error)."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    x0, w, v = sample_noise(cov, n_samples, rng, antithetic=antithetic)
-    policy = controller.make_policy(sys)
-    costs, _, _, _ = _roll(sys, policy, x0, w, v)
+    x0, w, v = sample_noise(cov, n_samples, rng)
+    costs = _roll(sys, controller.make_policy(sys), x0, w, v)
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(n_samples))
     return MonteCarloStats(mean=mean, stderr=stderr, n_samples=n_samples, costs=costs)

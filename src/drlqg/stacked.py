@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .linalg import min_eigval
 from .lqg import CovarianceProfile, TimeVaryingSystem, _frozen, kalman_forward, riccati_backward
 
 
@@ -224,6 +225,24 @@ def controller_cost_trace(
     val += float(np.trace((ctrl.U.T @ SU) @ Vbig))
     val += float(ctrl.q @ S @ ctrl.q)
     return val
+
+
+def _first_order_bound(st: StackedSystem, U: np.ndarray, cov: CovarianceProfile) -> float:
+    """Bound b: every causal purified policy costs at least J(U, 0) - b.
+
+    For causal dU, J(U + dU, q) = J(U, 0) + <g, dU> + tr(dU' S dU Sigma_eta)
+    + q' S q, with S = Rs + H' Qs H, Sigma_eta = D Wbig D' + Vbig and g the
+    causal part of 2 (S U Sigma_eta + H' Qs G Wbig D'), so
+    b = |g|_F^2 / (4 lmin(S) lmin(Sigma_eta)) (infinite unless both are > 0).
+    """
+    Wbig = scipy.linalg.block_diag(cov.X0, *cov.W)
+    S = st.Rs + st.H.T @ st.Qs @ st.H
+    sigma_eta = st.D @ Wbig @ st.D.T + scipy.linalg.block_diag(*cov.V)
+    grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ st.Qs @ st.G @ Wbig @ st.D.T)
+    for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
+        grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
+    curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
+    return float(np.sum(grad**2)) / curvature if curvature > 0.0 else np.inf
 
 
 def purified_to_output(

@@ -74,7 +74,6 @@ def test_evaluate_zero_radius_exact_matches_value(tmp_path, capsys):
             str(res / "controller.json"),
             str(res / "worst_case.json"),
             "--rollouts", "5000",
-            "--antithetic",
         ]
     )
     assert rc == EXIT_OK
@@ -125,3 +124,30 @@ def test_verify_detects_tampered_gain(tmp_path):
     doc["K"][0][0][0] += 1e-3
     ctrl_path.write_text(json.dumps(doc))
     assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_VERIFY_FAILED
+
+
+def test_evaluate_rejects_fewer_than_two_rollouts(tmp_path, capsys):
+    inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    for count in ("1", "0"):
+        rc = main(
+            [
+                "evaluate",
+                str(inst),
+                str(res / "controller.json"),
+                str(res / "worst_case.json"),
+                "--rollouts", count,
+            ]
+        )
+        assert rc == EXIT_BAD_INPUT
+        assert "--rollouts" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_samples(tmp_path, capsys):
+    inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    assert main(["verify", str(inst), str(res), "--samples", "-3"]) == EXIT_BAD_INPUT
+    assert "--samples" in capsys.readouterr().err
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_OK

@@ -260,31 +260,9 @@ def test_sample_noise_is_reproducible():
         assert np.array_equal(x, y)
 
 
-def test_antithetic_draws_mirror_exactly():
-    rng = np.random.default_rng(17)
-    cov = random_profile(rng, 2, 2, 3)
-    x0, w, v = sample_noise(cov, 8, np.random.default_rng(1), antithetic=True)
-    assert np.array_equal(x0[:4], -x0[4:])
-    assert np.array_equal(w[:4], -w[4:])
-    assert np.array_equal(v[:4], -v[4:])
-
-
-def test_antithetic_requires_even_count():
+def test_monte_carlo_rejects_fewer_than_two_rollouts():
     sys, cov = scalar_ones()
-    with pytest.raises(ValueError):
-        sample_noise(cov, 7, np.random.default_rng(0), antithetic=True)
-
-
-def test_antithetic_costs_duplicate_for_linear_feedback():
-    # The closed loop under a linear policy is linear in the noise, so the
-    # quadratic cost is an even function: mirrored draws repeat costs exactly
-    # and the estimator matches an iid run at half the distinct draws.
-    rng = np.random.default_rng(18)
-    sys = random_system(rng, 2, 1, 2, 3)
-    cov = random_profile(rng, 2, 2, 3)
     ctrl = assemble_controller(sys, cov)
-    anti = monte_carlo_cost(sys, ctrl, cov, n_samples=4_000, rng=5, antithetic=True)
-    assert np.array_equal(anti.costs[:2_000], anti.costs[2_000:])
-    half = monte_carlo_cost(sys, ctrl, cov, n_samples=2_000, rng=5)
-    assert abs(anti.mean - half.mean) <= 1e-12 * max(1.0, abs(half.mean))
-    assert anti.stderr < half.stderr
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_cost(sys, ctrl, cov, n_samples=n, rng=0)

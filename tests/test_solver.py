@@ -3,15 +3,24 @@ import pytest
 
 from drlqg import (
     AmbiguitySpec,
+    CovarianceProfile,
     FWConfig,
+    LinearPurifiedController,
     assemble_controller,
+    build_stacked,
+    controller_cost_trace,
     generate_instance,
+    grad_f,
     lqg_value,
+    output_to_purified,
     saddle_check,
     solve,
+    unroll_kalman,
 )
+from drlqg.ambiguity import sample_feasible_blocks
+from drlqg.stacked import _first_order_bound
 
-from helpers import random_profile, scalar_ones
+from helpers import random_causal_gain, random_profile, random_system, scalar_ones
 
 
 def _scalar_instance(rho=0.1):
@@ -140,3 +149,69 @@ def test_saddle_check_zero_radii_trivially_passes():
     sol = solve(sys, amb)
     report = saddle_check(sys, amb, sol, n_samples=10, seed=2)
     assert report.passed
+
+
+def test_saddle_check_rejects_negative_sample_count():
+    sys, amb = _scalar_instance(rho=0.1)
+    sol = solve(sys, amb)
+    with pytest.raises(ValueError, match="n_samples"):
+        saddle_check(sys, amb, sol, n_samples=-1)
+    assert saddle_check(sys, amb, sol, n_samples=0).passed
+
+
+# ------------------------------------------------- exact saddle certificates
+
+
+def _mixed_radius_instance(rng, n, m, p, T):
+    """A random system whose ambiguity set has zero radius on some blocks."""
+    sys = random_system(rng, n, m, p, T)
+    amb = AmbiguitySpec(
+        nominal=random_profile(rng, n, p, T),
+        rho_x0=0.0,
+        rho_w=tuple(0.4 * (t % 2) for t in range(T)),
+        rho_v=tuple(0.3 * ((t + 1) % 2) for t in range(T)),
+    )
+    return sys, amb
+
+
+def _profile(blocks, T):
+    return CovarianceProfile(X0=blocks[0], W=blocks[1 : 1 + T], V=blocks[1 + T :])
+
+
+def _purified_kalman(sys, cov, st):
+    return output_to_purified(unroll_kalman(sys, cov), st)
+
+
+def test_envelope_identity_prices_feasible_profiles():
+    # The Kalman controller at Z is linear in the noise covariances with
+    # weights grad f(Z): the stacked trace formula and the adjoint sweep are
+    # two independent routes to the same number.
+    rng = np.random.default_rng(41)
+    for n, m, p, T in [(3, 2, 1, 4), (2, 3, 4, 1), (1, 1, 1, 1), (4, 1, 2, 3)]:
+        sys, amb = _mixed_radius_instance(rng, n, m, p, T)
+        balls = amb.balls()
+        cov = _profile(sample_feasible_blocks(balls, rng), T)
+        st = build_stacked(sys)
+        upur = _purified_kalman(sys, cov, st)
+        grads = grad_f(sys, cov).flat()
+        for _ in range(5):
+            blocks = sample_feasible_blocks(balls, rng)
+            exact = controller_cost_trace(st, upur, _profile(blocks, T))
+            priced = sum(float(np.vdot(g, z)) for g, z in zip(grads, blocks))
+            assert abs(priced - exact) <= 1e-12 * abs(exact)
+
+
+def test_first_order_bound_brackets_the_optimum():
+    rng = np.random.default_rng(42)
+    for n, m, p, T in [(3, 2, 1, 4), (2, 3, 4, 1), (2, 2, 2, 3)]:
+        sys, amb = _mixed_radius_instance(rng, n, m, p, T)
+        cov = _profile(sample_feasible_blocks(amb.balls(), rng), T)
+        st = build_stacked(sys)
+        best = controller_cost_trace(st, _purified_kalman(sys, cov, st), cov)
+        for _ in range(3):
+            U = random_causal_gain(rng, m, p, T, scale=0.3)
+            ctrl = LinearPurifiedController(U=U, q=np.zeros(m * T), m=m, p=p, T=T)
+            cost = controller_cost_trace(st, ctrl, cov)
+            bound = _first_order_bound(st, U, cov)
+            assert bound > 0.0
+            assert cost - bound <= best * (1.0 + 1e-12) and best <= cost
