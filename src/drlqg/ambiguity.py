@@ -88,8 +88,8 @@ class GelbrichBall:
     def __post_init__(self):
         center = symmetrize(self.center)
         psd_eig(center)  # raises if genuinely indefinite
-        if not self.radius >= 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
+            raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
         object.__setattr__(self, "center", _frozen(center))
         object.__setattr__(self, "floor", min_eigval(center))
 
@@ -108,9 +108,9 @@ class GelbrichBall:
 class AmbiguitySpec:
     """Per-block balls around a nominal noise model.
 
-    Radii follow the block order X0, W_0..W_{T-1}, V_0..V_{T-1}; the nominal
-    observation covariances must be PD so the filter stays well posed on the
-    whole feasible set.
+    Radii follow the block order X0, W_0..W_{T-1}, V_0..V_{T-1} and must be
+    finite and nonnegative; the nominal observation covariances must be PD so
+    the filter stays well posed on the whole feasible set.
     """
 
     nominal: CovarianceProfile
@@ -126,8 +126,8 @@ class AmbiguitySpec:
         for name, r in [("rho_x0", self.rho_x0)] + [
             (f"rho_w[{t}]", r) for t, r in enumerate(rho_w)
         ] + [(f"rho_v[{t}]", r) for t, r in enumerate(rho_v)]:
-            if not r >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {r}")
+            if not (r >= 0.0 and math.isfinite(r)):
+                raise ValueError(f"{name} must be finite and nonnegative, got {r}")
         for t, v in enumerate(self.nominal.V):
             if min_eigval(v) <= 0.0:
                 raise ValueError(f"nominal V[{t}] must be positive definite")

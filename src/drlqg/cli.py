@@ -1,7 +1,8 @@
 """Command-line front end: generate / solve / evaluate / verify.
 
 Exit codes: 0 success (and solver converged), 2 solver stopped at the
-iteration cap, 3 invalid input, 4 verification or consistency failure.
+iteration cap, 3 invalid input (including unparsable arguments), 4
+verification or consistency failure.
 """
 
 from __future__ import annotations
@@ -30,8 +31,19 @@ EXIT_BAD_INPUT = 3
 EXIT_VERIFY_FAILED = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_BAD_INPUT``.
+
+    argparse's own status 2 would read as ``EXIT_NOT_CONVERGED``.
+    """
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="drlqg",
         description="Distributionally robust LQG: worst-case noise via Frank-Wolfe.",
     )
@@ -79,7 +91,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     system, amb, _ = io.read_instance(args.instance)
-    cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter)
+    # an exact line search, which needs far fewer iterations than the open-loop default
+    cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter, step="line")
     sol = solve(system, amb, cfg)
     gain = unroll_kalman(system, sol.worst_case)
     io.write_result_bundle(args.out, sol, gain.U)
@@ -190,7 +203,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (EXIT_BAD_INPUT)
+        return exc.code
     try:
         if args.command == "generate":
             return _cmd_generate(args)

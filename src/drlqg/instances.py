@@ -14,6 +14,8 @@ pins the instance for a given LAPACK build.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ambiguity import AmbiguitySpec
@@ -55,8 +57,8 @@ def generate_instance(
     """Build a seeded benchmark instance with a common radius on all blocks."""
     if min(n, m, p, T) < 1:
         raise ValueError("all dimensions and the horizon must be positive")
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    if not (rho >= 0.0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
     sys = banded_system(n, m, p, T)
     rng = np.random.default_rng(seed)
     nominal = sample_nominal_profile(n, p, T, rng)

@@ -55,12 +55,13 @@ def _as_array(doc, path: str) -> np.ndarray:
     return arr
 
 
-def _atomic_write_text(path: str, text: str):
+def _atomic_write(path: str, write):
+    """Call ``write(fh)`` on a temporary file, then rename it onto ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,8 +69,17 @@ def _atomic_write_text(path: str, text: str):
         raise
 
 
+def _atomic_write_text(path: str, text: str):
+    _atomic_write(path, lambda fh: fh.write(text))
+
+
 def write_json_atomic(path: str, doc: dict):
-    _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    def dump(fh):
+        # streamed, so the encoder's chunks are never held all at once
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+    _atomic_write(path, dump)
 
 
 def _load_json(path: str) -> dict:
@@ -188,6 +198,7 @@ def write_result_bundle(out_dir: str, sol: RobustSolution, controller_gain: np.n
             "delta": cfg.delta,
             "tol": cfg.tol,
             "max_iter": cfg.max_iter,
+            "step": cfg.step,
         },
         "covariance": {
             "X0": _mat(sol.worst_case.X0),
@@ -221,15 +232,22 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"{path}: {exc}") from None
+    knobs = dict(
+        delta=float(_get(doc, "config.delta")),
+        tol=float(_get(doc, "config.tol")),
+        max_iter=int(_get(doc, "config.max_iter")),
+        # bundles written before the step rule was recorded used open-loop
+        step=_get(doc, "config").get("step", "open-loop"),
+    )
+    try:
+        config = FWConfig(**knobs)
+    except ValueError as exc:  # its messages start with the field name
+        raise FormatError(f"{path}: config.{exc}") from None
     meta = {
         "f_value": float(_get(doc, "f_value")),
         "final_gap": float(_get(doc, "final_gap")),
         "converged": bool(_get(doc, "converged")),
-        "config": FWConfig(
-            delta=float(_get(doc, "config.delta")),
-            tol=float(_get(doc, "config.tol")),
-            max_iter=int(_get(doc, "config.max_iter")),
-        ),
+        "config": config,
     }
     return cov, meta
 

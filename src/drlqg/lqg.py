@@ -235,9 +235,9 @@ def _kalman_forward_raw(sys: TimeVaryingSystem, X0, W, V) -> KalmanSolution:
     for t in range(T):
         C = sys.C[t]
         m_t = symmetrize(C @ s @ C.T + V[t])
-        gain = spd_solve(m_t, C @ s).T  # Sigma_{t|t-1} C' M^{-1}
-        Sig[t] = symmetrize(s - gain @ C @ s)
-        L[t] = spd_solve(V[t], C @ Sig[t]).T  # Sigma_t C' V^{-1}
+        # Sigma_{t|t-1} C' M^{-1}, which equals the filter gain Sigma_t C' V^{-1}
+        L[t] = spd_solve(m_t, C @ s).T
+        Sig[t] = symmetrize(s - L[t] @ C @ s)
         s = symmetrize(sys.A[t] @ Sig[t] @ sys.A[t].T + W[t])
         pred[t + 1] = s
     return KalmanSolution(

@@ -6,11 +6,30 @@ compute the gradient blocks, solve the linearization over all 2T+1 balls
 with one batched oracle call (one vectorized bisection per block shape, see
 ``drlqg.ambiguity``), sum the per-block surrogate gaps into g_k in the fixed
 block order X0, W_0.., V_0.., stop once g_k falls below the tolerance, and
-otherwise move with the open-loop step 2/(2+k).  Iterates are convex
+otherwise move from Z_k towards the oracle's maximizers L_k along
+D_k = L_k - Z_k with a step alpha in [0, 1].  Iterates are convex
 combinations of feasible blocks (so V_t stays PD), and are used without
-re-validation.  The returned controller is the Kalman controller assembled
-at the worst-case profile; by the separation structure it is a best
-response, which makes the pair a saddle point.
+re-validation.
+
+Two step rules are available (``FWConfig.step``).  "open-loop" is the
+paper's alpha_k = 2/(2+k).  "line" maximizes h(alpha) = f(Z_k + alpha D_k)
+exactly: f is a minimum over controllers of functions linear in the
+covariances, hence concave, so h'(alpha) = sum_i <grad f(Z_k + alpha D_k)_i,
+D_i> is nonincreasing and h'(0) is the surrogate gap g_k.  The search tries
+alpha = 1 first and keeps it when h'(1) >= 0; otherwise it runs an Illinois
+regula falsi on h' over the bracket [0, 1] and accepts the first trial with
+0 <= h'(alpha) <= 0.1 h'(0); if the trials run out it takes the higher end
+of the last bracket.  Every trial costs one Kalman forward pass and one adjoint
+sweep, and the accepted trial's value and gradient are those of the next
+iterate, so they are not computed twice.  By concavity h(alpha) >= h(0)
+wherever h'(alpha) >= 0; a point that lowers f all the same (by roundoff)
+is refused and the iterate stays put (the solve then repeats that
+iteration until the cap), so f_k never decreases.  The surrogate-gap
+certificate does not depend on the step rule.
+
+The returned controller is the Kalman controller assembled at the
+worst-case profile; by the separation structure it is a best response,
+which makes the pair a saddle point.
 
 ``saddle_check`` audits a claimed solution from both sides with exact
 certificates: no feasible noise profile (including an adversarially
@@ -41,17 +60,28 @@ from .linalg import symmetrize
 from .stacked import _first_order_bound, build_stacked, output_to_purified, unroll_kalman
 
 
+STEP_RULES = ("open-loop", "line")
+# The line search accepts a trial alpha once 0 <= h'(alpha) <= _LINE_CURVATURE
+# * h'(0), and gives up its bracket after _LINE_MAX_TRIALS trials.
+_LINE_CURVATURE = 0.1
+_LINE_MAX_TRIALS = 20
+
+
 @dataclass(frozen=True)
 class FWConfig:
     """Solver knobs.
 
     ``tol`` is an absolute threshold on the summed surrogate gap and
-    ``delta`` the per-block oracle accuracy.
+    ``delta`` the per-block oracle accuracy.  ``step`` is the step rule:
+    "open-loop" (the paper's 2/(2+k), the default) or "line" (an exact line
+    search along the Frank-Wolfe direction, which needs far fewer
+    iterations; see the module docstring).
     """
 
     delta: float = 0.95
     tol: float = 1e-3
     max_iter: int = 1000
+    step: str = "open-loop"
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -60,6 +90,8 @@ class FWConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.step not in STEP_RULES:
+            raise ValueError(f"step must be one of {', '.join(STEP_RULES)}, got {self.step!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +117,65 @@ def _blocks(cov: CovarianceProfile) -> list[np.ndarray]:
     return [cov.X0, *cov.W, *cov.V]
 
 
+def _price(grads: list[np.ndarray], blocks: list[np.ndarray]) -> float:
+    """Cost of the fixed Kalman controller whose value has gradient ``grads``."""
+    return sum(float(np.vdot(g, z)) for g, z in zip(grads, blocks))
+
+
+def _evaluate(sys: TimeVaryingSystem, ric, blocks: list[np.ndarray]):
+    """(f, gradient blocks) at the profile with blocks X0, W_0.., V_0.."""
+    T = sys.T
+    X0, W, V = blocks[0], blocks[1 : 1 + T], blocks[1 + T :]
+    kal = _kalman_forward_raw(sys, X0, W, V)
+    return _value_from_solutions(sys, ric, kal, X0), _grad_from_solutions(sys, ric, kal).flat()
+
+
+def _move(refs: list[np.ndarray], direction: list[np.ndarray], alpha: float) -> list[np.ndarray]:
+    return [symmetrize(z + alpha * d) for z, d in zip(refs, direction)]
+
+
+def _line_search(sys, ric, direction, current, slope0):
+    """Maximize h(alpha) = f(Z + alpha D) on [0, 1]; see the module docstring.
+
+    ``current`` is (blocks, f, grads) at Z and ``slope0`` is h'(0), the
+    surrogate gap.  Returns (blocks, f, grads) of the first trial in the
+    acceptance window, else, once the trials run out, of the higher end of
+    the last bracket (its left end has h' >= 0, so f >= f_k by concavity).
+    A point that lowers f all the same, by roundoff, is refused and
+    ``current`` is returned.
+    """
+    refs, f_k, _ = current
+
+    def trial(alpha):
+        blocks = _move(refs, direction, alpha)
+        f, grads = _evaluate(sys, ric, blocks)
+        return (blocks, f, grads), _price(grads, direction)
+
+    point, slope = trial(1.0)
+    if slope < 0.0:  # else h increases on all of [0, 1]
+        left, lo, h_lo = current, 0.0, slope0
+        right, hi, h_hi = point, 1.0, slope
+        side = 0  # which end moved last: -1 lo, +1 hi
+        for _ in range(_LINE_MAX_TRIALS - 1):
+            alpha = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
+            point, slope = trial(alpha)
+            if 0.0 <= slope <= _LINE_CURVATURE * slope0:
+                break
+            if slope > 0.0:
+                left, lo, h_lo = point, alpha, slope
+                if side == -1:
+                    h_hi *= 0.5  # Illinois: damp the end that stayed put
+                side = -1
+            else:
+                right, hi, h_hi = point, alpha, slope
+                if side == 1:
+                    h_lo *= 0.5
+                side = 1
+        else:  # the trials ran out: take the higher end of the last bracket
+            point = max(left, right, key=lambda end: end[1])
+    return point if point[1] >= f_k else current
+
+
 def solve(
     sys: TimeVaryingSystem,
     amb: AmbiguitySpec,
@@ -104,15 +195,14 @@ def solve(
     balls = amb.balls()
     ric = riccati_backward(sys)
     cov = amb.nominal
+    evaluated = None  # (f, grads) at cov when the line search produced them
     trace = []
     best = None  # (gap, f, cov)
     converged = False
     start = time.perf_counter()
     for k in range(cfg.max_iter):
-        kal = _kalman_forward_raw(sys, cov.X0, cov.W, cov.V)
-        f_k = _value_from_solutions(sys, ric, kal, cov.X0)
-        grads = _grad_from_solutions(sys, ric, kal).flat()
         refs = _blocks(cov)
+        f_k, grads = evaluated if evaluated is not None else _evaluate(sys, ric, refs)
         results = oracle_maximize_blocks(balls, grads, refs, delta=cfg.delta)
         gap = sum(r.gap_contribution for r in results)  # fixed block order
         trace.append(
@@ -125,8 +215,14 @@ def solve(
         if gap <= cfg.tol:
             converged = True
             break
-        alpha = 2.0 / (2.0 + k)
-        stepped = [symmetrize(z + alpha * (r.maximizer - z)) for z, r in zip(refs, results)]
+        direction = [r.maximizer - z for z, r in zip(refs, results)]
+        if cfg.step == "line":
+            stepped, f_next, grads_next = _line_search(
+                sys, ric, direction, (refs, f_k, grads), gap
+            )
+            evaluated = (f_next, grads_next)
+        else:
+            stepped = _move(refs, direction, 2.0 / (2.0 + k))
         cov = CovarianceProfile._trusted(stepped, sys.T)
     final_gap, f_value, worst = best
     return RobustSolution(
@@ -161,11 +257,6 @@ class SaddleReport:
     @property
     def passed(self) -> bool:
         return not self.nature_violations and not self.controller_violations
-
-
-def _price(grads: list[np.ndarray], blocks: list[np.ndarray]) -> float:
-    """Cost of the fixed Kalman controller whose value has gradient ``grads``."""
-    return sum(float(np.vdot(g, z)) for g, z in zip(grads, blocks))
 
 
 def saddle_check(

@@ -80,6 +80,12 @@ def test_ball_rejects_negative_radius():
         GelbrichBall(center=np.eye(2), radius=-0.1)
 
 
+def test_ball_rejects_infinite_radius():
+    # an infinite radius would make the oracle return a NaN maximizer
+    with pytest.raises(ValueError, match="finite"):
+        GelbrichBall(center=np.eye(2), radius=math.inf)
+
+
 def test_spec_validates_inputs():
     rng = np.random.default_rng(55)
     nominal = random_profile(rng, 2, 2, 3)
@@ -94,6 +100,19 @@ def test_spec_validates_inputs():
     )
     with pytest.raises(ValueError):
         AmbiguitySpec(nominal=pd_less, rho_x0=0.1, rho_w=(0.1,) * 3, rho_v=(0.1,) * 3)
+
+
+def test_spec_rejects_non_finite_radii_naming_the_field():
+    rng = np.random.default_rng(56)
+    nominal = random_profile(rng, 2, 2, 4)
+    ok = (0.1,) * 4
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"rho_x0 must be finite"):
+            AmbiguitySpec(nominal=nominal, rho_x0=bad, rho_w=ok, rho_v=ok)
+        with pytest.raises(ValueError, match=r"rho_w\[3\] must be finite"):
+            AmbiguitySpec(nominal=nominal, rho_x0=0.1, rho_w=(0.1, 0.1, 0.1, bad), rho_v=ok)
+        with pytest.raises(ValueError, match=r"rho_v\[0\] must be finite"):
+            AmbiguitySpec(nominal=nominal, rho_x0=0.1, rho_w=ok, rho_v=(bad, 0.1, 0.1, 0.1))
 
 
 # ------------------------------------------------------------------ oracle

@@ -1,8 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 
-from drlqg import assemble_controller, lqg_value
+import pytest
+
+from drlqg import FWConfig, assemble_controller, lqg_value, solve
 from drlqg import io
 from drlqg.cli import EXIT_BAD_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VERIFY_FAILED, main
 
@@ -87,11 +90,40 @@ def test_truncated_solve_exits_2_and_fails_verify(tmp_path):
     inst = _generate(tmp_path, n=3, m=3, p=3, T=4, seed=7, rho=0.5)
     res = tmp_path / "res"
     rc = main(
-        ["solve", str(inst), "--out", str(res), "--tol", "1e-4", "--max-iter", "5"]
+        ["solve", str(inst), "--out", str(res), "--tol", "1e-4", "--max-iter", "2"]
     )
     assert rc == EXIT_NOT_CONVERGED
     rc = main(["verify", str(inst), str(res), "--samples", "10", "--seed", "1"])
     assert rc == EXIT_VERIFY_FAILED
+
+
+def test_solve_uses_line_search(tmp_path):
+    inst = _generate(tmp_path, n=2, m=3, p=1, T=3, seed=6, rho=0.5)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res), "--tol", "1e-4"]) == EXIT_OK
+    _, meta = io.read_worst_case(str(res / "worst_case.json"))
+    assert meta["config"].step == "line"
+    sys, amb, _ = io.read_instance(str(inst))
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    trace = io.read_trace_csv(str(res / "trace.csv"))
+    assert [(r.k, r.f_value, r.surrogate_gap) for r in trace] == [
+        (r.k, r.f_value, r.surrogate_gap) for r in sol.trace
+    ]
+    assert main(["verify", str(inst), str(res), "--samples", "10"]) == EXIT_OK
+
+
+def test_verify_names_bad_step_rule_in_bundle(tmp_path, capsys):
+    inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=2, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    path = res / "worst_case.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["step"] = "bogus"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and "config.step" in err
 
 
 def test_missing_instance_is_bad_input(tmp_path):
@@ -151,3 +183,44 @@ def test_verify_rejects_negative_samples(tmp_path, capsys):
     assert main(["verify", str(inst), str(res), "--samples", "-3"]) == EXIT_BAD_INPUT
     assert "--samples" in capsys.readouterr().err
     assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--tol", "abc"], ["--bogus-flag"], ["--max-iter", "1.5"], ["--max-iter"]],
+)
+def test_usage_errors_are_bad_input(tmp_path, capsys, extra):
+    inst = _generate(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--out", str(tmp_path / "o"), *extra])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error:" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == EXIT_OK
+    assert "--max-iter" in capsys.readouterr().out
+
+
+def test_generate_rejects_infinite_radius(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    rc = main(["generate", "--n", "1", "--m", "1", "--p", "1", "--T", "1", "--rho", "inf",
+               "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    assert "rho must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_names_infinite_radius_in_instance(tmp_path, capsys):
+    inst = _generate(tmp_path, n=2, m=2, p=2, T=4, seed=1)
+    doc = json.loads(inst.read_text())
+    doc["ambiguity"]["rho_w"][3] = float("inf")  # written as the token Infinity
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", str(inst), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_BAD_INPUT
+    assert "rho_w[3] must be finite" in capsys.readouterr().err

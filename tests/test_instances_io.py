@@ -175,6 +175,48 @@ def test_result_bundle_round_trip(tmp_path):
     assert [r.surrogate_gap for r in trace] == [r.surrogate_gap for r in sol.trace]
 
 
+def _line_bundle(tmp_path):
+    from drlqg import unroll_kalman
+
+    sys, amb, _ = generate_instance(2, 2, 2, 2, seed=3, rho=0.3)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    out = tmp_path / "bundle"
+    io.write_result_bundle(str(out), sol, unroll_kalman(sys, sol.worst_case).U)
+    return out / "worst_case.json", sol
+
+
+def test_result_bundle_records_step_rule(tmp_path):
+    path, sol = _line_bundle(tmp_path)
+    assert json.loads(path.read_text())["config"]["step"] == "line"
+    _, meta = io.read_worst_case(str(path))
+    assert meta["config"] == sol.config
+
+
+def test_result_bundle_without_step_reads_as_open_loop(tmp_path):
+    # bundles written before the step rule was recorded still read
+    path, sol = _line_bundle(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["config"]["step"]
+    path.write_text(json.dumps(doc))
+    _, meta = io.read_worst_case(str(path))
+    assert meta["config"].step == "open-loop"
+    assert meta["config"].tol == sol.config.tol
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("step", "bogus", "config.step"), ("step", None, "config.step"), ("delta", 1.5, "config.delta")],
+)
+def test_worst_case_with_bad_config_names_file_and_field(tmp_path, field, value, message):
+    path, _ = _line_bundle(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["config"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError, match=message) as info:
+        io.read_worst_case(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_writes_leave_no_temp_files(tmp_path):
     sys, amb, meta = generate_instance(1, 1, 1, 1, seed=1)
     io.write_instance(str(tmp_path / "inst.json"), sys, amb, generator=meta)

@@ -103,6 +103,19 @@ def test_kalman_rejects_singular_v_naming_stage():
         kalman_forward(sys, bad)
 
 
+def test_kalman_gain_matches_filtered_form():
+    # L_t is computed as Sigma_{t|t-1} C' M_t^{-1}; it must equal the
+    # textbook Sigma_t C' V_t^{-1}.
+    rng = np.random.default_rng(13)
+    for n, m, p, T in [(3, 2, 1, 4), (2, 1, 4, 3), (4, 3, 2, 1), (1, 2, 3, 2)]:
+        sys = random_system(rng, n, m, p, T)
+        cov = random_profile(rng, n, p, T)
+        kal = kalman_forward(sys, cov)
+        for t in range(T):
+            direct = np.linalg.solve(cov.V[t], sys.C[t] @ kal.Sigma[t]).T
+            assert np.linalg.norm(kal.L[t] - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
 def test_kalman_information_inequality():
     # Conditioning on an observation never increases the covariance.
     rng = np.random.default_rng(12)

@@ -17,6 +17,7 @@ from drlqg import (
     solve,
     unroll_kalman,
 )
+from drlqg import solver
 from drlqg.ambiguity import sample_feasible_blocks
 from drlqg.stacked import _first_order_bound
 
@@ -38,6 +39,9 @@ def test_config_validation():
         FWConfig(tol=0.0)
     with pytest.raises(ValueError):
         FWConfig(max_iter=0)
+    with pytest.raises(ValueError, match="step"):
+        FWConfig(step="bogus")
+    assert FWConfig().step == "open-loop"
 
 
 def test_zero_radii_recovers_nominal_lqg():
@@ -117,6 +121,92 @@ def test_solve_rejects_mismatched_ambiguity():
     )
     with pytest.raises(ValueError):
         solve(sys, amb)
+
+
+# ------------------------------------------------------------- line search
+
+LINE_CASES = [  # (n, m, p, T, seed, rho)
+    (3, 2, 1, 4, 11, 0.5),
+    (2, 3, 4, 1, 12, 1.0),
+    (1, 1, 1, 1, 13, 2.0),
+    (4, 4, 4, 4, 14, 2.0),
+]
+
+
+@pytest.mark.parametrize("n,m,p,T,seed,rho", LINE_CASES)
+def test_line_search_solve(n, m, p, T, seed, rho):
+    sys, amb, _ = generate_instance(n, m, p, T, seed=seed, rho=rho)
+    balls = amb.balls()
+    iterates = []
+
+    def on_iterate(k, cov, gap):
+        iterates.append(cov)
+        for ball, block in zip(balls, [cov.X0, *cov.W, *cov.V]):
+            assert ball.contains(block, tol=1e-7)
+
+    cfg = FWConfig(tol=1e-4, step="line")
+    sol = solve(sys, amb, cfg, on_iterate=on_iterate)
+    assert sol.converged
+    fs = [rec.f_value for rec in sol.trace]
+    assert all(b >= a for a, b in zip(fs, fs[1:]))
+    scale = max(1.0, abs(sol.f_value))
+    assert all(rec.surrogate_gap >= -1e-9 * scale for rec in sol.trace)
+    # the value carried over from the accepted trial is the iterate's own
+    assert fs == [lqg_value(sys, cov) for cov in iterates]
+
+    again = solve(sys, amb, cfg)
+    assert [(r.k, r.f_value, r.surrogate_gap) for r in again.trace] == [
+        (r.k, r.f_value, r.surrogate_gap) for r in sol.trace
+    ]
+    assert saddle_check(sys, amb, sol, n_samples=20, seed=0).passed
+
+    ref = solve(sys, amb, FWConfig(tol=1e-4))
+    assert ref.converged
+    assert len(sol.trace) <= len(ref.trace)
+    width = max(sol.final_gap, ref.final_gap) / cfg.delta
+    assert abs(sol.f_value - ref.f_value) <= width
+
+
+def test_line_search_falls_back_to_higher_bracket_end(monkeypatch):
+    # With an empty acceptance window every search that leaves alpha = 1
+    # runs out of trials and must take the higher end of its last bracket.
+    monkeypatch.setattr(solver, "_LINE_CURVATURE", 0.0)
+    monkeypatch.setattr(solver, "_LINE_MAX_TRIALS", 3)
+    sys, amb, _ = generate_instance(4, 4, 4, 4, seed=14, rho=2.0)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    assert sol.converged
+    fs = [rec.f_value for rec in sol.trace]
+    assert all(b > a for a, b in zip(fs, fs[1:]))
+
+
+def test_line_search_refuses_a_point_that_lowers_f(monkeypatch):
+    # Trials valued below the current iterate are refused: the iterate stays
+    # put, so the solve repeats its first iteration until the cap.
+    evaluate = solver._evaluate
+    calls = []
+
+    def lowered(sys, ric, blocks):
+        f, grads = evaluate(sys, ric, blocks)
+        calls.append(None)
+        return (f if len(calls) == 1 else -np.inf), grads
+
+    monkeypatch.setattr(solver, "_evaluate", lowered)
+    sys, amb, _ = generate_instance(3, 2, 1, 4, seed=11, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, max_iter=3, step="line"))
+    assert not sol.converged
+    first = (sol.trace[0].f_value, sol.trace[0].surrogate_gap)
+    assert [(r.k, r.f_value, r.surrogate_gap) for r in sol.trace] == [
+        (k, *first) for k in range(3)
+    ]
+    assert len(calls) > 3
+
+
+def test_line_search_cap_returns_best_iterate_flagged():
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-12, max_iter=2, step="line"))
+    assert not sol.converged
+    assert len(sol.trace) == 2
+    assert sol.final_gap == min(rec.surrogate_gap for rec in sol.trace)
 
 
 # ------------------------------------------------------------ saddle audit
