@@ -21,7 +21,6 @@ from .gradient import GradientBlocks, fd_grad, grad_f
 from .instances import banded_system, generate_instance, sample_nominal_profile
 from .lqg import (
     CovarianceProfile,
-    GainController,
     KalmanController,
     KalmanSolution,
     MonteCarloStats,
@@ -53,6 +52,7 @@ from .stacked import (
     output_to_purified,
     purified_from_rollout,
     purified_to_output,
+    unroll_controller,
     unroll_kalman,
 )
 
@@ -63,7 +63,6 @@ __all__ = [
     "CovarianceProfile",
     "FWConfig",
     "FWIteration",
-    "GainController",
     "GelbrichBall",
     "GradientBlocks",
     "KalmanController",
@@ -102,5 +101,6 @@ __all__ = [
     "sample_nominal_profile",
     "simulate",
     "solve",
+    "unroll_controller",
     "unroll_kalman",
 ]

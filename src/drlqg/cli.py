@@ -15,14 +15,23 @@ import numpy as np
 
 from . import io
 from .instances import generate_instance
-from .lqg import GainController, assemble_controller, lqg_value, monte_carlo_cost
+from .lqg import (
+    KalmanController,
+    _check_dims,
+    _check_gains,
+    kalman_forward,
+    lqg_value,
+    monte_carlo_cost,
+    riccati_backward,
+)
 from .solver import FWConfig, RobustSolution, saddle_check, solve
 from .stacked import (
     LinearOutputController,
+    _check_causal,
     build_stacked,
     controller_cost_trace,
     output_to_purified,
-    unroll_kalman,
+    unroll_controller,
 )
 
 EXIT_OK = 0
@@ -94,7 +103,7 @@ def _cmd_solve(args) -> int:
     # an exact line search, which needs far fewer iterations than the open-loop default
     cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter, step="line")
     sol = solve(system, amb, cfg)
-    gain = unroll_kalman(system, sol.worst_case)
+    gain = unroll_controller(system, sol.controller)
     io.write_result_bundle(args.out, sol, gain.U)
     status = "converged" if sol.converged else "NOT converged"
     print(
@@ -105,20 +114,33 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
 
 
+def _read_stored(system, controller_path: str, covariance_path: str):
+    """(controller, U_output, noise model, its metadata), checked against ``system``.
+
+    A stage count or shape that does not fit, or a non-causal U_output,
+    raises ``FormatError`` naming the file and the field before any use.
+    """
+    cov, meta = io.read_worst_case(covariance_path)
+    K, L, U_out = io.read_controller(controller_path)
+    with io._naming(covariance_path):
+        _check_dims(system, cov)
+    with io._naming(controller_path):
+        K, L = _check_gains(system, K, L)
+        _check_causal(U_out, system.m, system.p, system.T, "U_output")
+    return KalmanController(K=K, L=L), U_out, cov, meta
+
+
 def _cmd_evaluate(args) -> int:
     if args.rollouts < 2:
         raise ValueError(f"--rollouts must be at least 2, got {args.rollouts}")
     system, _, _ = io.read_instance(args.instance)
-    K, L, U_out = io.read_controller(args.controller)
-    cov, _ = io.read_worst_case(args.covariance)
+    ctrl, U_out, cov, _ = _read_stored(system, args.controller, args.covariance)
     st = build_stacked(system)
     out_ctrl = LinearOutputController(
         U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
     )
     exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
-    stats = monte_carlo_cost(
-        system, GainController(K=K, L=L), cov, n_samples=args.rollouts, rng=args.seed
-    )
+    stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
     print(f"exact cost      : {exact:.10g}")
     print(f"monte carlo mean: {stats.mean:.10g} +/- {stats.stderr:.4g} (n={stats.n_samples})")
     dev = abs(stats.mean - exact)
@@ -133,8 +155,11 @@ def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be non-negative, got {args.samples}")
     system, amb, _ = io.read_instance(args.instance)
-    cov, meta = io.read_worst_case(os.path.join(args.result_dir, "worst_case.json"))
-    K, L, U_out = io.read_controller(os.path.join(args.result_dir, "controller.json"))
+    stored, U_out, cov, meta = _read_stored(
+        system,
+        os.path.join(args.result_dir, "controller.json"),
+        os.path.join(args.result_dir, "worst_case.json"),
+    )
     trace = io.read_trace_csv(os.path.join(args.result_dir, "trace.csv"))
     failures = []
 
@@ -154,19 +179,21 @@ def _cmd_verify(args) -> int:
         if not ball.contains(block, tol=1e-7):
             failures.append(f"worst-case block {name} is outside its ambiguity ball")
 
-    f_check = lqg_value(system, cov)
+    ric = riccati_backward(system)
+    kal = kalman_forward(system, cov)
+    f_check = lqg_value(system, cov, riccati=ric, kalman=kal)
     if abs(f_check - meta["f_value"]) > 1e-8 * max(1.0, abs(f_check)):
         failures.append(
             f"claimed value {meta['f_value']:.12g} does not match recomputation {f_check:.12g}"
         )
 
-    ctrl = assemble_controller(system, cov)
+    ctrl = KalmanController(K=ric.K, L=kal.L)
     for t in range(system.T):
-        if np.max(np.abs(ctrl.riccati.K[t] - K[t])) > 1e-8:
+        if np.max(np.abs(ctrl.K[t] - stored.K[t])) > 1e-8:
             failures.append(f"stored feedback gain K[{t}] does not match recomputation")
-        if np.max(np.abs(ctrl.kalman.L[t] - L[t])) > 1e-8:
+        if np.max(np.abs(ctrl.L[t] - stored.L[t])) > 1e-8:
             failures.append(f"stored filter gain L[{t}] does not match recomputation")
-    gain = unroll_kalman(system, cov)
+    gain = unroll_controller(system, ctrl)
     if np.max(np.abs(gain.U - U_out)) > 1e-8:
         failures.append("stored unrolled gain does not match recomputation")
 

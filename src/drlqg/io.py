@@ -10,6 +10,7 @@ in the target directory followed by an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -53,6 +54,22 @@ def _as_array(doc, path: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"field '{path}' contains non-finite entries")
     return arr
+
+
+def _as_stages(doc, path: str) -> tuple:
+    arr = _as_array(doc, path)
+    if arr.ndim != 3:
+        raise FormatError(f"field '{path}' is not a list of matrices (shape {arr.shape})")
+    return tuple(arr)
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Re-raise a ``ValueError`` from reading a document as a ``FormatError`` naming ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _atomic_write(path: str, write):
@@ -120,21 +137,21 @@ def write_instance(path: str, sys: TimeVaryingSystem, amb: AmbiguitySpec, genera
 
 def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
     doc = _load_json(path)
-    if _get(doc, "format") != INSTANCE_FORMAT:
-        raise FormatError(f"field 'format' must be '{INSTANCE_FORMAT}'")
-    dims = {k: int(_get(doc, f"dims.{k}")) for k in ("n", "m", "p", "T")}
-    try:
+    with _naming(path):
+        if _get(doc, "format") != INSTANCE_FORMAT:
+            raise FormatError(f"field 'format' must be '{INSTANCE_FORMAT}'")
+        dims = {k: int(_get(doc, f"dims.{k}")) for k in ("n", "m", "p", "T")}
         sys = TimeVaryingSystem(
-            A=_as_array(doc, "system.A"),
-            B=_as_array(doc, "system.B"),
-            C=_as_array(doc, "system.C"),
-            Q=_as_array(doc, "system.Q"),
-            R=_as_array(doc, "system.R"),
+            A=_as_stages(doc, "system.A"),
+            B=_as_stages(doc, "system.B"),
+            C=_as_stages(doc, "system.C"),
+            Q=_as_stages(doc, "system.Q"),
+            R=_as_stages(doc, "system.R"),
         )
         nominal = CovarianceProfile(
             X0=_as_array(doc, "ambiguity.nominal.X0"),
-            W=tuple(_as_array(doc, "ambiguity.nominal.W")),
-            V=tuple(_as_array(doc, "ambiguity.nominal.V")),
+            W=_as_stages(doc, "ambiguity.nominal.W"),
+            V=_as_stages(doc, "ambiguity.nominal.V"),
         )
         rho_w = _get(doc, "ambiguity.rho_w")
         rho_v = _get(doc, "ambiguity.rho_v")
@@ -144,12 +161,8 @@ def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
             rho_w=tuple(float(r) for r in rho_w),
             rho_v=tuple(float(r) for r in rho_v),
         )
-    except ValueError as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{path}: {exc}") from None
-    if (sys.n, sys.m, sys.p, sys.T) != (dims["n"], dims["m"], dims["p"], dims["T"]):
-        raise FormatError("field 'dims' disagrees with the system matrices")
+        if (sys.n, sys.m, sys.p, sys.T) != (dims["n"], dims["m"], dims["p"], dims["T"]):
+            raise FormatError("field 'dims' disagrees with the system matrices")
     return sys, amb, doc.get("generator", {})
 
 
@@ -210,8 +223,8 @@ def write_result_bundle(out_dir: str, sol: RobustSolution, controller_gain: np.n
     ctrl = {
         "format": CONTROLLER_FORMAT,
         "version": FORMAT_VERSION,
-        "K": [_mat(k) for k in sol.controller.riccati.K],
-        "L": [_mat(l) for l in sol.controller.kalman.L],
+        "K": [_mat(k) for k in sol.controller.K],
+        "L": [_mat(l) for l in sol.controller.L],
         "U_output": _mat(controller_gain),
     }
     write_json_atomic(os.path.join(out_dir, "controller.json"), ctrl)
@@ -220,43 +233,37 @@ def write_result_bundle(out_dir: str, sol: RobustSolution, controller_gain: np.n
 
 def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
     doc = _load_json(path)
-    if _get(doc, "format") != WORST_CASE_FORMAT:
-        raise FormatError(f"field 'format' must be '{WORST_CASE_FORMAT}'")
-    try:
+    with _naming(path):
+        if _get(doc, "format") != WORST_CASE_FORMAT:
+            raise FormatError(f"field 'format' must be '{WORST_CASE_FORMAT}'")
         cov = CovarianceProfile(
             X0=_as_array(doc, "covariance.X0"),
-            W=tuple(_as_array(doc, "covariance.W")),
-            V=tuple(_as_array(doc, "covariance.V")),
+            W=_as_stages(doc, "covariance.W"),
+            V=_as_stages(doc, "covariance.V"),
         )
-    except ValueError as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{path}: {exc}") from None
-    knobs = dict(
-        delta=float(_get(doc, "config.delta")),
-        tol=float(_get(doc, "config.tol")),
-        max_iter=int(_get(doc, "config.max_iter")),
-        # bundles written before the step rule was recorded used open-loop
-        step=_get(doc, "config").get("step", "open-loop"),
-    )
-    try:
-        config = FWConfig(**knobs)
-    except ValueError as exc:  # its messages start with the field name
-        raise FormatError(f"{path}: config.{exc}") from None
-    meta = {
-        "f_value": float(_get(doc, "f_value")),
-        "final_gap": float(_get(doc, "final_gap")),
-        "converged": bool(_get(doc, "converged")),
-        "config": config,
-    }
+        knobs = dict(
+            delta=float(_get(doc, "config.delta")),
+            tol=float(_get(doc, "config.tol")),
+            max_iter=int(_get(doc, "config.max_iter")),
+            # bundles written before the step rule was recorded used open-loop
+            step=_get(doc, "config").get("step", "open-loop"),
+        )
+        try:
+            config = FWConfig(**knobs)
+        except ValueError as exc:  # its messages start with the field name
+            raise FormatError(f"config.{exc}") from None
+        meta = {
+            "f_value": float(_get(doc, "f_value")),
+            "final_gap": float(_get(doc, "final_gap")),
+            "converged": bool(_get(doc, "converged")),
+            "config": config,
+        }
     return cov, meta
 
 
 def read_controller(path: str) -> tuple[tuple, tuple, np.ndarray]:
     doc = _load_json(path)
-    if _get(doc, "format") != CONTROLLER_FORMAT:
-        raise FormatError(f"field 'format' must be '{CONTROLLER_FORMAT}'")
-    K = tuple(_as_array(doc, "K"))
-    L = tuple(_as_array(doc, "L"))
-    U = _as_array(doc, "U_output")
-    return K, L, U
+    with _naming(path):
+        if _get(doc, "format") != CONTROLLER_FORMAT:
+            raise FormatError(f"field 'format' must be '{CONTROLLER_FORMAT}'")
+        return _as_stages(doc, "K"), _as_stages(doc, "L"), _as_array(doc, "U_output")

@@ -9,10 +9,10 @@ independent, and quadratic cost
 
     J = sum_{t<T} (x_t' Q_t x_t + u_t' R_t u_t) + x_T' Q_T x_T.
 
-This module provides the backward Riccati recursion for the control gains,
-the forward Kalman recursion for the estimator, the exact expected cost of
-the optimal output-feedback controller, and a causal simulator for rolling
-out controllers against sampled (or adversarially chosen) noise.
+This module provides the backward Riccati recursion for the feedback gains,
+the forward Kalman recursion for the filter gains (together they are the
+optimal output-feedback controller), its exact expected cost, and a causal
+simulator for rolling out controllers against sampled (or adversarial) noise.
 """
 
 from __future__ import annotations
@@ -37,30 +37,28 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-def _stage_tuple(mats, count, shape, name) -> tuple[np.ndarray, ...]:
-    mats = tuple(np.asarray(m, dtype=float) for m in mats)
-    if len(mats) != count:
-        raise ValueError(f"{name}: expected {count} matrices, got {len(mats)}")
-    for t, m in enumerate(mats):
-        if m.shape != shape:
-            raise ValueError(f"{name}[{t}]: expected shape {shape}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"{name}[{t}] contains non-finite entries")
-    return tuple(_frozen(m) for m in mats)
-
-
-def _sym_stage_tuple(mats, count, dim, name, psd=False, pd=False):
-    mats = _stage_tuple(mats, count, (dim, dim), name)
-    out = []
-    for t, m in enumerate(mats):
+def _block(m, shape, label, psd=False, pd=False) -> np.ndarray:
+    """``m`` as a frozen float array; a ``psd`` or ``pd`` one is symmetrized first."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != shape:
+        raise ValueError(f"{label}: expected shape {shape}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{label} contains non-finite entries")
+    if psd or pd:
         m = symmetrize(m)
         lo = min_eigval(m)
         if pd and lo <= 0.0:
-            raise ValueError(f"{name}[{t}] must be positive definite (min eig {lo:.3e})")
+            raise ValueError(f"{label} must be positive definite (min eig {lo:.3e})")
         if psd and lo < -PSD_CLAMP_REL * np.linalg.norm(m):
-            raise ValueError(f"{name}[{t}] must be positive semidefinite (min eig {lo:.3e})")
-        out.append(_frozen(m))
-    return tuple(out)
+            raise ValueError(f"{label} must be positive semidefinite (min eig {lo:.3e})")
+    return _frozen(m)
+
+
+def _stage_tuple(mats, count, shape, name, psd=False, pd=False) -> tuple[np.ndarray, ...]:
+    mats = tuple(mats)
+    if len(mats) != count:
+        raise ValueError(f"{name}: expected {count} matrices, got {len(mats)}")
+    return tuple(_block(m, shape, f"{name}[{t}]", psd, pd) for t, m in enumerate(mats))
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ class TimeVaryingSystem:
         object.__setattr__(self, "A", _stage_tuple(A, T, (n, n), "A"))
         object.__setattr__(self, "B", _stage_tuple(B, T, (n, m), "B"))
         object.__setattr__(self, "C", _stage_tuple(C, T, (p, n), "C"))
-        object.__setattr__(self, "Q", _sym_stage_tuple(self.Q, T + 1, n, "Q", psd=True))
-        object.__setattr__(self, "R", _sym_stage_tuple(self.R, T, m, "R", pd=True))
+        object.__setattr__(self, "Q", _stage_tuple(self.Q, T + 1, (n, n), "Q", psd=True))
+        object.__setattr__(self, "R", _stage_tuple(self.R, T, (m, m), "R", pd=True))
 
     @property
     def T(self) -> int:
@@ -125,29 +123,13 @@ class CovarianceProfile:
     V: tuple
 
     def __post_init__(self):
-        x0 = symmetrize(self.X0)
-        n = x0.shape[0]
-        W = tuple(np.asarray(w, dtype=float) for w in self.W)
-        V = tuple(np.asarray(v, dtype=float) for v in self.V)
+        W, V = tuple(self.W), tuple(self.V)
         if not W or len(W) != len(V):
             raise ValueError("W and V must be non-empty and of equal length")
-        p = V[0].shape[0]
-        T = len(W)
-        for name, block in [("X0", x0)] + [(f"W[{t}]", w) for t, w in enumerate(W)] + [
-            (f"V[{t}]", v) for t, v in enumerate(V)
-        ]:
-            s = symmetrize(block)
-            if not np.all(np.isfinite(s)):
-                raise ValueError(f"{name} contains non-finite entries")
-            if min_eigval(s) < -PSD_CLAMP_REL * np.linalg.norm(s):
-                raise ValueError(f"{name} is not positive semidefinite")
-        object.__setattr__(self, "X0", _frozen(x0))
-        object.__setattr__(
-            self, "W", tuple(_frozen(symmetrize(w)) for w in _stage_tuple(W, T, (n, n), "W"))
-        )
-        object.__setattr__(
-            self, "V", tuple(_frozen(symmetrize(v)) for v in _stage_tuple(V, T, (p, p), "V"))
-        )
+        n, p = (np.shape(a)[0] if np.ndim(a) else 0 for a in (self.X0, V[0]))
+        object.__setattr__(self, "X0", _block(self.X0, (n, n), "X0", psd=True))
+        object.__setattr__(self, "W", _stage_tuple(W, len(W), (n, n), "W", psd=True))
+        object.__setattr__(self, "V", _stage_tuple(V, len(V), (p, p), "V", psd=True))
 
     @classmethod
     def _trusted(cls, blocks, T: int) -> "CovarianceProfile":
@@ -306,33 +288,28 @@ def lqg_value(
 class KalmanController:
     """Certainty-equivalence output-feedback controller u_t = K_t xhat_t.
 
-    The state estimate follows
+    It is its gains alone: ``K`` holds K_t (m x n) and ``L`` holds L_t
+    (n x p), t = 0..T-1.  The state estimate follows
 
         xhat_0 = L_0 y_0
         xhat_{t+1} = A_t xhat_t + B_t u_t
                      + L_{t+1} (y_{t+1} - C_{t+1} (A_t xhat_t + B_t u_t)).
 
     Instances are immutable; per-rollout filter state lives in the policy
-    object returned by :meth:`make_policy`.
+    object returned by :meth:`make_policy`, which checks the gains on ``sys``.
     """
-
-    riccati: RiccatiSolution
-    kalman: KalmanSolution
-    system: TimeVaryingSystem
-
-    def make_policy(self, sys: TimeVaryingSystem | None = None):
-        return _KalmanPolicy(sys or self.system, self.riccati.K, self.kalman.L)
-
-
-@dataclass(frozen=True)
-class GainController:
-    """Controller specified directly by gain sequences (K_t, L_t)."""
 
     K: tuple
     L: tuple
 
     def make_policy(self, sys: TimeVaryingSystem):
-        return _KalmanPolicy(sys, self.K, self.L)
+        return _KalmanPolicy(sys, *_check_gains(sys, self.K, self.L))
+
+
+def _check_gains(sys: TimeVaryingSystem, K, L) -> tuple[tuple, tuple]:
+    """K and L as frozen stage tuples; a ValueError names the misfit."""
+    K = _stage_tuple(K, sys.T, (sys.m, sys.n), "K")
+    return K, _stage_tuple(L, sys.T, (sys.n, sys.p), "L")
 
 
 class _KalmanPolicy:
@@ -366,9 +343,7 @@ class _KalmanPolicy:
 
 def assemble_controller(sys: TimeVaryingSystem, cov: CovarianceProfile) -> KalmanController:
     """Run both recursions and package the optimal controller for ``cov``."""
-    return KalmanController(
-        riccati=riccati_backward(sys), kalman=kalman_forward(sys, cov), system=sys
-    )
+    return KalmanController(K=riccati_backward(sys).K, L=kalman_forward(sys, cov).L)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ is refused and the iterate stays put (the solve then repeats that
 iteration until the cap), so f_k never decreases.  The surrogate-gap
 certificate does not depend on the step rule.
 
-The returned controller is the Kalman controller assembled at the
-worst-case profile; by the separation structure it is a best response,
-which makes the pair a saddle point.
+The returned controller pairs the solve's Riccati gains with the Kalman
+gains of the worst-case profile; by the separation structure it is a best
+response, which makes the pair a saddle point.
 
 ``saddle_check`` audits a claimed solution from both sides with exact
 certificates: no feasible noise profile (including an adversarially
@@ -53,11 +53,11 @@ from .lqg import (
     TimeVaryingSystem,
     _kalman_forward_raw,
     _value_from_solutions,
-    assemble_controller,
+    kalman_forward,
     riccati_backward,
 )
 from .linalg import symmetrize
-from .stacked import _first_order_bound, build_stacked, output_to_purified, unroll_kalman
+from .stacked import _first_order_bound, build_stacked, output_to_purified, unroll_controller
 
 
 STEP_RULES = ("open-loop", "line")
@@ -225,9 +225,10 @@ def solve(
             stepped = _move(refs, direction, 2.0 / (2.0 + k))
         cov = CovarianceProfile._trusted(stepped, sys.T)
     final_gap, f_value, worst = best
+    kal = _kalman_forward_raw(sys, worst.X0, worst.W, worst.V)
     return RobustSolution(
         worst_case=worst,
-        controller=assemble_controller(sys, worst),
+        controller=KalmanController(K=ric.K, L=kal.L),
         trace=tuple(trace),
         final_gap=final_gap,
         f_value=f_value,
@@ -292,7 +293,9 @@ def saddle_check(
     balls = amb.balls()
 
     nature_violations = []
-    grads = grad_f(sys, sol.worst_case).flat()
+    ric = riccati_backward(sys)
+    kal = kalman_forward(sys, sol.worst_case)
+    grads = grad_f(sys, sol.worst_case, riccati=ric, kalman=kal).flat()
     best_response = oracle_maximize_blocks(balls, grads, _blocks(sol.worst_case), delta=0.99)
     candidates = [("best-response", [r.maximizer for r in best_response])]
     for i in range(n_samples):
@@ -303,7 +306,7 @@ def saddle_check(
             nature_violations.append((label, cost, cost - f_star - nature_slack))
 
     st = build_stacked(sys)
-    upur = output_to_purified(unroll_kalman(sys, sol.worst_case), st)
+    upur = output_to_purified(unroll_controller(sys, KalmanController(K=ric.K, L=kal.L)), st)
     bound = _first_order_bound(st, upur.U, sol.worst_case)
     lowest = _price(grads, _blocks(sol.worst_case)) - bound  # J(U*) - bound
     controller_violations = []

@@ -27,7 +27,14 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import min_eigval
-from .lqg import CovarianceProfile, TimeVaryingSystem, _frozen, kalman_forward, riccati_backward
+from .lqg import (
+    CovarianceProfile,
+    KalmanController,
+    TimeVaryingSystem,
+    _check_gains,
+    _frozen,
+    assemble_controller,
+)
 
 
 @dataclass(frozen=True)
@@ -270,8 +277,8 @@ def output_to_purified(
     return LinearPurifiedController(U=U, q=q, m=st.m, p=st.p, T=st.T)
 
 
-def unroll_kalman(sys: TimeVaryingSystem, cov: CovarianceProfile) -> LinearOutputController:
-    """Expand the recursive Kalman controller into an explicit gain over y.
+def unroll_controller(sys: TimeVaryingSystem, ctrl: KalmanController) -> LinearOutputController:
+    """Expand a Kalman controller's gains into an explicit gain over y.
 
     Maintains Phi_t with xhat_t = Phi_t (y_0..y_{t-1}, y_t, 0..):
 
@@ -280,16 +287,20 @@ def unroll_kalman(sys: TimeVaryingSystem, cov: CovarianceProfile) -> LinearOutpu
 
     and emits block row t of the gain as K_t Phi_t.  The offset is zero.
     """
-    ric = riccati_backward(sys)
-    kal = kalman_forward(sys, cov)
+    K, L = _check_gains(sys, ctrl.K, ctrl.L)
     n, m, p, T = sys.n, sys.m, sys.p, sys.T
     U = np.zeros((m * T, p * T))
     phi = np.zeros((n, p * T))
-    phi[:, :p] = kal.L[0]
+    phi[:, :p] = L[0]
     for t in range(T):
         if t > 0:
-            pred = (sys.A[t - 1] + sys.B[t - 1] @ ric.K[t - 1]) @ phi
-            phi = pred - kal.L[t] @ (sys.C[t] @ pred)
-            phi[:, t * p : (t + 1) * p] += kal.L[t]
-        U[t * m : (t + 1) * m, :] = ric.K[t] @ phi
+            pred = (sys.A[t - 1] + sys.B[t - 1] @ K[t - 1]) @ phi
+            phi = pred - L[t] @ (sys.C[t] @ pred)
+            phi[:, t * p : (t + 1) * p] += L[t]
+        U[t * m : (t + 1) * m, :] = K[t] @ phi
     return LinearOutputController(U=U, q=np.zeros(m * T), m=m, p=p, T=T)
+
+
+def unroll_kalman(sys: TimeVaryingSystem, cov: CovarianceProfile) -> LinearOutputController:
+    """Unrolled gain of the optimal Kalman controller for ``cov``."""
+    return unroll_controller(sys, assemble_controller(sys, cov))

@@ -1,4 +1,5 @@
 import json
+import sys as _sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from drlqg import FWConfig, assemble_controller, lqg_value, solve
-from drlqg import io
+from drlqg import io, lqg
 from drlqg.cli import EXIT_BAD_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -43,8 +44,8 @@ def test_solve_zero_radius_single_iteration(tmp_path):
     K, L, _ = io.read_controller(str(tmp_path / "res" / "controller.json"))
     nominal = assemble_controller(sys, amb.nominal)
     for t in range(sys.T):
-        assert np.allclose(K[t], nominal.riccati.K[t], atol=1e-15)
-        assert np.allclose(L[t], nominal.kalman.L[t], atol=1e-15)
+        assert np.allclose(K[t], nominal.K[t], atol=1e-15)
+        assert np.allclose(L[t], nominal.L[t], atol=1e-15)
 
 
 def test_solve_verify_evaluate_workflow(tmp_path, capsys):
@@ -224,3 +225,82 @@ def test_solve_names_infinite_radius_in_instance(tmp_path, capsys):
         rc = main(["solve", str(inst), "--out", str(tmp_path / "o")])
     assert rc == EXIT_BAD_INPUT
     assert "rho_w[3] must be finite" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, func):
+    """Count the calls of ``func`` through every drlqg module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for name, module in list(_sys.modules.items()):
+        if name.split(".")[0] == "drlqg":
+            for attr, obj in list(vars(module).items()):
+                if obj is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_solve_and_verify_run_each_recursion_only_where_needed(tmp_path, monkeypatch):
+    inst = _generate(tmp_path, n=3, m=2, p=2, T=4, seed=1, rho=0.5)
+    res = tmp_path / "res"
+    riccati = _count_calls(monkeypatch, lqg.riccati_backward)
+    kalman = _count_calls(monkeypatch, lqg._kalman_forward_raw)
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    assert len(riccati) == 1  # the gains of the Frank-Wolfe loop are the controller's
+    riccati.clear()
+    kalman.clear()
+    assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_OK
+    assert len(riccati) <= 2 and len(kalman) <= 2
+
+
+def _solved(tmp_path, **dims):
+    inst = _generate(tmp_path, **dims)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    return inst, res
+
+
+def _audits(inst, res):
+    yield ["verify", str(inst), str(res), "--samples", "5"]
+    yield [
+        "evaluate", str(inst), str(res / "controller.json"), str(res / "worst_case.json"),
+        "--rollouts", "100",
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, edit, message",
+    [
+        ("K", lambda K: K[:-1], "K: expected 3 matrices, got 2"),
+        ("K", lambda K: 5.0, "field 'K' is not a list of matrices (shape ())"),
+        ("L", lambda L: [[r[:1] for r in mat] for mat in L], "L[0]: expected shape (2, 2), got"),
+        ("U_output", lambda U: U[:-1], "U_output: expected shape (3, 6), got (2, 6)"),
+        ("U_output", lambda U: [r[:-1] + [1.0] for r in U], "U_output: block (0,2) above the"),
+    ],
+    ids=["K-stages", "K-scalar", "L-shape", "U-shape", "U-not-causal"],
+)
+def test_malformed_controller_names_file_and_field(tmp_path, capsys, field, edit, message):
+    inst, res = _solved(tmp_path, n=2, m=1, p=2, T=3, seed=4)
+    path = res / "controller.json"
+    doc = json.loads(path.read_text())
+    doc[field] = edit(doc[field])
+    path.write_text(json.dumps(doc))
+    for args in _audits(inst, res):
+        capsys.readouterr()
+        assert main(args) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
+
+def test_bundle_of_another_instance_names_the_mismatch(tmp_path, capsys):
+    _, res = _solved(tmp_path, n=2, m=1, p=2, T=3, seed=4)
+    other = _generate(tmp_path, "other.json", n=3, m=1, p=2, T=2, seed=5)
+    for args in _audits(other, res):
+        capsys.readouterr()
+        assert main(args) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert str(res / "worst_case.json") in err
+        assert "(n=2, p=2, T=3) does not match system (n=3, p=2, T=2)" in err

@@ -107,6 +107,22 @@ def test_instance_file_rejects_dim_mismatch(tmp_path):
         io.read_instance(str(path))
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("system", "A", 5.0), ("system", "Q", [1.0, 2.0]), ("nominal", "W", [[1.0]])],
+)
+def test_instance_stage_lists_must_hold_matrices(tmp_path, section, field, value):
+    sys, amb, _ = generate_instance(1, 1, 1, 2, seed=0)
+    path = tmp_path / "inst.json"
+    io.write_instance(str(path), sys, amb)
+    doc = json.loads(path.read_text())
+    node = doc["system"] if section == "system" else doc["ambiguity"]["nominal"]
+    node[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError, match=rf"'\S*{field}' is not a list of matrices"):
+        io.read_instance(str(path))
+
+
 def test_instance_file_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -165,8 +181,8 @@ def test_result_bundle_round_trip(tmp_path):
     assert meta["config"].tol == sol.config.tol
 
     K, L, U = io.read_controller(str(out / "controller.json"))
-    assert np.array_equal(K[0], sol.controller.riccati.K[0])
-    assert np.array_equal(L[0], sol.controller.kalman.L[0])
+    assert np.array_equal(K[0], sol.controller.K[0])
+    assert np.array_equal(L[0], sol.controller.L[0])
     assert np.array_equal(U, gain.U)
 
     trace = io.read_trace_csv(str(out / "trace.csv"))

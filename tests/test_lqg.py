@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from drlqg import (
     CovarianceProfile,
-    GainController,
+    KalmanController,
     TimeVaryingSystem,
     assemble_controller,
     kalman_forward,
@@ -175,13 +177,41 @@ def test_value_rejects_mismatched_profile():
         lqg_value(sys, cov)
 
 
+_I1, _I2 = np.eye(1), np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "X0, W, V, message",
+    [
+        (np.ones((2, 3)), [_I2] * 3, [_I1] * 3, r"^X0: expected shape \(2, 2\), got \(2, 3\)$"),
+        (_I2, [_I2, np.ones((2, 3)), _I2], [_I1] * 3, r"^W\[1\]: expected shape"),
+        (_I2, [_I2] * 3, [_I1, _I1, np.ones((1, 2))], r"^V\[2\]: expected shape"),
+        (-_I2, [_I2] * 3, [_I1] * 3, r"^X0 must be positive semidefinite"),
+        (_I2, [_I2, -_I2, _I2], [_I1] * 3, r"^W\[1\] must be positive semidefinite"),
+        (_I2, [_I2] * 3, [_I1, [[np.nan]], _I1], r"^V\[1\] contains non-finite"),
+    ],
+)
+def test_profile_errors_name_the_block(X0, W, V, message):
+    with pytest.raises(ValueError, match=message):
+        CovarianceProfile(X0=X0, W=W, V=V)
+
+
+def test_profile_stores_symmetrized_frozen_blocks():
+    rng = np.random.default_rng(21)
+    X0, W, V = (a @ a.T + 1e-3 * np.triu(a, 1) for a in rng.standard_normal((3, 3, 3)))
+    cov = CovarianceProfile(X0=X0, W=(W,), V=(V,))
+    for got, raw in ((cov.X0, X0), (cov.W[0], W), (cov.V[0], V)):
+        assert np.array_equal(got, 0.5 * (raw + raw.T))
+        assert not got.flags.writeable
+
+
 # ------------------------------------------------------------- controller
 
 
 def test_controller_scalar_first_input():
     sys, cov = scalar_ones()
     ctrl = assemble_controller(sys, cov)
-    policy = ctrl.make_policy()
+    policy = ctrl.make_policy(sys)
     u0 = policy.step(0, np.array([1.0]))
     assert abs(u0[0] - (-0.25)) <= 1e-12
 
@@ -218,9 +248,34 @@ def test_controller_zero_feedback_gain():
     assert np.array_equal(res.u, np.zeros((3, 1)))
 
 
+def test_controller_is_its_two_gain_sequences():
+    rng = np.random.default_rng(17)
+    sys = random_system(rng, 3, 2, 1, 4)
+    cov = random_profile(rng, 3, 1, 4)
+    ctrl = assemble_controller(sys, cov)
+    assert [f.name for f in dataclasses.fields(ctrl)] == ["K", "L"]
+    assert all(np.array_equal(a, b) for a, b in zip(ctrl.K, riccati_backward(sys).K))
+    assert all(np.array_equal(a, b) for a, b in zip(ctrl.L, kalman_forward(sys, cov).L))
+
+
+@pytest.mark.parametrize(
+    "K, L, message",
+    [
+        ([np.zeros((2, 3))] * 3, [np.zeros((3, 1))] * 4, r"^K: expected 4 matrices, got 3$"),
+        ([np.zeros((2, 3))] * 4, [np.zeros((3, 1))] * 5, r"^L: expected 4 matrices, got 5$"),
+        ([np.zeros((3, 2))] * 4, [np.zeros((3, 1))] * 4, r"^K\[0\]: expected shape \(2, 3\)"),
+        ([np.zeros((2, 3))] * 4, [np.zeros((3, 1))] * 3 + [np.zeros((1, 3))], r"^L\[3\]: "),
+    ],
+)
+def test_make_policy_rejects_gains_that_do_not_fit(K, L, message):
+    sys = random_system(np.random.default_rng(18), 3, 2, 1, 4)
+    with pytest.raises(ValueError, match=message):
+        KalmanController(K=K, L=L).make_policy(sys)
+
+
 def test_policy_rejects_out_of_order_steps():
     sys, cov = scalar_ones()
-    policy = assemble_controller(sys, cov).make_policy()
+    policy = assemble_controller(sys, cov).make_policy(sys)
     policy.step(0, np.array([1.0]))
     with pytest.raises(ValueError):
         policy.step(0, np.array([1.0]))
@@ -240,7 +295,7 @@ def test_simulate_zero_noise_zero_state():
 def test_simulate_zero_controller_hand_rollout():
     # x0 = 1 with no noise and no control: x1 = 1, J = Q0 + Q1 = 2.
     sys, _ = scalar_ones()
-    ctrl = GainController(K=(np.zeros((1, 1)),), L=(np.zeros((1, 1)),))
+    ctrl = KalmanController(K=(np.zeros((1, 1)),), L=(np.zeros((1, 1)),))
     res = simulate(sys, ctrl, np.ones(1), np.zeros((1, 1)), np.zeros((1, 1)))
     assert abs(res.cost - 2.0) <= 1e-15
     assert np.allclose(res.x, [[1.0], [1.0]], atol=1e-15)

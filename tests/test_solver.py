@@ -55,8 +55,18 @@ def test_zero_radii_recovers_nominal_lqg():
     assert np.array_equal(sol.worst_case.W[0], amb.nominal.W[0])
     assert np.array_equal(sol.worst_case.V[0], amb.nominal.V[0])
     nominal_ctrl = assemble_controller(sys, amb.nominal)
-    assert np.array_equal(sol.controller.riccati.K[0], nominal_ctrl.riccati.K[0])
-    assert np.array_equal(sol.controller.kalman.L[0], nominal_ctrl.kalman.L[0])
+    assert np.array_equal(sol.controller.K[0], nominal_ctrl.K[0])
+    assert np.array_equal(sol.controller.L[0], nominal_ctrl.L[0])
+
+
+@pytest.mark.parametrize("step", ["open-loop", "line"])
+def test_solve_controller_is_assembled_at_the_worst_case(step):
+    sys, amb, _ = generate_instance(3, 2, 2, 4, seed=8, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step=step))
+    ref = assemble_controller(sys, sol.worst_case)
+    assert len(sol.controller.K) == len(sol.controller.L) == sys.T
+    for got, want in zip(sol.controller.K + sol.controller.L, ref.K + ref.L):
+        assert np.array_equal(got, want)
 
 
 def test_solve_scalar_improves_on_nominal():

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from drlqg import (
     CovarianceProfile,
+    KalmanController,
     LinearOutputController,
     LinearPurifiedController,
     TimeVaryingSystem,
@@ -16,6 +17,7 @@ from drlqg import (
     purified_from_rollout,
     purified_to_output,
     simulate,
+    unroll_controller,
     unroll_kalman,
 )
 
@@ -288,3 +290,26 @@ def test_unroll_matches_recursive_rollout():
         rec = simulate(sys, assemble_controller(sys, cov), x0, w, v)
         lin = simulate(sys, gain, x0, w, v)
         assert np.max(np.abs(rec.u - lin.u)) <= 1e-10 * max(1.0, np.max(np.abs(rec.u)))
+
+
+def test_unroll_controller_matches_rollout_of_arbitrary_gains():
+    # The unroll uses only the controller's gains, so any (K, L) pair works.
+    rng = np.random.default_rng(35)
+    for _ in range(5):
+        sys = random_system(rng, *random_dims(rng, 3, 5))
+        n, m, p, T = sys.n, sys.m, sys.p, sys.T
+        ctrl = KalmanController(
+            K=tuple(rng.standard_normal((m, n)) for _ in range(T)),
+            L=tuple(rng.standard_normal((n, p)) for _ in range(T)),
+        )
+        gain = unroll_controller(sys, ctrl)
+        x0, w, v = rng.standard_normal(n), rng.standard_normal((T, n)), rng.standard_normal((T, p))
+        rec = simulate(sys, ctrl, x0, w, v)
+        lin = simulate(sys, gain, x0, w, v)
+        assert np.max(np.abs(rec.u - lin.u)) <= 1e-10 * max(1.0, np.max(np.abs(rec.u)))
+
+
+def test_unroll_controller_rejects_gains_that_do_not_fit():
+    sys, _ = scalar_ones()
+    with pytest.raises(ValueError, match=r"^L: expected 1 matrices, got 2$"):
+        unroll_controller(sys, KalmanController(K=(np.eye(1),), L=(np.eye(1),) * 2))
