@@ -46,6 +46,32 @@ def _get(doc: dict, path: str):
     return node
 
 
+# what a scalar field of each Python type must hold in JSON
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), bool: (bool, "a boolean")}
+
+
+def _checked(value, kind, path: str):
+    """Return ``kind(value)`` if ``value`` is a JSON value of that kind, else
+    raise a ``FormatError`` naming ``path``; a boolean is not a number."""
+    types, what = _SCALARS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+        text = json.dumps(value)
+        text = text if len(text) <= 40 else text[:37] + "..."
+        raise FormatError(f"field '{path}' must be {what}, got {text}")
+    return kind(value)
+
+
+def _scalar(doc, path: str, kind):
+    return _checked(_get(doc, path), kind, path)
+
+
+def _numbers(doc, path: str) -> tuple:
+    values = _get(doc, path)
+    if not isinstance(values, list):
+        raise FormatError(f"field '{path}' must be a list of numbers")
+    return tuple(_checked(v, float, f"{path}[{i}]") for i, v in enumerate(values))
+
+
 def _as_array(doc, path: str) -> np.ndarray:
     try:
         arr = np.array(_get(doc, path), dtype=float)
@@ -140,7 +166,7 @@ def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
     with _naming(path):
         if _get(doc, "format") != INSTANCE_FORMAT:
             raise FormatError(f"field 'format' must be '{INSTANCE_FORMAT}'")
-        dims = {k: int(_get(doc, f"dims.{k}")) for k in ("n", "m", "p", "T")}
+        dims = {k: _scalar(doc, f"dims.{k}", int) for k in ("n", "m", "p", "T")}
         sys = TimeVaryingSystem(
             A=_as_stages(doc, "system.A"),
             B=_as_stages(doc, "system.B"),
@@ -153,13 +179,11 @@ def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
             W=_as_stages(doc, "ambiguity.nominal.W"),
             V=_as_stages(doc, "ambiguity.nominal.V"),
         )
-        rho_w = _get(doc, "ambiguity.rho_w")
-        rho_v = _get(doc, "ambiguity.rho_v")
         amb = AmbiguitySpec(
             nominal=nominal,
-            rho_x0=float(_get(doc, "ambiguity.rho_x0")),
-            rho_w=tuple(float(r) for r in rho_w),
-            rho_v=tuple(float(r) for r in rho_v),
+            rho_x0=_scalar(doc, "ambiguity.rho_x0", float),
+            rho_w=_numbers(doc, "ambiguity.rho_w"),
+            rho_v=_numbers(doc, "ambiguity.rho_v"),
         )
         if (sys.n, sys.m, sys.p, sys.T) != (dims["n"], dims["m"], dims["p"], dims["T"]):
             raise FormatError("field 'dims' disagrees with the system matrices")
@@ -242,9 +266,9 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
             V=_as_stages(doc, "covariance.V"),
         )
         knobs = dict(
-            delta=float(_get(doc, "config.delta")),
-            tol=float(_get(doc, "config.tol")),
-            max_iter=int(_get(doc, "config.max_iter")),
+            delta=_scalar(doc, "config.delta", float),
+            tol=_scalar(doc, "config.tol", float),
+            max_iter=_scalar(doc, "config.max_iter", int),
             # bundles written before the step rule was recorded used open-loop
             step=_get(doc, "config").get("step", "open-loop"),
         )
@@ -253,9 +277,9 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
         except ValueError as exc:  # its messages start with the field name
             raise FormatError(f"config.{exc}") from None
         meta = {
-            "f_value": float(_get(doc, "f_value")),
-            "final_gap": float(_get(doc, "final_gap")),
-            "converged": bool(_get(doc, "converged")),
+            "f_value": _scalar(doc, "f_value", float),
+            "final_gap": _scalar(doc, "final_gap", float),
+            "converged": _scalar(doc, "converged", bool),
             "config": config,
         }
     return cov, meta

@@ -10,7 +10,6 @@ zero; anything more negative raises :class:`NotPSDError`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # Relative eigenvalue floor below which a "PSD" matrix is considered broken.
 PSD_CLAMP_REL = 1e-9
@@ -81,20 +80,21 @@ def psd_sqrt(s, rel_tol: float = PSD_CLAMP_REL) -> np.ndarray:
 
 
 def spd_solve(s, b) -> np.ndarray:
-    """Solve ``S X = B`` for symmetric positive definite ``S`` by Cholesky.
+    """Solve ``S X = B`` for symmetric positive definite ``S``.
 
-    Raises :class:`SingularMatrixError` when the factorization fails, i.e.
-    when ``S`` is singular or indefinite.
+    A Cholesky factorization tests positive definiteness and raises
+    :class:`SingularMatrixError` when it fails, i.e. when ``S`` is singular
+    or indefinite; the solve itself is an LU solve of the symmetrized ``S``.
     """
     s = symmetrize(s)
     b = np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
         raise ValueError("solve input contains non-finite entries")
     try:
-        factor = scipy.linalg.cho_factor(s, check_finite=False)
+        np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is not positive definite: {exc}") from None
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(s, b)
 
 
 def min_eigval(s) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import min_eigval
 from .lqg import (
@@ -53,6 +52,18 @@ class StackedSystem:
     T: int
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Place the square ``blocks`` along the diagonal of a zero matrix."""
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim))
+    i = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[i : i + k, i : i + k] = b
+        i += k
+    return out
+
+
 def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
     """Assemble the stacked matrices from per-stage data."""
     n, m, p, T = sys.n, sys.m, sys.p, sys.T
@@ -72,8 +83,8 @@ def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
     Cs = np.zeros((p * T, N))
     for t in range(T):
         Cs[t * p : (t + 1) * p, t * n : (t + 1) * n] = sys.C[t]
-    Qs = scipy.linalg.block_diag(*sys.Q)
-    Rs = scipy.linalg.block_diag(*sys.R)
+    Qs = _block_diag(sys.Q)
+    Rs = _block_diag(sys.R)
     return StackedSystem(
         Qs=_frozen(Qs),
         Rs=_frozen(Rs),
@@ -100,6 +111,17 @@ def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
                 )
 
 
+def _freeze_causal(ctrl, name: str):
+    """Check a linear controller's causal gain and offset, then store them frozen."""
+    U = np.asarray(ctrl.U, dtype=float)
+    q = np.asarray(ctrl.q, dtype=float)
+    _check_causal(U, ctrl.m, ctrl.p, ctrl.T, name)
+    if q.shape != (ctrl.m * ctrl.T,):
+        raise ValueError(f"offset: expected shape {(ctrl.m * ctrl.T,)}, got {q.shape}")
+    object.__setattr__(ctrl, "U", _frozen(U))
+    object.__setattr__(ctrl, "q", _frozen(q))
+
+
 @dataclass(frozen=True)
 class LinearPurifiedController:
     """Causal affine policy u = U eta + q over purified observations."""
@@ -111,13 +133,7 @@ class LinearPurifiedController:
     T: int
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        _check_causal(U, self.m, self.p, self.T, "purified gain")
-        if q.shape != (self.m * self.T,):
-            raise ValueError(f"offset: expected shape {(self.m * self.T,)}, got {q.shape}")
-        object.__setattr__(self, "U", _frozen(U))
-        object.__setattr__(self, "q", _frozen(q))
+        _freeze_causal(self, "purified gain")
 
     def make_policy(self, sys: TimeVaryingSystem):
         return _PurifiedPolicy(sys, self)
@@ -134,13 +150,7 @@ class LinearOutputController:
     T: int
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        _check_causal(U, self.m, self.p, self.T, "output gain")
-        if q.shape != (self.m * self.T,):
-            raise ValueError(f"offset: expected shape {(self.m * self.T,)}, got {q.shape}")
-        object.__setattr__(self, "U", _frozen(U))
-        object.__setattr__(self, "q", _frozen(q))
+        _freeze_causal(self, "output gain")
 
     def make_policy(self, sys: TimeVaryingSystem):
         return _OutputPolicy(self)
@@ -222,8 +232,8 @@ def controller_cost_trace(
     """
     if cov.T != st.T or cov.n != st.n or cov.p != st.p:
         raise ValueError("covariance profile does not match the stacked system")
-    Wbig = scipy.linalg.block_diag(cov.X0, *cov.W)
-    Vbig = scipy.linalg.block_diag(*cov.V)
+    Wbig = _block_diag((cov.X0, *cov.W))
+    Vbig = _block_diag(cov.V)
     S = st.Rs + st.H.T @ st.Qs @ st.H
     UD = ctrl.U @ st.D
     SU = S @ ctrl.U
@@ -242,9 +252,9 @@ def _first_order_bound(st: StackedSystem, U: np.ndarray, cov: CovarianceProfile)
     causal part of 2 (S U Sigma_eta + H' Qs G Wbig D'), so
     b = |g|_F^2 / (4 lmin(S) lmin(Sigma_eta)) (infinite unless both are > 0).
     """
-    Wbig = scipy.linalg.block_diag(cov.X0, *cov.W)
+    Wbig = _block_diag((cov.X0, *cov.W))
     S = st.Rs + st.H.T @ st.Qs @ st.H
-    sigma_eta = st.D @ Wbig @ st.D.T + scipy.linalg.block_diag(*cov.V)
+    sigma_eta = st.D @ Wbig @ st.D.T + _block_diag(cov.V)
     grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ st.Qs @ st.G @ Wbig @ st.D.T)
     for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
@@ -252,18 +262,32 @@ def _first_order_bound(st: StackedSystem, U: np.ndarray, cov: CovarianceProfile)
     return float(np.sum(grad**2)) / curvature if curvature > 0.0 else np.inf
 
 
+def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarray:
+    """Solve (I + N) X = B for strictly block lower-triangular N (m x m blocks).
+
+    Block forward substitution: block row t of X is B_t minus N's blocks
+    left of the diagonal times the rows already solved.  Only those blocks
+    are read, so exact zeros of B above the block diagonal stay exact.
+    """
+    X = np.array(B, dtype=float)
+    for t in range(1, T):
+        rows = slice(t * m, (t + 1) * m)
+        X[rows] -= N[rows, : t * m] @ X[: t * m]
+    return X
+
+
 def purified_to_output(
     ctrl: LinearPurifiedController, st: StackedSystem
 ) -> LinearOutputController:
     """Convert u = U eta + q into the equivalent u = U' y + q'.
 
-    Substituting eta = y - Cs H u gives (I + U Cs H) u = U y + q; the system
-    matrix is unit lower-triangular, so the conversion is a forward
+    Substituting eta = y - Cs H u gives (I + U Cs H) u = U y + q; U Cs H is
+    strictly block lower-triangular, so the conversion is a forward
     substitution that preserves exact zeros above the block diagonal.
     """
-    M = np.eye(st.m * st.T) + ctrl.U @ st.Cs @ st.H
-    U = scipy.linalg.solve_triangular(M, ctrl.U, lower=True, unit_diagonal=True)
-    q = scipy.linalg.solve_triangular(M, ctrl.q, lower=True, unit_diagonal=True)
+    N = ctrl.U @ st.Cs @ st.H
+    U = _unit_lower_solve(N, ctrl.U, st.m, st.T)
+    q = _unit_lower_solve(N, ctrl.q, st.m, st.T)
     return LinearOutputController(U=U, q=q, m=st.m, p=st.p, T=st.T)
 
 
@@ -271,9 +295,9 @@ def output_to_purified(
     ctrl: LinearOutputController, st: StackedSystem
 ) -> LinearPurifiedController:
     """Invert :func:`purified_to_output`: solve (I - U' Cs H) U = U'."""
-    M = np.eye(st.m * st.T) - ctrl.U @ st.Cs @ st.H
-    U = scipy.linalg.solve_triangular(M, ctrl.U, lower=True, unit_diagonal=True)
-    q = scipy.linalg.solve_triangular(M, ctrl.q, lower=True, unit_diagonal=True)
+    N = -(ctrl.U @ st.Cs @ st.H)
+    U = _unit_lower_solve(N, ctrl.U, st.m, st.T)
+    q = _unit_lower_solve(N, ctrl.q, st.m, st.T)
     return LinearPurifiedController(U=U, q=q, m=st.m, p=st.p, T=st.T)
 
 

@@ -53,3 +53,14 @@ def random_causal_gain(rng, m, p, T, scale=1.0):
     for t in range(T):
         U[t * m : (t + 1) * m, : (t + 1) * p] = scale * rng.standard_normal((m, (t + 1) * p))
     return U
+
+
+def block_diag(*blocks):
+    """Block-diagonal matrix of ``blocks``, assembled with ``np.block``."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    return np.block(
+        [
+            [b if i == j else np.zeros((b.shape[0], c.shape[1])) for j, c in enumerate(blocks)]
+            for i, b in enumerate(blocks)
+        ]
+    )

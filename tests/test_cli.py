@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
 import sys as _sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
+import drlqg
 from drlqg import FWConfig, assemble_controller, lqg_value, solve
 from drlqg import io, lqg
 from drlqg.cli import EXIT_BAD_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VERIFY_FAILED, main
@@ -227,6 +231,18 @@ def test_solve_names_infinite_radius_in_instance(tmp_path, capsys):
     assert "rho_w[3] must be finite" in capsys.readouterr().err
 
 
+def test_solve_names_malformed_scalar_in_instance(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    doc = json.loads(inst.read_text())
+    doc["ambiguity"]["rho_x0"] = [1.0]
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{inst}: field 'ambiguity.rho_x0' must be a number, got [1.0]" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _count_calls(monkeypatch, func):
     """Count the calls of ``func`` through every drlqg module that binds it."""
     calls = []
@@ -304,3 +320,41 @@ def test_bundle_of_another_instance_names_the_mismatch(tmp_path, capsys):
         err = capsys.readouterr().err
         assert str(res / "worst_case.json") in err
         assert "(n=2, p=2, T=3) does not match system (n=3, p=2, T=2)" in err
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not available")
+
+
+sys.meta_path.insert(0, NoScipy())
+from drlqg.cli import main
+
+inst, res = sys.argv[1] + "/inst.json", sys.argv[1] + "/res"
+dims = ["--n", "2", "--m", "2", "--p", "2", "--T", "2"]
+codes = [
+    main(["generate", *dims, "--out", inst]),
+    main(["solve", inst, "--out", res]),
+    main(["verify", inst, res, "--samples", "5"]),
+    main(["evaluate", inst, res + "/controller.json", res + "/worst_case.json",
+          "--rollouts", "1000"]),
+]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only dependency: every command must run where scipy cannot be imported
+    src = str(Path(drlqg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [_sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"

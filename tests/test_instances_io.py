@@ -221,7 +221,13 @@ def test_result_bundle_without_step_reads_as_open_loop(tmp_path):
 
 @pytest.mark.parametrize(
     "field,value,message",
-    [("step", "bogus", "config.step"), ("step", None, "config.step"), ("delta", 1.5, "config.delta")],
+    [
+        ("step", "bogus", "config.step"),
+        ("step", None, "config.step"),
+        ("delta", 1.5, "config.delta"),
+        ("max_iter", 1.5, "config.max_iter"),
+        ("tol", "0.001", "config.tol"),
+    ],
 )
 def test_worst_case_with_bad_config_names_file_and_field(tmp_path, field, value, message):
     path, _ = _line_bundle(tmp_path)
@@ -231,6 +237,44 @@ def test_worst_case_with_bad_config_names_file_and_field(tmp_path, field, value,
     with pytest.raises(io.FormatError, match=message) as info:
         io.read_worst_case(str(path))
     assert str(path) in str(info.value)
+
+
+def _set(doc, path, value):
+    *parents, leaf = path.split(".")
+    for part in parents:
+        doc = doc[part]
+    doc[leaf] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("ambiguity.rho_x0", [1.0], "'ambiguity.rho_x0' must be a number, got [1.0]"),
+        ("ambiguity.rho_w", 0.1, "'ambiguity.rho_w' must be a list of numbers"),
+        ("ambiguity.rho_v", [0.1, "0.1"], "'ambiguity.rho_v[1]' must be a number, got \"0.1\""),
+        ("dims.n", None, "'dims.n' must be an integer, got null"),
+        ("dims.T", 2.0, "'dims.T' must be an integer, got 2.0"),
+        ("f_value", [1.0, 2.0], "'f_value' must be a number, got [1.0, 2.0]"),
+        ("final_gap", True, "'final_gap' must be a number, got true"),
+        ("converged", "false", "'converged' must be a boolean, got \"false\""),
+    ],
+    ids=["rho_x0", "rho_w", "rho_v-entry", "dims.n", "dims.T", "f_value", "final_gap", "converged"],
+)
+def test_malformed_scalar_fields_name_file_and_field(tmp_path, path, value, message):
+    if path.split(".")[0] in ("ambiguity", "dims"):
+        sys, amb, _ = generate_instance(1, 1, 1, 2, seed=0)
+        file = tmp_path / "inst.json"
+        io.write_instance(str(file), sys, amb)
+        read = io.read_instance
+    else:
+        file, _ = _line_bundle(tmp_path)
+        read = io.read_worst_case
+    doc = json.loads(file.read_text())
+    _set(doc, path, value)
+    file.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError) as info:
+        read(str(file))
+    assert str(info.value) == f"{file}: field {message}"
 
 
 def test_writes_leave_no_temp_files(tmp_path):

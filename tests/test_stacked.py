@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from drlqg import (
     CovarianceProfile,
@@ -22,6 +21,7 @@ from drlqg import (
 )
 
 from helpers import (
+    block_diag,
     random_causal_gain,
     random_dims,
     random_profile,
@@ -49,8 +49,8 @@ def test_build_stacked_single_stage_blocks():
     assert np.array_equal(st.Cs[:, :2], sys.C[0])
     assert np.array_equal(st.Cs[:, 2:], np.zeros((2, 2)))
     assert np.array_equal(st.D, st.Cs @ st.G)
-    assert np.array_equal(st.Qs, scipy.linalg.block_diag(*sys.Q))
-    assert np.array_equal(st.Rs, scipy.linalg.block_diag(*sys.R))
+    assert np.array_equal(st.Qs, block_diag(*sys.Q))
+    assert np.array_equal(st.Rs, block_diag(*sys.R))
 
 
 def test_build_stacked_zero_dynamics_gives_identity():
@@ -141,7 +141,7 @@ def test_cost_trace_zero_controller_open_loop():
     cov = random_profile(rng, 2, 2, 3)
     st = build_stacked(sys)
     ctrl = LinearPurifiedController(U=np.zeros((3, 6)), q=np.zeros(3), m=1, p=2, T=3)
-    wbig = scipy.linalg.block_diag(cov.X0, *cov.W)
+    wbig = block_diag(cov.X0, *cov.W)
     expect = float(np.trace(st.G.T @ st.Qs @ st.G @ wbig))
     assert abs(controller_cost_trace(st, ctrl, cov) - expect) <= 1e-12 * max(1.0, abs(expect))
 
@@ -236,6 +236,29 @@ def test_conversion_round_trips():
         fwd = purified_to_output(output_to_purified(out, st), st)
         assert np.max(np.abs(fwd.U - U)) <= 1e-10 * scale
         assert np.max(np.abs(fwd.q - q)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("T", [1, 6])
+def test_conversions_solve_their_defining_equations(T):
+    # purified_to_output solves (I + U Cs H) U' = U, output_to_purified
+    # solves (I - U Cs H) U' = U; a dense residual checks each direction.
+    rng = np.random.default_rng(40 + T)
+    m, p = 2, 3
+    st = build_stacked(random_system(rng, 3, m, p, T))
+    U = random_causal_gain(rng, m, p, T)
+    q = rng.standard_normal(m * T)
+    upper = np.ones_like(U, dtype=bool)
+    for t in range(T):
+        upper[t * m : (t + 1) * m, : (t + 1) * p] = False
+    for convert, cls, sign in (
+        (purified_to_output, LinearPurifiedController, 1.0),
+        (output_to_purified, LinearOutputController, -1.0),
+    ):
+        got = convert(cls(U=U, q=q, m=m, p=p, T=T), st)
+        M = np.eye(m * T) + sign * U @ st.Cs @ st.H
+        for x, b in ((got.U, U), (got.q, q)):
+            assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.all(got.U[upper] == 0.0)
 
 
 def test_conversion_preserves_exact_causal_zeros():
