@@ -89,6 +89,15 @@ def _as_stages(doc, path: str) -> tuple:
     return tuple(arr)
 
 
+def _check_header(doc, fmt: str):
+    """Require ``format`` to be ``fmt`` and ``version`` to be ``FORMAT_VERSION``."""
+    if _get(doc, "format") != fmt:
+        raise FormatError(f"field 'format' must be '{fmt}'")
+    version = _scalar(doc, "version", int)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"field 'version' must be {FORMAT_VERSION}, got {version}")
+
+
 @contextlib.contextmanager
 def _naming(path: str):
     """Re-raise a ``ValueError`` from reading a document as a ``FormatError`` naming ``path``."""
@@ -164,8 +173,7 @@ def write_instance(path: str, sys: TimeVaryingSystem, amb: AmbiguitySpec, genera
 def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
     doc = _load_json(path)
     with _naming(path):
-        if _get(doc, "format") != INSTANCE_FORMAT:
-            raise FormatError(f"field 'format' must be '{INSTANCE_FORMAT}'")
+        _check_header(doc, INSTANCE_FORMAT)
         dims = {k: _scalar(doc, f"dims.{k}", int) for k in ("n", "m", "p", "T")}
         sys = TimeVaryingSystem(
             A=_as_stages(doc, "system.A"),
@@ -207,16 +215,14 @@ def read_trace_csv(path: str) -> tuple[FWIteration, ...]:
     out = []
     for i, row in enumerate(rows[1:], start=2):
         try:
-            out.append(
-                FWIteration(
-                    k=int(row[0]),
-                    f_value=float(row[1]),
-                    surrogate_gap=float(row[2]),
-                    wall_time=float(row[3]) / 1e3,
-                )
-            )
+            k = int(row[0])
+            f_value, gap, elapsed_ms = (float(x) for x in row[1:4])
         except (IndexError, ValueError) as exc:
             raise FormatError(f"{path}: bad trace row at line {i}: {exc}") from None
+        for name, value in zip(TRACE_HEADER[1:], (f_value, gap, elapsed_ms)):
+            if not np.isfinite(value):
+                raise FormatError(f"{path}: line {i}: column '{name}' is not finite ({value})")
+        out.append(FWIteration(k=k, f_value=f_value, surrogate_gap=gap, wall_time=elapsed_ms / 1e3))
     return tuple(out)
 
 
@@ -258,8 +264,7 @@ def write_result_bundle(out_dir: str, sol: RobustSolution, controller_gain: np.n
 def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
     doc = _load_json(path)
     with _naming(path):
-        if _get(doc, "format") != WORST_CASE_FORMAT:
-            raise FormatError(f"field 'format' must be '{WORST_CASE_FORMAT}'")
+        _check_header(doc, WORST_CASE_FORMAT)
         cov = CovarianceProfile(
             X0=_as_array(doc, "covariance.X0"),
             W=_as_stages(doc, "covariance.W"),
@@ -288,6 +293,5 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
 def read_controller(path: str) -> tuple[tuple, tuple, np.ndarray]:
     doc = _load_json(path)
     with _naming(path):
-        if _get(doc, "format") != CONTROLLER_FORMAT:
-            raise FormatError(f"field 'format' must be '{CONTROLLER_FORMAT}'")
+        _check_header(doc, CONTROLLER_FORMAT)
         return _as_stages(doc, "K"), _as_stages(doc, "L"), _as_array(doc, "U_output")

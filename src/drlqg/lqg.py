@@ -355,7 +355,8 @@ class SimulationResult:
 
 
 def _quad(x, M):
-    return np.einsum("...i,ij,...j->...", x, M, x)
+    """x' M x over the last axis of ``x``."""
+    return ((x @ M) * x).sum(-1)
 
 
 def _roll(sys: TimeVaryingSystem, policy, x0, w, v, keep_trajectory=False):
@@ -365,7 +366,7 @@ def _roll(sys: TimeVaryingSystem, policy, x0, w, v, keep_trajectory=False):
     """
     T = sys.T
     x = x0
-    cost = _quad(x, sys.Q[0]) * 0.0  # zeros with the right batch shape
+    cost = np.zeros(x.shape[:-1])
     xs, us, ys = [x], [], []
     for t in range(T):
         y = x @ sys.C[t].T + v[..., t, :]
@@ -398,24 +399,51 @@ def simulate(sys: TimeVaryingSystem, controller, x0, w, v) -> SimulationResult:
     return SimulationResult(cost=float(cost), x=xs, u=us, y=ys)
 
 
+# monte_carlo_cost draws, colors and rolls out this many standard normals
+# (8 MiB of float64) at a time, so its memory does not grow with the
+# rollout count
+_CHUNK_ELEMENTS = 1 << 20
+
+
+def _noise_roots(cov: CovarianceProfile) -> list[np.ndarray]:
+    """Symmetric PSD square roots of X0, W_0..W_{T-1}, V_0..V_{T-1}, in draw order."""
+    return [psd_sqrt(b) for b in (cov.X0, *cov.W, *cov.V)]
+
+
+def _color(z: np.ndarray, roots, cov: CovarianceProfile):
+    """Color standard normals ``z`` of shape ``(rows, n + T n + T p)`` in place.
+
+    The columns are the x0 block, then w_0..w_{T-1}, then v_0..v_{T-1}, and
+    each block is multiplied by its square root from ``roots``.  Returns
+    views (x0, w, v) of ``z`` of shapes ``(rows, n)``, ``(rows, T, n)`` and
+    ``(rows, T, p)``.
+    """
+    start = 0
+    for root in roots:
+        stop = start + root.shape[0]
+        z[:, start:stop] = z[:, start:stop] @ root
+        start = stop
+    n, p, T = cov.n, cov.p, cov.T
+    rows, off = z.shape[0], n + T * n
+    return z[:, :n], z[:, n:off].reshape(rows, T, n), z[:, off:].reshape(rows, T, p)
+
+
+def _noise_width(cov: CovarianceProfile) -> int:
+    return cov.n + cov.T * (cov.n + cov.p)
+
+
 def sample_noise(cov: CovarianceProfile, n_samples: int, rng: np.random.Generator):
     """Draw noise realizations (x0, w, v) with the pinned draw order.
 
     A single ``standard_normal`` call of shape ``(n_samples, n + T n + T p)``
     is split into the x0 block, then w_0..w_{T-1}, then v_0..v_{T-1}, and
-    colored by the symmetric PSD square roots of the covariance blocks.
+    colored by the symmetric PSD square roots of the covariance blocks.  The
+    three arrays are views of that one draw, so memory is
+    O(n_samples (n + T n + T p)); ``monte_carlo_cost`` draws the same stream
+    in bounded chunks instead.
     """
-    n, p, T = cov.n, cov.p, cov.T
-    z = rng.standard_normal((n_samples, n + T * n + T * p))
-    x0 = z[:, :n] @ psd_sqrt(cov.X0)
-    w = np.empty((n_samples, T, n))
-    v = np.empty((n_samples, T, p))
-    for t in range(T):
-        w[:, t, :] = z[:, n + t * n : n + (t + 1) * n] @ psd_sqrt(cov.W[t])
-    off = n + T * n
-    for t in range(T):
-        v[:, t, :] = z[:, off + t * p : off + (t + 1) * p] @ psd_sqrt(cov.V[t])
-    return x0, w, v
+    z = rng.standard_normal((n_samples, _noise_width(cov)))
+    return _color(z, _noise_roots(cov), cov)
 
 
 @dataclass(frozen=True)
@@ -433,13 +461,29 @@ def monte_carlo_cost(
     n_samples: int,
     rng: np.random.Generator | int | None = None,
 ) -> MonteCarloStats:
-    """Estimate the expected closed-loop cost (and its standard error)."""
+    """Estimate the expected closed-loop cost (and its standard error).
+
+    Noise is drawn, colored and rolled out a chunk of
+    max(1, 2^20 // (n + T n + T p)) rows at a time, so memory is
+    O(chunk (n + T n + T p)), about 8 MiB of normals, plus the
+    ``n_samples`` floats of ``costs``.  Consecutive ``standard_normal``
+    blocks of rows are one draw of all rows, so the rollouts see exactly the
+    noise of ``sample_noise(cov, n_samples, rng)`` and leave ``rng`` in the
+    same state: the draw order and the meaning of a seed do not depend on
+    the chunking.
+    """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    x0, w, v = sample_noise(cov, n_samples, rng)
-    costs = _roll(sys, controller.make_policy(sys), x0, w, v)
+    roots = _noise_roots(cov)
+    width = _noise_width(cov)
+    chunk = max(1, _CHUNK_ELEMENTS // width)
+    costs = np.empty(n_samples)
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
+        x0, w, v = _color(rng.standard_normal((stop - start, width)), roots, cov)
+        costs[start:stop] = _roll(sys, controller.make_policy(sys), x0, w, v)
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(n_samples))
     return MonteCarloStats(mean=mean, stderr=stderr, n_samples=n_samples, costs=costs)

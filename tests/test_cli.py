@@ -243,6 +243,44 @@ def test_solve_names_malformed_scalar_in_instance(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_solve_names_future_version_in_instance(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    doc = json.loads(inst.read_text())
+    doc["version"] = 99
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    assert f"{inst}: field 'version' must be 1, got 99" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("surrogate_gap", "nan"),
+        ("surrogate_gap", "inf"),
+        ("surrogate_gap", "-inf"),
+        ("f_value", "-inf"),
+        ("elapsed_ms", "inf"),
+    ],
+)
+def test_verify_rejects_non_finite_trace_value(tmp_path, capsys, column, value):
+    inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=2, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    path = res / "trace.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    last = lines[-1].split(",")
+    last[header.index(column)] = value
+    lines[-1] = ",".join(last)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{path}: line {len(lines)}: column '{column}' is not finite" in err
+
+
 def _count_calls(monkeypatch, func):
     """Count the calls of ``func`` through every drlqg module that binds it."""
     calls = []

@@ -161,6 +161,21 @@ def test_trace_rejects_malformed_row(tmp_path):
         io.read_trace_csv(str(path))
 
 
+@pytest.mark.parametrize("column", ["f_value", "surrogate_gap", "elapsed_ms"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_trace_rejects_non_finite_numbers(tmp_path, column, value):
+    row = {"f_value": "1.0", "surrogate_gap": "0.5", "elapsed_ms": "3"}
+    row[column] = value
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "iter,f_value,surrogate_gap,elapsed_ms\n0,2.0,1.0,1\n"
+        f"1,{row['f_value']},{row['surrogate_gap']},{row['elapsed_ms']}\n"
+    )
+    with pytest.raises(io.FormatError) as info:
+        io.read_trace_csv(str(path))
+    assert str(info.value).startswith(f"{path}: line 3: column '{column}' is not finite")
+
+
 def test_result_bundle_round_trip(tmp_path):
     from drlqg import AmbiguitySpec, unroll_kalman
 
@@ -288,3 +303,40 @@ def test_worst_case_format_is_checked(tmp_path):
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(io.FormatError, match="format"):
         io.read_worst_case(str(path))
+
+
+def _documents(tmp_path):
+    """An instance and a result bundle of it: (reader, path) for each document."""
+    sys, amb, _ = generate_instance(1, 1, 1, 2, seed=0)
+    inst = tmp_path / "inst.json"
+    io.write_instance(str(inst), sys, amb)
+    worst, _ = _line_bundle(tmp_path)
+    return [
+        (io.read_instance, inst),
+        (io.read_worst_case, worst),
+        (io.read_controller, worst.parent / "controller.json"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "version, message",
+    [
+        (99, "field 'version' must be 1, got 99"),
+        (None, "field 'version' must be an integer, got null"),
+        (1.0, "field 'version' must be an integer, got 1.0"),
+        ("1", "field 'version' must be an integer, got \"1\""),
+        ("missing", "missing field 'version'"),
+    ],
+    ids=["future", "null", "float", "string", "missing"],
+)
+def test_every_document_checks_its_version(tmp_path, version, message):
+    for read, path in _documents(tmp_path):
+        doc = json.loads(path.read_text())
+        if version == "missing":
+            del doc["version"]
+        else:
+            doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FormatError) as info:
+            read(str(path))
+        assert str(info.value) == f"{path}: {message}"

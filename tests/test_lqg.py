@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from drlqg import (
     CovarianceProfile,
     KalmanController,
+    LinearPurifiedController,
     TimeVaryingSystem,
     assemble_controller,
     kalman_forward,
@@ -15,9 +17,16 @@ from drlqg import (
     sample_noise,
     simulate,
 )
-from drlqg.linalg import SingularMatrixError, min_eigval
+from drlqg import lqg
+from drlqg.linalg import SingularMatrixError, min_eigval, psd_sqrt
 
-from helpers import random_dims, random_profile, random_system, scalar_ones
+from helpers import (
+    random_causal_gain,
+    random_dims,
+    random_profile,
+    random_system,
+    scalar_ones,
+)
 
 
 # ---------------------------------------------------------------- riccati
@@ -328,9 +337,78 @@ def test_sample_noise_is_reproducible():
         assert np.array_equal(x, y)
 
 
+def test_sample_noise_pins_the_draw_order():
+    # one (N, n + T n + T p) draw: the x0 block, then w_0..w_{T-1}, then v_0..v_{T-1}
+    n, p, T, N = 3, 2, 4, 7
+    cov = random_profile(np.random.default_rng(6), n, p, T)
+    x0, w, v = sample_noise(cov, N, np.random.default_rng(9))
+    z = np.random.default_rng(9).standard_normal((N, n + T * n + T * p))
+    assert np.array_equal(x0, z[:, :n] @ psd_sqrt(cov.X0))
+    for t in range(T):
+        assert np.array_equal(w[:, t], z[:, n + t * n : n + (t + 1) * n] @ psd_sqrt(cov.W[t]))
+        off = n + T * n + t * p
+        assert np.array_equal(v[:, t], z[:, off : off + p] @ psd_sqrt(cov.V[t]))
+
+
 def test_monte_carlo_rejects_fewer_than_two_rollouts():
     sys, cov = scalar_ones()
     ctrl = assemble_controller(sys, cov)
     for n in (1, 0):
         with pytest.raises(ValueError, match="n_samples"):
             monte_carlo_cost(sys, ctrl, cov, n_samples=n, rng=0)
+
+
+def _chunk_rows(cov):
+    return max(1, lqg._CHUNK_ELEMENTS // (cov.n + cov.T * (cov.n + cov.p)))
+
+
+@pytest.mark.parametrize("kind", ["kalman", "purified"])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_monte_carlo_chunks_match_one_draw(monkeypatch, kind, rows):
+    n, m, p, T = 3, 1, 2, 3
+    rng = np.random.default_rng(21)
+    sys = random_system(rng, n, m, p, T)
+    cov = random_profile(rng, n, p, T)
+    if kind == "kalman":
+        ctrl = assemble_controller(sys, cov)
+    else:
+        ctrl = LinearPurifiedController(
+            U=random_causal_gain(rng, m, p, T, scale=0.3),
+            q=rng.standard_normal(m * T),
+            m=m, p=p, T=T,
+        )
+    width = n + T * (n + p)
+    # a budget of ``rows`` rows plus a remainder that must not make a row
+    monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", rows * width + width - 1)
+    assert _chunk_rows(cov) == rows
+    N = 2 * rows + 3  # two chunk boundaries and a ragged tail
+    gen = np.random.default_rng(8)
+    stats = monte_carlo_cost(sys, ctrl, cov, N, rng=gen)
+
+    x0, w, v = sample_noise(cov, N, np.random.default_rng(8))
+    rows_cost = np.array([simulate(sys, ctrl, x0[i], w[i], v[i]).cost for i in range(N)])
+    assert stats.costs.shape == (N,)
+    assert np.all(np.abs(stats.costs - rows_cost) <= 1e-12 * np.abs(rows_cost))
+
+    one_draw = np.random.default_rng(8)
+    one_draw.standard_normal((N, width))
+    assert np.array_equal(gen.standard_normal(8), one_draw.standard_normal(8))
+
+
+def test_monte_carlo_memory_is_bounded():
+    rng = np.random.default_rng(4)
+    n = T = 10
+    sys = random_system(rng, n, n, n, T)
+    cov = random_profile(rng, n, n, T)
+    ctrl = assemble_controller(sys, cov)
+    chunk = _chunk_rows(cov)
+    peaks = {}
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            monte_carlo_cost(sys, ctrl, cov, blocks * chunk, rng=0)
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    costs_growth = (16 - 4) * chunk * 8
+    assert peaks[16] - peaks[4] <= costs_growth + 2**20
