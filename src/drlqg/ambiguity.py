@@ -35,16 +35,16 @@ the feasible side.  The maximizer M Zhat M is built once, at the accepted
 gamma.
 
 All blocks of one shape are solved together: one batched eigendecomposition
-of the stacked gradients, then one vectorized bisection in which every block
-keeps its own bracket and drops out at its own exit test, so each block
-accepts the gamma a separate call would.  ``oracle_maximize`` is the
-single-block call.
+of the stacked gradients, then one lockstep bisection over all of them in
+which every block keeps its own bracket, and a block's bracket freezes once
+it meets its exit test, so each block accepts the gamma a separate call
+would.  ``oracle_maximize`` is the single-block call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,13 +77,14 @@ def gelbrich_distance(s1, s2) -> float:
 class GelbrichBall:
     """Floored Gelbrich ball {Z : G(Z, center) <= radius, Z >= floor * I}.
 
-    The floor is the smallest eigenvalue of the center and is computed on
-    construction.  The oracle's optimality guarantee assumes a PD center.
+    The floor is the smallest eigenvalue of the center; it is computed on
+    construction and is not an argument.  The oracle's optimality guarantee
+    assumes a PD center.
     """
 
     center: np.ndarray
     radius: float
-    floor: float = 0.0
+    floor: float = field(init=False)
 
     def __post_init__(self):
         center = symmetrize(self.center)
@@ -169,10 +170,12 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     """Batched bisection over a (B,d,d) stack of same-shape blocks.
 
     Returns (maximizers, gammas, gaps, iterations) as arrays over B; see
-    ``oracle_maximize_blocks`` for the contract.  Every block runs its own
-    bracket and leaves the loop at its own exit test; the dual, its
-    derivative and the primal gap are O(d) per block in the gradient's
-    eigenbasis, and the maximizers are built once, after the loop.
+    ``oracle_maximize_blocks`` for the contract.  The blocks bisect in
+    lockstep over full-length arrays: an ``active`` mask marks the blocks
+    still bisecting, and a block that meets an exit test leaves the mask,
+    keeping its accepted gamma, its iteration count and a frozen bracket.
+    The dual, its derivative and the primal gap are O(d) per block in the
+    gradient's eigenbasis, and the maximizers are built once, after the loop.
     """
     B = len(radii)
     maximizers = _symmetrize_stack(np.asarray(references, dtype=float))
@@ -214,45 +217,38 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     gamma = np.empty(live.size)
     iters = np.zeros(live.size, dtype=int)
     collapsed = np.zeros(live.size, dtype=bool)
-    # Per-block arrays restricted to the blocks still bisecting; ``rows``
-    # maps them back, and a block's row is dropped once it exits.
-    state = (np.arange(live.size), lo, hi, lam, lamz, lamz * lam, rho**2, ref_ip)
+    active = np.ones(live.size, dtype=bool)
+    lamz2, rho2 = lamz * lam, rho**2
     for it in range(1, _MAX_BISECT + 1):
-        rows, lo, hi = state[:3]
         # Bracket exhausted: hi stays on the feasible side (phi' >= 0), and
         # in the scalar case the initial bracket is already the root.
-        out = hi - lo <= 1e-12 * np.maximum(1.0, hi)
-        if out.any():
-            gamma[rows[out]], iters[rows[out]], collapsed[rows[out]] = hi[out], it, True
-            state = tuple(x[~out] for x in state)
-            if state[0].size == 0:
-                break
-        rows, lo, hi, lam_a, lamz_a, lz2_a, rho2_a, ref_a = state
+        out = active & (hi - lo <= 1e-12 * np.maximum(1.0, hi))
+        gamma[out], iters[out], collapsed[out] = hi[out], it, True
+        active &= ~out
+        if not active.any():
+            break
         g = 0.5 * (lo + hi)
-        inv = 1.0 / (g[:, None] - lam_a)
+        inv = 1.0 / (g[:, None] - lam)
         inv2 = inv * inv
         # phi(g) = g (rho^2 + sum_i lam_i z_i / (g - lam_i)) - <Gamma, Z>,
         # phi'(g) = rho^2 - psi(g), and the gap of L(g) is
         # g^2 sum_i lam_i z_i / (g - lam_i)^2 - <Gamma, Z>.
-        phi = g * (rho2_a + np.add.reduce(lamz_a * inv, axis=1)) - ref_a
-        dphi = rho2_a - np.add.reduce(lz2_a * inv2, axis=1)
-        gap = g * g * np.add.reduce(lamz_a * inv2, axis=1) - ref_a
+        phi = g * (rho2 + np.add.reduce(lamz * inv, axis=1)) - ref_ip
+        dphi = rho2 - np.add.reduce(lamz2 * inv2, axis=1)
+        gap = g * g * np.add.reduce(lamz * inv2, axis=1) - ref_ip
         feasible = dphi > 0.0
-        out = feasible & (gap >= delta * phi)
-        if out.any():
-            gamma[rows[out]], iters[rows[out]] = g[out], it
-            keep = ~out
-            state = tuple(x[keep] for x in state)
-            if state[0].size == 0:
-                break
-            g, feasible = g[keep], feasible[keep]
-            lo, hi = state[1:3]
-        state = (state[0], np.where(feasible, lo, g), np.where(feasible, g, hi)) + state[3:]
+        out = active & feasible & (gap >= delta * phi)
+        gamma[out], iters[out] = g[out], it
+        active &= ~out
+        if not active.any():
+            break
+        lo = np.where(active & ~feasible, g, lo)
+        hi = np.where(active & feasible, g, hi)
     else:
-        rows, lo, hi = state[:3]
+        j = np.flatnonzero(active)[0]
         raise OracleError(
-            f"gradient block {labels[live[rows[0]]]}: bisection did not meet the exit test "
-            f"in {_MAX_BISECT} iterations; final bracket [{lo[0]:.17g}, {hi[0]:.17g}]"
+            f"gradient block {labels[live[j]]}: bisection did not meet the exit test "
+            f"in {_MAX_BISECT} iterations; final bracket [{lo[j]:.17g}, {hi[j]:.17g}]"
         )
 
     # One build per block, at its accepted gamma: L = M Zhat M with

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .ambiguity import AmbiguitySpec
-from .linalg import sym_eig, symmetrize
+from .linalg import symmetrize
 from .lqg import CovarianceProfile, TimeVaryingSystem
 
 RNG_NAME = "numpy-pcg64"
@@ -38,7 +38,7 @@ def banded_system(n: int, m: int, p: int, T: int) -> TimeVaryingSystem:
 def random_covariance(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One nominal block: random eigenbasis, eigenvalues uniform in [1, 2]."""
     m = rng.random((dim, dim))
-    _, basis = sym_eig(m + m.T)
+    _, basis = np.linalg.eigh(m + m.T)
     eigs = rng.uniform(1.0, 2.0, size=dim)
     return symmetrize((basis * eigs) @ basis.T)
 

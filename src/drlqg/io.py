@@ -3,9 +3,10 @@
 Documents are JSON with matrices as row-major nested arrays of decimal
 literals; floats are emitted in shortest round-trip form (at most 17
 significant digits), so ``parse(serialize(x)) == x`` bit-for-bit.  The trace
-is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms`` and floats
-printed with 17 significant digits.  All writes go through a temporary file
-in the target directory followed by an atomic rename.
+is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms``, exactly those
+four fields on every row, and floats printed with 17 significant digits.
+All writes go through a temporary file in the target directory followed by
+an atomic rename.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -63,6 +65,13 @@ def _checked(value, kind, path: str):
 
 def _scalar(doc, path: str, kind):
     return _checked(_get(doc, path), kind, path)
+
+
+def _finite(doc, path: str) -> float:
+    value = _scalar(doc, path, float)
+    if not math.isfinite(value):
+        raise FormatError(f"field '{path}' must be finite, got {json.dumps(value)}")
+    return value
 
 
 def _numbers(doc, path: str) -> tuple:
@@ -214,10 +223,14 @@ def read_trace_csv(path: str) -> tuple[FWIteration, ...]:
         raise FormatError(f"{path}: trace header must be {','.join(TRACE_HEADER)}")
     out = []
     for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(TRACE_HEADER):
+            raise FormatError(
+                f"{path}: line {i}: expected {len(TRACE_HEADER)} fields, got {len(row)}"
+            )
         try:
             k = int(row[0])
-            f_value, gap, elapsed_ms = (float(x) for x in row[1:4])
-        except (IndexError, ValueError) as exc:
+            f_value, gap, elapsed_ms = (float(x) for x in row[1:])
+        except ValueError as exc:
             raise FormatError(f"{path}: bad trace row at line {i}: {exc}") from None
         for name, value in zip(TRACE_HEADER[1:], (f_value, gap, elapsed_ms)):
             if not np.isfinite(value):
@@ -271,8 +284,8 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
             V=_as_stages(doc, "covariance.V"),
         )
         knobs = dict(
-            delta=_scalar(doc, "config.delta", float),
-            tol=_scalar(doc, "config.tol", float),
+            delta=_finite(doc, "config.delta"),
+            tol=_finite(doc, "config.tol"),
             max_iter=_scalar(doc, "config.max_iter", int),
             # bundles written before the step rule was recorded used open-loop
             step=_get(doc, "config").get("step", "open-loop"),
@@ -282,8 +295,8 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
         except ValueError as exc:  # its messages start with the field name
             raise FormatError(f"config.{exc}") from None
         meta = {
-            "f_value": _scalar(doc, "f_value", float),
-            "final_gap": _scalar(doc, "final_gap", float),
+            "f_value": _finite(doc, "f_value"),
+            "final_gap": _finite(doc, "final_gap"),
             "converged": _scalar(doc, "converged", bool),
             "config": config,
         }

@@ -1,10 +1,13 @@
 """Dense symmetric/PSD matrix kernels with an explicit roundoff policy.
 
-Every routine symmetrizes its input up front and re-symmetrizes its result,
-so tiny asymmetries cannot accumulate through long matrix recursions.
-Eigenvalues that are negative only at roundoff level -- within
-``PSD_CLAMP_REL`` times the Frobenius norm of the matrix -- are clamped to
-zero; anything more negative raises :class:`NotPSDError`.
+Every routine symmetrizes its input up front, and ``psd_sqrt`` re-symmetrizes
+its result, so tiny asymmetries cannot accumulate through long matrix
+recursions.  ``psd_eig`` is the one eigendecomposition: eigenvalues that are
+negative only at roundoff level -- within ``PSD_CLAMP_REL`` times the
+Frobenius norm of the matrix -- are clamped to zero; anything more negative
+raises :class:`NotPSDError`.  Its eigenvectors carry no sign convention,
+because every consumer forms ``V diag(f(w)) V'``, in which negating a column
+cancels exactly.
 """
 
 from __future__ import annotations
@@ -31,35 +34,19 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix with a fixed sign convention.
+def psd_eig(s) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition with roundoff-level negative eigenvalues clamped to 0.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in ascending order and
-    orthonormal eigenvectors in the columns of ``v``.  Each eigenvector is
-    flipped so that its largest-magnitude component is positive, which makes
-    the decomposition a deterministic function of the input bytes (up to the
-    underlying LAPACK build).
+    orthonormal eigenvectors in the columns of ``v``.  Eigenvalues in
+    ``[-PSD_CLAMP_REL * ||S||_F, 0)`` are set to zero.  A smaller eigenvalue
+    means the matrix is genuinely indefinite and raises :class:`NotPSDError`.
     """
     s = symmetrize(s)
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix contains non-finite entries")
     w, v = np.linalg.eigh(s)
-    lead = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return w, v * signs
-
-
-def psd_eig(s, rel_tol: float = PSD_CLAMP_REL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with roundoff-level negative eigenvalues clamped to 0.
-
-    Eigenvalues in ``[-rel_tol * ||S||_F, 0)`` are set to zero.  A smaller
-    eigenvalue means the matrix is genuinely indefinite and raises
-    :class:`NotPSDError`.
-    """
-    s = symmetrize(s)
-    w, v = sym_eig(s)
-    floor = -rel_tol * np.linalg.norm(s)
+    floor = -PSD_CLAMP_REL * np.linalg.norm(s)
     if w[0] < floor:
         raise NotPSDError(
             f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance {floor:.6e}"
@@ -67,15 +54,9 @@ def psd_eig(s, rel_tol: float = PSD_CLAMP_REL) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), v
 
 
-def clamp_psd(s, rel_tol: float = PSD_CLAMP_REL) -> np.ndarray:
-    """Project roundoff-level negative eigenvalues of ``s`` onto zero."""
-    w, v = psd_eig(s, rel_tol)
-    return symmetrize((v * w) @ v.T)
-
-
-def psd_sqrt(s, rel_tol: float = PSD_CLAMP_REL) -> np.ndarray:
+def psd_sqrt(s) -> np.ndarray:
     """Symmetric PSD square root ``S^(1/2)`` via eigendecomposition."""
-    w, v = psd_eig(s, rel_tol)
+    w, v = psd_eig(s)
     return symmetrize((v * np.sqrt(w)) @ v.T)
 
 

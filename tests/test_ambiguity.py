@@ -75,6 +75,11 @@ def test_ball_floor_is_min_eigenvalue():
     assert abs(ball.floor - np.linalg.eigvalsh(center)[0]) <= 1e-10
 
 
+def test_ball_floor_is_not_an_argument():
+    with pytest.raises(TypeError):
+        GelbrichBall(center=np.eye(2), radius=0.5, floor=5.0)
+
+
 def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
         GelbrichBall(center=np.eye(2), radius=-0.1)

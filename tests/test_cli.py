@@ -281,6 +281,21 @@ def test_verify_rejects_non_finite_trace_value(tmp_path, capsys, column, value):
     assert f"{path}: line {len(lines)}: column '{column}' is not finite" in err
 
 
+@pytest.mark.parametrize("field, value", [("f_value", "NaN"), ("final_gap", "Infinity")])
+def test_verify_rejects_non_finite_value_in_bundle(tmp_path, capsys, field, value):
+    inst = _generate(tmp_path, n=2, m=2, p=2, T=2, seed=2, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    path = res / "worst_case.json"
+    doc = json.loads(path.read_text())
+    doc[field] = float(value.lower())
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{path}: field '{field}' must be finite, got {value}" in err
+
+
 def _count_calls(monkeypatch, func):
     """Count the calls of ``func`` through every drlqg module that binds it."""
     calls = []

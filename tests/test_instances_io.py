@@ -161,6 +161,16 @@ def test_trace_rejects_malformed_row(tmp_path):
         io.read_trace_csv(str(path))
 
 
+@pytest.mark.parametrize("row", ["1,1.0,0.5", "1,1.0,0.5,3,7"], ids=["3-fields", "5-fields"])
+def test_trace_rejects_rows_without_four_fields(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"iter,f_value,surrogate_gap,elapsed_ms\n0,2.0,1.0,1\n{row}\n")
+    with pytest.raises(io.FormatError) as info:
+        io.read_trace_csv(str(path))
+    fields = row.count(",") + 1
+    assert str(info.value) == f"{path}: line 3: expected 4 fields, got {fields}"
+
+
 @pytest.mark.parametrize("column", ["f_value", "surrogate_gap", "elapsed_ms"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_trace_rejects_non_finite_numbers(tmp_path, column, value):
@@ -272,8 +282,16 @@ def _set(doc, path, value):
         ("f_value", [1.0, 2.0], "'f_value' must be a number, got [1.0, 2.0]"),
         ("final_gap", True, "'final_gap' must be a number, got true"),
         ("converged", "false", "'converged' must be a boolean, got \"false\""),
+        ("f_value", float("nan"), "'f_value' must be finite, got NaN"),
+        ("f_value", float("-inf"), "'f_value' must be finite, got -Infinity"),
+        ("final_gap", float("inf"), "'final_gap' must be finite, got Infinity"),
+        ("final_gap", float("nan"), "'final_gap' must be finite, got NaN"),
+        ("config.tol", float("inf"), "'config.tol' must be finite, got Infinity"),
     ],
-    ids=["rho_x0", "rho_w", "rho_v-entry", "dims.n", "dims.T", "f_value", "final_gap", "converged"],
+    ids=[
+        "rho_x0", "rho_w", "rho_v-entry", "dims.n", "dims.T", "f_value", "final_gap", "converged",
+        "f_value-nan", "f_value-neg-inf", "final_gap-inf", "final_gap-nan", "config.tol-inf",
+    ],
 )
 def test_malformed_scalar_fields_name_file_and_field(tmp_path, path, value, message):
     if path.split(".")[0] in ("ambiguity", "dims"):

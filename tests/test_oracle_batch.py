@@ -1,6 +1,7 @@
 """The batched oracle against the per-block scalar bisection it replaced."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from drlqg import (
     sample_feasible_blocks,
     solve,
 )
+from drlqg import ambiguity
+from drlqg.ambiguity import OracleError
 from drlqg.linalg import NotPSDError, symmetrize
 
 from helpers import random_profile, random_psd, random_spd, random_system
@@ -40,6 +43,11 @@ def _special_blocks(rng, n, p):
     out.append((GelbrichBall(center=center, radius=0.5), np.zeros((n, n)), center + 0.1 * np.eye(n)))
     u = rng.standard_normal((n, 1))
     out.append((GelbrichBall(center=center, radius=0.7), u @ u.T, center))  # rank one
+    # all of the center's mass on the gradient's top eigenvector: the initial
+    # bracket of an n x n block is already collapsed, while its shape's other
+    # blocks keep bisecting
+    mass = np.diag([1.0] + [0.0] * (n - 1))
+    out.append((GelbrichBall(center=mass, radius=0.5), np.diag([2.0] + [0.5] * (n - 1)), mass))
     q = _rotation(rng, p)
     top = np.array([3.0] * 2 + [1.0] * (p - 2))
     out.append(
@@ -89,6 +97,33 @@ def test_single_block_call_matches_scalar_bisection():
     rng = np.random.default_rng(310)
     for ball, grad, ref in _random_blocks(rng, 3, 4, 10) + _special_blocks(rng, 3, 4):
         _assert_same(oracle_maximize(ball, grad, ref), reference_oracle(ball, grad, ref), ball, grad)
+
+
+def test_bisection_cap_names_the_first_block_still_bisecting(monkeypatch):
+    rng = np.random.default_rng(336)
+    triples = _random_blocks(rng, 2, 4, 12) + _special_blocks(rng, 2, 4)
+    triples = [triples[i] for i in rng.permutation(len(triples))]
+    balls, grads, refs = zip(*triples)
+    # Shapes are solved in order of first appearance; in the first shape with
+    # a block that needs more than 2 bisections, the lowest such index fails.
+    groups = {}
+    for i, ball in enumerate(balls):
+        groups.setdefault(ball.dim, []).append(i)
+    slow = [reference_oracle(*triple).iterations > 2 for triple in triples]
+    first = next(i for idx in groups.values() for i in idx if slow[i])
+    group = groups[balls[first].dim]
+    assert group.index(first) > 0 and any(slow[i] for i in group if i > first)
+    monkeypatch.setattr(ambiguity, "_MAX_BISECT", 2)
+    with pytest.raises(OracleError) as info:
+        oracle_maximize_blocks(balls, grads, refs)
+    found = re.fullmatch(
+        r"gradient block (\d+): bisection did not meet the exit test in 2 iterations; "
+        r"final bracket \[(\S+), (\S+)\]",
+        str(info.value),
+    )
+    assert found and int(found[1]) == first
+    lo, hi = float(found[2]), float(found[3])
+    assert np.linalg.eigvalsh(grads[first])[-1] < lo < hi < math.inf
 
 
 def test_indefinite_gradient_in_batch_names_the_block():
