@@ -79,7 +79,7 @@ class GelbrichBall:
 
     The floor is the smallest eigenvalue of the center; it is computed on
     construction and is not an argument.  The oracle's optimality guarantee
-    assumes a PD center.
+    assumes a PD center or a zero one.
     """
 
     center: np.ndarray
@@ -201,13 +201,23 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     lam = np.clip(lam, 0.0, None)
     keep = lam[:, -1] > 0.0  # a zero gradient keeps the reference, gap 0
     live, lam, vec = live[keep], lam[keep], vec[keep]
+    ref_ip = np.sum(lam * _diag_in_basis(vec, maximizers[live]), axis=1)
+    # A zero center makes the ball {L >= 0 : tr L <= rho^2}, whose maximizer
+    # is rho^2 p1 p1' in closed form; the bracket would sit at lambda_max.
+    zero = ~centers[live].any(axis=(1, 2))
+    if zero.any():
+        gap = radii[live[zero]] ** 2 * lam[zero, -1] - ref_ip[zero]
+        won = gap > 0.0  # else the reference is kept, with gap 0
+        idx, top, gap = live[zero][won], vec[zero, :, -1][won], gap[won]
+        maximizers[idx] = (radii[idx] ** 2)[:, None, None] * top[:, :, None] * top[:, None, :]
+        gaps[idx] = gap
+        live, lam, vec, ref_ip = live[~zero], lam[~zero], vec[~zero], ref_ip[~zero]
     if live.size == 0:
         return maximizers, gammas, gaps, iterations
 
     zhat = centers[live]
     rho = radii[live]
     zdiag = _diag_in_basis(vec, zhat)
-    ref_ip = np.sum(lam * _diag_in_basis(vec, maximizers[live]), axis=1)
     lamz = lam * zdiag
     lam1 = lam[:, -1]
     # zdiag[:, -1] is p1' Zhat p1 for the top eigenvector p1
@@ -277,8 +287,11 @@ def oracle_maximize_blocks(
     non-finite input raises, naming the block's index in ``balls``).  Every
     returned ``gap_contribution`` is at least ``delta`` times the block's
     true maximum and never meaningfully negative.  Degenerate blocks
-    short-circuit with zero gap and NaN gamma: a zero radius returns the
-    center and a zero (clamped) gradient returns the reference.
+    short-circuit with NaN gamma and no bisection: a zero radius returns the
+    center and a zero (clamped) gradient returns the reference, both with
+    zero gap, and a zero center returns the exact maximizer rho^2 p1 p1'
+    (p1 the gradient's top eigenvector), or the reference if that gains
+    nothing.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")

@@ -235,6 +235,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help (0) or a usage error (EXIT_BAD_INPUT)
         return exc.code
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "solve":

@@ -2,7 +2,10 @@
 
 Documents are JSON with matrices as row-major nested arrays of decimal
 literals; floats are emitted in shortest round-trip form (at most 17
-significant digits), so ``parse(serialize(x)) == x`` bit-for-bit.  The trace
+significant digits), so ``parse(serialize(x)) == x`` bit-for-bit.  They are
+written row by row by a streaming encoder whose output is byte-identical to
+``json.dump(doc, fh, indent=1)``: matrices stay numpy arrays until each row
+is formatted, so no document's text or nested float list is built.  The trace
 is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms``, exactly those
 four fields on every row, and floats printed with 17 significant digits.
 All writes go through a temporary file in the target directory followed by
@@ -35,8 +38,8 @@ class FormatError(ValueError):
     """A document failed schema validation; the message names the field."""
 
 
-def _mat(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _mat(a) -> np.ndarray:
+    return np.asarray(a, dtype=float)
 
 
 def _get(doc: dict, path: str):
@@ -117,16 +120,22 @@ def _naming(path: str):
 
 
 def _atomic_write(path: str, write):
-    """Call ``write(fh)`` on a temporary file, then rename it onto ``path``."""
+    """Call ``write(fh)`` on a temporary file, then rename it onto ``path``.
+
+    An ``OSError`` is re-raised naming ``path``, not the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "w") as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -134,10 +143,65 @@ def _atomic_write_text(path: str, text: str):
     _atomic_write(path, lambda fh: fh.write(text))
 
 
+def _row(fh, row: np.ndarray, sep: str):
+    """Write the items of a non-empty 1-D float64 array, ``sep`` between them.
+
+    A trailing run of +0.0 (not -0.0) is written without formatting, and a
+    float repr never contains ", ", so one ``replace`` separates the rest.
+    """
+    end = len(row)
+    if row[-1] == 0.0:
+        nonzero = np.flatnonzero((row != 0.0) | np.signbit(row))
+        end = int(nonzero[-1]) + 1 if nonzero.size else 0
+    text = repr(row[:end].tolist())
+    if "n" in text:  # nan or inf, which json spells NaN and Infinity
+        fh.write(sep.join(map(json.dumps, row.tolist())))
+        return
+    fh.write(text[1:-1].replace(", ", sep))
+    if end < len(row):
+        fh.write((sep if end else "") + sep.join(["0.0"] * (len(row) - end)))
+
+
+def _encode(fh, obj, level: int = 0):
+    """Write ``obj`` exactly as ``json.dump(obj, fh, indent=1)`` would at
+    nesting depth ``level``, reading numpy arrays and scalars as their
+    ``tolist()``.  Dict keys must be strings."""
+    if isinstance(obj, (np.generic, np.ndarray)) and obj.ndim == 0:
+        obj = obj.item()
+    if isinstance(obj, (dict, list, tuple, np.ndarray)):
+        if len(obj) == 0:
+            fh.write("{}" if isinstance(obj, dict) else "[]")
+            return
+        pad = "\n" + " " * (level + 1)
+        sep = "," + pad
+        if isinstance(obj, dict):
+            fh.write("{")
+            for i, (key, value) in enumerate(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                fh.write(f"{sep if i else pad}{json.dumps(key)}: ")
+                _encode(fh, value, level + 1)
+            fh.write("\n" + " " * level + "}")
+            return
+        fh.write("[" + pad)
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+            _row(fh, obj, sep)
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    fh.write(sep)
+                _encode(fh, item, level + 1)
+        fh.write("\n" + " " * level + "]")
+    else:
+        fh.write(json.dumps(obj))
+
+
 def write_json_atomic(path: str, doc: dict):
+    """Write ``doc`` and a newline, byte-identical to ``json.dump(doc, fh,
+    indent=1)``; matrices stream to the file a row at a time."""
+
     def dump(fh):
-        # streamed, so the encoder's chunks are never held all at once
-        json.dump(doc, fh, indent=1)
+        _encode(fh, doc)
         fh.write("\n")
 
     _atomic_write(path, dump)

@@ -40,6 +40,7 @@ does better against the worst case.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -86,8 +87,8 @@ class FWConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.step not in STEP_RULES:

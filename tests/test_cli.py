@@ -209,6 +209,61 @@ def test_help_exits_0(capsys):
     assert "--max-iter" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_rejects_non_finite_tol(tmp_path, capsys, tol):
+    # a bundle recording tol=Infinity would be rejected by verify
+    inst = _generate(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--out", str(tmp_path / "o"), "--tol", tol])
+    assert rc == EXIT_BAD_INPUT
+    assert f"tol must be positive and finite, got {tol}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_write_error_names_the_target_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    rc = main(["generate", "--n", "1", "--m", "1", "--p", "1", "--T", "1", "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp-" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "evaluate"])
+def test_negative_seed_names_the_flag(tmp_path, capsys, command):
+    inst, res = _solved(tmp_path)
+    argv = {
+        "generate": ["generate", "--n", "1", "--m", "1", "--p", "1", "--T", "1",
+                     "--out", str(tmp_path / "g.json")],
+        "verify": ["verify", str(inst), str(res)],
+        "evaluate": ["evaluate", str(inst), str(res / "controller.json"),
+                     str(res / "worst_case.json")],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == EXIT_BAD_INPUT
+    assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_zero_center_instance_solves_and_audits(tmp_path, capsys):
+    # a zero nominal X0 or W[t] is PSD, so its ball is legal
+    inst = _generate(tmp_path, n=2, m=1, p=2, T=2, seed=6, rho=0.3)
+    doc = json.loads(inst.read_text())
+    doc["ambiguity"]["nominal"]["X0"] = [[0.0, 0.0], [0.0, 0.0]]
+    doc["ambiguity"]["nominal"]["W"][1] = [[0.0, 0.0], [0.0, 0.0]]
+    inst.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+        for argv in _audits(inst, res):
+            assert main(argv) == EXIT_OK
+    cov, _ = io.read_worst_case(str(res / "worst_case.json"))
+    for block in (cov.X0, cov.W[1]):
+        # the ball around zero is {Z >= 0 : tr Z <= rho^2}; nature leaves the center
+        assert 0.0 < np.trace(block) <= 0.3**2 + 1e-12
+
+
 def test_generate_rejects_infinite_radius(tmp_path, capsys):
     out = tmp_path / "inst.json"
     rc = main(["generate", "--n", "1", "--m", "1", "--p", "1", "--T", "1", "--rho", "inf",

@@ -99,6 +99,42 @@ def test_single_block_call_matches_scalar_bisection():
         _assert_same(oracle_maximize(ball, grad, ref), reference_oracle(ball, grad, ref), ball, grad)
 
 
+def test_zero_center_blocks_take_the_closed_form_in_a_mixed_batch():
+    # The ball around a zero center is {L >= 0 : tr L <= rho^2}; its maximizer
+    # is rho^2 p1 p1' with gap rho^2 lambda_max - <Gamma, reference>.
+    rng = np.random.default_rng(337)
+    n, p = 3, 2
+    zero_blocks = []
+    for d in (n, p, n):
+        grad = random_psd(rng, d) * rng.uniform(0.5, 5.0)
+        zero_blocks.append((GelbrichBall(center=np.zeros((d, d)), radius=0.6), grad, np.zeros((d, d))))
+    # a reference beyond the ball's reach is kept, with gap 0
+    big = 10.0 * np.eye(p)
+    zero_blocks.append((GelbrichBall(center=np.zeros((p, p)), radius=0.6), random_psd(rng, p), big))
+    triples = _random_blocks(rng, n, p, 8) + _special_blocks(rng, n, p) + zero_blocks
+    order = rng.permutation(len(triples))
+    triples = [triples[i] for i in order]
+    balls, grads, refs = zip(*triples)
+    results = oracle_maximize_blocks(balls, grads, refs, delta=0.95)
+    checked = 0
+    for (ball, grad, ref), res in zip(triples, results):
+        if np.any(ball.center):
+            _assert_same(res, reference_oracle(ball, grad, ref, 0.95), ball, grad)
+            continue
+        lam, vec = np.linalg.eigh(grad)
+        gain = 0.6**2 * lam[-1] - float(np.sum(grad * ref))
+        assert math.isnan(res.gamma) and res.iterations == 0
+        if gain > 0.0:
+            top = vec[:, -1:]
+            assert np.allclose(res.maximizer, 0.6**2 * top @ top.T, rtol=0, atol=1e-14)
+            assert abs(res.gap_contribution - gain) <= 1e-12 * max(1.0, abs(gain))
+            assert ball.contains(res.maximizer)
+        else:
+            assert np.array_equal(res.maximizer, ref) and res.gap_contribution == 0.0
+        checked += 1
+    assert checked == len(zero_blocks)
+
+
 def test_bisection_cap_names_the_first_block_still_bisecting(monkeypatch):
     rng = np.random.default_rng(336)
     triples = _random_blocks(rng, 2, 4, 12) + _special_blocks(rng, 2, 4)

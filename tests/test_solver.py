@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,9 @@ def test_config_validation():
         FWConfig(delta=1.0)
     with pytest.raises(ValueError):
         FWConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        FWConfig(tol=0.0)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite"):
+            FWConfig(tol=tol)
     with pytest.raises(ValueError):
         FWConfig(max_iter=0)
     with pytest.raises(ValueError, match="step"):
