@@ -111,7 +111,9 @@ class AmbiguitySpec:
 
     Radii follow the block order X0, W_0..W_{T-1}, V_0..V_{T-1} and must be
     finite and nonnegative; the nominal observation covariances must be PD so
-    the filter stays well posed on the whole feasible set.
+    the filter stays well posed on the whole feasible set.  A nominal X0 or
+    W_t with a positive radius must be PD or zero, the centers for which the
+    oracle's optimality guarantee holds.
     """
 
     nominal: CovarianceProfile
@@ -132,6 +134,19 @@ class AmbiguitySpec:
         for t, v in enumerate(self.nominal.V):
             if min_eigval(v) <= 0.0:
                 raise ValueError(f"nominal V[{t}] must be positive definite")
+        # the oracle's bisection is exact only for PD or zero centers: a
+        # singular, nonzero one can report a zero gap where the ball gains
+        for name, center, r in [("X0", self.nominal.X0, self.rho_x0)] + [
+            (f"W[{t}]", w, r) for t, (w, r) in enumerate(zip(self.nominal.W, rho_w))
+        ]:
+            if r == 0.0 or not center.any():
+                continue
+            lo = min_eigval(center)
+            if lo <= 0.0:
+                raise ValueError(
+                    f"nominal {name} is singular but nonzero (min eig {lo:.3e}); "
+                    "with a positive radius it must be positive definite or zero"
+                )
         object.__setattr__(self, "rho_x0", float(self.rho_x0))
         object.__setattr__(self, "rho_w", rho_w)
         object.__setattr__(self, "rho_v", rho_v)
@@ -325,33 +340,57 @@ def oracle_maximize(
     return oracle_maximize_blocks((ball,), (gradient,), (reference,), delta)[0]
 
 
-def sample_feasible_blocks(balls, rng: np.random.Generator) -> list[np.ndarray]:
-    """Draw a random feasible member of each ball.
+# _sample_feasible solves the profiles of one oracle call together up to this
+# many matrix entries per stacked block array (512 KiB of float64); larger
+# stacks only add memory and lockstep bisections
+_SAMPLE_ELEMENTS = 1 << 16
 
-    For each ball in order, draws the normals of a random PSD direction and
-    then a uniform u; the sample is the point a fraction u of the way from
-    the center to the oracle maximizer along that direction, which is
-    feasible by convexity of the floored ball.  Zero-radius balls return
-    their center and draw nothing.  The draws come in the order that one
-    ``sample_feasible`` call per ball would make, and the oracle draws
-    nothing, so a seed yields the same samples either way.
+
+def _sample_feasible(balls, rng: np.random.Generator, count: int) -> list[list[np.ndarray]]:
+    """``count`` random feasible profiles: one member of each ball per profile.
+
+    Profile by profile and, within a profile, ball by ball, the draws are
+    the normals of a random PSD direction, then a uniform u.  One
+    ``oracle_maximize_blocks`` call finds, for a group of profiles of at
+    most ``_SAMPLE_ELEMENTS`` block entries (at least one profile), the
+    extreme point of each ball along its direction, and each sample lies a
+    fraction u of the way from the center to it, which is feasible by
+    convexity of the floored ball.  Zero-radius balls return their center
+    and draw nothing.  The oracle draws nothing and solves each block as a
+    separate call would, so the profiles equal ``count`` consecutive
+    ``sample_feasible_blocks`` calls bit for bit.
     """
-    moving, directions, weights = [], [], []
-    for i, ball in enumerate(balls):
-        if ball.radius == 0.0:
-            continue
-        a = rng.standard_normal((ball.dim, ball.dim))
-        moving.append(i)
-        directions.append(symmetrize(a @ a.T))
-        weights.append(rng.uniform())
-    out = [ball.center.copy() for ball in balls]
+    moving = [i for i, ball in enumerate(balls) if ball.radius != 0.0]
     chosen = [balls[i] for i in moving]
-    extremes = oracle_maximize_blocks(
-        chosen, directions, [b.center for b in chosen], delta=0.9
-    )
-    for i, ball, res, u in zip(moving, chosen, extremes, weights):
-        out[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
+    group = max(1, _SAMPLE_ELEMENTS // max(1, sum(b.dim**2 for b in chosen)))
+    out = []
+    for start in range(0, count, group):
+        size = min(group, count - start)
+        directions, weights = [], []
+        for _ in range(size):
+            for ball in chosen:
+                a = rng.standard_normal((ball.dim, ball.dim))
+                directions.append(symmetrize(a @ a.T))
+                weights.append(rng.uniform())
+        extremes = oracle_maximize_blocks(
+            chosen * size, directions, [b.center for b in chosen] * size, delta=0.9
+        )
+        picks = iter(zip(chosen * size, extremes, weights))
+        for _ in range(size):
+            blocks = [ball.center.copy() for ball in balls]
+            for i, (ball, res, u) in zip(moving, picks):
+                blocks[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
+            out.append(blocks)
     return out
+
+
+def sample_feasible_blocks(balls, rng: np.random.Generator) -> list[np.ndarray]:
+    """Draw a random feasible member of each ball (see ``_sample_feasible``).
+
+    The draws come in the order that one ``sample_feasible`` call per ball
+    would make, so a seed yields the same samples either way.
+    """
+    return _sample_feasible(balls, rng, 1)[0]
 
 
 def sample_feasible(ball: GelbrichBall, rng: np.random.Generator) -> np.ndarray:

@@ -140,7 +140,12 @@ def _cmd_evaluate(args) -> int:
         U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
     )
     exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
-    stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
+    try:
+        stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
+    except MemoryError as exc:  # the one cost per rollout does not fit
+        raise ValueError(
+            f"--rollouts {args.rollouts} needs more memory than is available ({exc})"
+        ) from exc
     print(f"exact cost      : {exact:.10g}")
     print(f"monte carlo mean: {stats.mean:.10g} +/- {stats.stderr:.4g} (n={stats.n_samples})")
     dev = abs(stats.mean - exact)

@@ -13,6 +13,12 @@ This module provides the backward Riccati recursion for the feedback gains,
 the forward Kalman recursion for the filter gains (together they are the
 optimal output-feedback controller), its exact expected cost, and a causal
 simulator for rolling out controllers against sampled (or adversarial) noise.
+
+``monte_carlo_cost`` draws its noise in chunks of 2^18 standard normals.  It
+rolls a ``KalmanController`` out as one linear recursion on the closed-loop
+state s_t = [x_t, xhat_t], with the noise square roots folded into the
+per-stage maps, so the normals are never colored on their own; every other
+controller goes through ``simulate``'s causal policy path.
 """
 
 from __future__ import annotations
@@ -399,10 +405,9 @@ def simulate(sys: TimeVaryingSystem, controller, x0, w, v) -> SimulationResult:
     return SimulationResult(cost=float(cost), x=xs, u=us, y=ys)
 
 
-# monte_carlo_cost draws, colors and rolls out this many standard normals
-# (8 MiB of float64) at a time, so its memory does not grow with the
-# rollout count
-_CHUNK_ELEMENTS = 1 << 20
+# monte_carlo_cost draws and rolls out this many standard normals (2 MiB of
+# float64) at a time, so its memory does not grow with the rollout count
+_CHUNK_ELEMENTS = 1 << 18
 
 
 def _noise_roots(cov: CovarianceProfile) -> list[np.ndarray]:
@@ -446,6 +451,64 @@ def sample_noise(cov: CovarianceProfile, n_samples: int, rng: np.random.Generato
     return _color(z, _noise_roots(cov), cov)
 
 
+def _closed_loop_maps(sys: TimeVaryingSystem, K, L, roots):
+    """The rollout of u_t = K_t xhat_t as maps on s_t = [x_t, xhat_t], rows.
+
+    Returns ``(first, stages)``.  ``first = (X, V)`` starts the loop at
+    s_0 = z_x0 X + z_v0 [0, V].  ``stages[t] = (M, W, V)`` holds
+    M = [D_t | Phi_t], where D_t = diag(Q_t, K_t' R_t K_t) prices stage t as
+    s_t D_t s_t', and the step
+
+        s_{t+1} = s_t Phi_t + z_wt W + z_v,t+1 [0, V].
+
+    With F = [A'; K'B'] (so x_{t+1} = s_t F + w_t), the predicted estimate
+    s_t [0; (A + B K)'] and G = C_{t+1}' L_{t+1}',
+
+        Phi_t = [F, F G + [0; (A + B K)'] (I - G)],   W = S_W [I, G],
+        V = S_V,t+1 L_{t+1}'.
+
+    The last step keeps only x_T (Phi = F, W = S_W, V = None); the rollout
+    adds x_T Q_T x_T'.  The noise square roots ``roots`` of ``_noise_roots``
+    are folded in, so the maps take standard normals z.
+    """
+    n, T = sys.n, sys.T
+    s_x0, s_w, s_v = roots[0], roots[1 : T + 1], roots[T + 1 :]
+    gain = [c.T @ l.T for c, l in zip(sys.C, L)]
+    first = (np.hstack([s_x0, s_x0 @ gain[0]]), s_v[0] @ L[0].T)
+    zeros = np.zeros((n, n))
+    stages = []
+    for t in range(T):
+        A, B, k = sys.A[t], sys.B[t], K[t]
+        cost = np.block([[sys.Q[t], zeros], [zeros, k.T @ sys.R[t] @ k]])
+        F = np.vstack([A.T, k.T @ B.T])
+        if t == T - 1:
+            stages.append((np.hstack([cost, F]), s_w[t], None))
+            break
+        g = gain[t + 1]
+        pred = np.vstack([zeros, (A + B @ k).T])
+        phi = np.hstack([F, F @ g + pred @ (np.eye(n) - g)])
+        W = np.hstack([s_w[t], s_w[t] @ g])
+        stages.append((np.hstack([cost, phi]), W, s_v[t + 1] @ L[t + 1].T))
+    return first, stages
+
+
+def _roll_closed_loop(sys: TimeVaryingSystem, maps, z):
+    """Costs of rollouts on the standard normals ``z`` (``sample_noise`` layout)."""
+    n, p, T = sys.n, sys.p, sys.T
+    v_off = n + T * n
+    (X0, V0), stages = maps
+    s = z[:, :n] @ X0
+    s[:, n:] += z[:, v_off : v_off + p] @ V0
+    cost = np.zeros(z.shape[0])
+    for t, (M, W, V) in enumerate(stages):
+        sm = s @ M
+        cost += np.einsum("ij,ij->i", sm[:, : 2 * n], s)
+        s = sm[:, 2 * n :] + z[:, n + t * n : n + (t + 1) * n] @ W
+        if V is not None:
+            s[:, n:] += z[:, v_off + (t + 1) * p : v_off + (t + 2) * p] @ V
+    return cost + _quad(s, sys.Q[T])
+
+
 @dataclass(frozen=True)
 class MonteCarloStats:
     mean: float
@@ -463,27 +526,43 @@ def monte_carlo_cost(
 ) -> MonteCarloStats:
     """Estimate the expected closed-loop cost (and its standard error).
 
-    Noise is drawn, colored and rolled out a chunk of
-    max(1, 2^20 // (n + T n + T p)) rows at a time, so memory is
-    O(chunk (n + T n + T p)), about 8 MiB of normals, plus the
-    ``n_samples`` floats of ``costs``.  Consecutive ``standard_normal``
-    blocks of rows are one draw of all rows, so the rollouts see exactly the
-    noise of ``sample_noise(cov, n_samples, rng)`` and leave ``rng`` in the
-    same state: the draw order and the meaning of a seed do not depend on
-    the chunking.
+    Noise is drawn and rolled out a chunk of max(1, 2^18 // (n + T n + T p))
+    rows at a time into one reused buffer, so memory is
+    O(chunk (n + T n + T p)), about 2 MiB of normals, plus the ``n_samples``
+    floats of ``costs``.  Consecutive ``standard_normal`` blocks of rows are
+    one draw of all rows, so the rollouts see exactly the noise of
+    ``sample_noise(cov, n_samples, rng)`` and leave ``rng`` in the same
+    state: the draw order and the meaning of a seed do not depend on the
+    chunking.
+
+    A ``KalmanController``, checked on ``sys`` as ``make_policy`` checks
+    it, is rolled out on the closed loop of ``_closed_loop_maps``: per
+    stage one product prices the stage and advances s_t = [x_t, xhat_t],
+    and two more add the folded-in process and observation noise.  Its
+    costs agree with ``simulate``'s to roundoff.  Any other controller is
+    rolled out through its ``make_policy`` on the colored noise, exactly as
+    ``simulate`` does.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     roots = _noise_roots(cov)
+    maps = None
+    if isinstance(controller, KalmanController):
+        maps = _closed_loop_maps(sys, *_check_gains(sys, controller.K, controller.L), roots)
     width = _noise_width(cov)
     chunk = max(1, _CHUNK_ELEMENTS // width)
     costs = np.empty(n_samples)
+    buf = np.empty((min(chunk, n_samples), width))
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        x0, w, v = _color(rng.standard_normal((stop - start, width)), roots, cov)
-        costs[start:stop] = _roll(sys, controller.make_policy(sys), x0, w, v)
+        z = buf[: stop - start]
+        rng.standard_normal(out=z)
+        if maps is not None:
+            costs[start:stop] = _roll_closed_loop(sys, maps, z)
+        else:
+            costs[start:stop] = _roll(sys, controller.make_policy(sys), *_color(z, roots, cov))
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(n_samples))
     return MonteCarloStats(mean=mean, stderr=stderr, n_samples=n_samples, costs=costs)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySpec, oracle_maximize_blocks, sample_feasible_blocks
+from .ambiguity import AmbiguitySpec, _sample_feasible, oracle_maximize_blocks
 from .gradient import grad_f, _grad_from_solutions
 from .lqg import (
     CovarianceProfile,
@@ -299,8 +299,8 @@ def saddle_check(
     grads = grad_f(sys, sol.worst_case, riccati=ric, kalman=kal).flat()
     best_response = oracle_maximize_blocks(balls, grads, _blocks(sol.worst_case), delta=0.99)
     candidates = [("best-response", [r.maximizer for r in best_response])]
-    for i in range(n_samples):
-        candidates.append((f"sample-{i}", sample_feasible_blocks(balls, rng)))
+    for i, blocks in enumerate(_sample_feasible(balls, rng, n_samples)):
+        candidates.append((f"sample-{i}", blocks))
     for label, blocks in candidates:
         cost = _price(grads, blocks)
         if cost > f_star + nature_slack:

@@ -5,6 +5,7 @@ import pytest
 
 from drlqg import (
     AmbiguitySpec,
+    CovarianceProfile,
     GelbrichBall,
     gelbrich_distance,
     oracle_maximize,
@@ -118,6 +119,23 @@ def test_spec_rejects_non_finite_radii_naming_the_field():
             AmbiguitySpec(nominal=nominal, rho_x0=0.1, rho_w=(0.1, 0.1, 0.1, bad), rho_v=ok)
         with pytest.raises(ValueError, match=r"rho_v\[0\] must be finite"):
             AmbiguitySpec(nominal=nominal, rho_x0=0.1, rho_w=ok, rho_v=(bad, 0.1, 0.1, 0.1))
+
+
+def test_spec_rejects_singular_nonzero_center_with_a_radius():
+    # diag(1, 0) at radius 0.5: the oracle reports gap 0 against diag(0, 1),
+    # though diag(1, 0.25) lies in the ball and gains 0.25
+    singular = np.diag([1.0, 0.0])
+    nominal = CovarianceProfile(X0=singular, W=(np.eye(2), singular), V=(np.eye(1),) * 2)
+    with pytest.raises(ValueError, match=r"nominal X0 is singular but nonzero"):
+        AmbiguitySpec(nominal=nominal, rho_x0=0.5, rho_w=(0.1, 0.0), rho_v=(0.1, 0.1))
+    with pytest.raises(ValueError, match=r"nominal W\[1\] is singular but nonzero"):
+        AmbiguitySpec(nominal=nominal, rho_x0=0.0, rho_w=(0.1, 0.5), rho_v=(0.1, 0.1))
+    # a zero radius keeps the block fixed, and zero and PD centers stay valid
+    AmbiguitySpec(nominal=nominal, rho_x0=0.0, rho_w=(0.1, 0.0), rho_v=(0.1, 0.1))
+    zero = CovarianceProfile(
+        X0=np.zeros((2, 2)), W=(np.eye(2), np.zeros((2, 2))), V=(np.eye(1),) * 2
+    )
+    AmbiguitySpec(nominal=zero, rho_x0=0.5, rho_w=(0.5, 0.5), rho_v=(0.1, 0.1))
 
 
 # ------------------------------------------------------------------ oracle

@@ -181,6 +181,38 @@ def test_evaluate_rejects_fewer_than_two_rollouts(tmp_path, capsys):
         assert "--rollouts" in capsys.readouterr().err
 
 
+def test_evaluate_names_rollouts_too_many_to_hold(tmp_path, capsys):
+    # 2**50 costs are 8 PiB, beyond any user address space, so the
+    # allocation fails at once whatever the overcommit setting
+    inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(
+        [
+            "evaluate",
+            str(inst),
+            str(res / "controller.json"),
+            str(res / "worst_case.json"),
+            "--rollouts", str(2**50),
+        ]
+    )
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rollouts 1125899906842624 needs more memory")
+
+
+def test_solve_rejects_singular_nonzero_center(tmp_path, capsys):
+    inst = _generate(tmp_path, n=2, m=2, p=2, T=2, seed=1)
+    doc = json.loads(inst.read_text())
+    doc["ambiguity"]["nominal"]["W"][1] = [[1.0, 0.0], [0.0, 0.0]]
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    assert "nominal W[1] is singular but nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_rejects_negative_samples(tmp_path, capsys):
     inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
     res = tmp_path / "res"

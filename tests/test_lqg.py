@@ -267,19 +267,29 @@ def test_controller_is_its_two_gain_sequences():
     assert all(np.array_equal(a, b) for a, b in zip(ctrl.L, kalman_forward(sys, cov).L))
 
 
-@pytest.mark.parametrize(
-    "K, L, message",
-    [
-        ([np.zeros((2, 3))] * 3, [np.zeros((3, 1))] * 4, r"^K: expected 4 matrices, got 3$"),
-        ([np.zeros((2, 3))] * 4, [np.zeros((3, 1))] * 5, r"^L: expected 4 matrices, got 5$"),
-        ([np.zeros((3, 2))] * 4, [np.zeros((3, 1))] * 4, r"^K\[0\]: expected shape \(2, 3\)"),
-        ([np.zeros((2, 3))] * 4, [np.zeros((3, 1))] * 3 + [np.zeros((1, 3))], r"^L\[3\]: "),
-    ],
-)
+_MISFIT_GAINS = [
+    ([np.zeros((2, 3))] * 3, [np.zeros((3, 1))] * 4, r"^K: expected 4 matrices, got 3$"),
+    ([np.zeros((2, 3))] * 4, [np.zeros((3, 1))] * 5, r"^L: expected 4 matrices, got 5$"),
+    ([np.zeros((3, 2))] * 4, [np.zeros((3, 1))] * 4, r"^K\[0\]: expected shape \(2, 3\)"),
+    ([np.zeros((2, 3))] * 4, [np.zeros((3, 1))] * 3 + [np.zeros((1, 3))], r"^L\[3\]: "),
+]
+
+
+@pytest.mark.parametrize("K, L, message", _MISFIT_GAINS)
 def test_make_policy_rejects_gains_that_do_not_fit(K, L, message):
     sys = random_system(np.random.default_rng(18), 3, 2, 1, 4)
     with pytest.raises(ValueError, match=message):
         KalmanController(K=K, L=L).make_policy(sys)
+
+
+@pytest.mark.parametrize("K, L, message", _MISFIT_GAINS)
+def test_monte_carlo_rejects_gains_that_do_not_fit(K, L, message):
+    # the closed-loop rollout checks the gains as make_policy does
+    rng = np.random.default_rng(18)
+    sys = random_system(rng, 3, 2, 1, 4)
+    cov = random_profile(rng, 3, 1, 4)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_cost(sys, KalmanController(K=K, L=L), cov, 10, rng=0)
 
 
 def test_policy_rejects_out_of_order_steps():
@@ -362,37 +372,46 @@ def _chunk_rows(cov):
     return max(1, lqg._CHUNK_ELEMENTS // (cov.n + cov.T * (cov.n + cov.p)))
 
 
+# (n, m, p, T, zero X0 and W[0]): T = 1, n != m != p, and zero noise blocks
+_MC_DIMS = [(3, 1, 2, 3, False), (2, 3, 1, 1, False), (4, 2, 3, 2, False), (3, 2, 1, 4, True)]
+
+
 @pytest.mark.parametrize("kind", ["kalman", "purified"])
 @pytest.mark.parametrize("rows", [1, 5])
 def test_monte_carlo_chunks_match_one_draw(monkeypatch, kind, rows):
-    n, m, p, T = 3, 1, 2, 3
-    rng = np.random.default_rng(21)
-    sys = random_system(rng, n, m, p, T)
-    cov = random_profile(rng, n, p, T)
-    if kind == "kalman":
-        ctrl = assemble_controller(sys, cov)
-    else:
-        ctrl = LinearPurifiedController(
-            U=random_causal_gain(rng, m, p, T, scale=0.3),
-            q=rng.standard_normal(m * T),
-            m=m, p=p, T=T,
-        )
-    width = n + T * (n + p)
-    # a budget of ``rows`` rows plus a remainder that must not make a row
-    monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", rows * width + width - 1)
-    assert _chunk_rows(cov) == rows
-    N = 2 * rows + 3  # two chunk boundaries and a ragged tail
-    gen = np.random.default_rng(8)
-    stats = monte_carlo_cost(sys, ctrl, cov, N, rng=gen)
+    # The Kalman controller rolls out on the closed loop, every other one
+    # through simulate's policy path; both must cost each row as simulate
+    # does, whatever the chunking.  The dims run in a loop to keep the ids.
+    for n, m, p, T, zero_blocks in _MC_DIMS:
+        rng = np.random.default_rng(21)
+        sys = random_system(rng, n, m, p, T)
+        cov = random_profile(rng, n, p, T)
+        if zero_blocks:
+            cov = CovarianceProfile(X0=np.zeros((n, n)), W=(np.zeros((n, n)),) + cov.W[1:], V=cov.V)
+        if kind == "kalman":
+            ctrl = assemble_controller(sys, cov)
+        else:
+            ctrl = LinearPurifiedController(
+                U=random_causal_gain(rng, m, p, T, scale=0.3),
+                q=rng.standard_normal(m * T),
+                m=m, p=p, T=T,
+            )
+        width = n + T * (n + p)
+        # a budget of ``rows`` rows plus a remainder that must not make a row
+        monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", rows * width + width - 1)
+        assert _chunk_rows(cov) == rows
+        N = 2 * rows + 3  # two chunk boundaries and a ragged tail
+        gen = np.random.default_rng(8)
+        stats = monte_carlo_cost(sys, ctrl, cov, N, rng=gen)
 
-    x0, w, v = sample_noise(cov, N, np.random.default_rng(8))
-    rows_cost = np.array([simulate(sys, ctrl, x0[i], w[i], v[i]).cost for i in range(N)])
-    assert stats.costs.shape == (N,)
-    assert np.all(np.abs(stats.costs - rows_cost) <= 1e-12 * np.abs(rows_cost))
+        x0, w, v = sample_noise(cov, N, np.random.default_rng(8))
+        rows_cost = np.array([simulate(sys, ctrl, x0[i], w[i], v[i]).cost for i in range(N)])
+        assert stats.costs.shape == (N,)
+        assert np.all(np.abs(stats.costs - rows_cost) <= 1e-12 * np.abs(rows_cost))
 
-    one_draw = np.random.default_rng(8)
-    one_draw.standard_normal((N, width))
-    assert np.array_equal(gen.standard_normal(8), one_draw.standard_normal(8))
+        one_draw = np.random.default_rng(8)
+        one_draw.standard_normal((N, width))
+        assert np.array_equal(gen.standard_normal(8), one_draw.standard_normal(8))
 
 
 def test_monte_carlo_memory_is_bounded():
@@ -412,3 +431,20 @@ def test_monte_carlo_memory_is_bounded():
             tracemalloc.stop()
     costs_growth = (16 - 4) * chunk * 8
     assert peaks[16] - peaks[4] <= costs_growth + 2**20
+
+
+def test_monte_carlo_peak_memory_at_audit_size():
+    # 10^5 rollouts at n = T = 10: one 2 MiB chunk of normals, the 0.8 MB of
+    # costs and the closed loop's small per-stage arrays
+    rng = np.random.default_rng(4)
+    n = T = 10
+    sys = random_system(rng, n, n, n, T)
+    cov = random_profile(rng, n, n, T)
+    ctrl = assemble_controller(sys, cov)
+    tracemalloc.start()
+    try:
+        monte_carlo_cost(sys, ctrl, cov, 100_000, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -199,6 +199,31 @@ def test_sample_feasible_blocks_keeps_the_per_ball_draw_order():
     assert np.max(np.abs(single - batched[0])) <= 1e-12 * float(np.linalg.norm(single))
 
 
+@pytest.mark.parametrize("group", ["all", "one", "two"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_batched_samples_equal_sequential_calls(monkeypatch, count, group):
+    # saddle_check prices its nature samples in groups, one oracle call per
+    # group; the samples and the generator state must be those of one call
+    # per sample, whatever the group size
+    rng = np.random.default_rng(314)
+    balls = [
+        GelbrichBall(center=random_spd(rng, d), radius=r)
+        for d, r in [(2, 0.4), (3, 0.0), (1, 0.2), (3, 0.8), (2, 0.0)]
+    ] + [GelbrichBall(center=np.zeros((2, 2)), radius=0.3)]
+    entries = sum(b.dim**2 for b in balls if b.radius != 0.0)
+    budget = {"all": ambiguity._SAMPLE_ELEMENTS, "one": entries + 1, "two": 2 * entries}[group]
+    monkeypatch.setattr(ambiguity, "_SAMPLE_ELEMENTS", budget)
+    batched_rng, sequential_rng = np.random.default_rng(9), np.random.default_rng(9)
+    batched = ambiguity._sample_feasible(balls, batched_rng, count)
+    sequential = [sample_feasible_blocks(balls, sequential_rng) for _ in range(count)]
+    assert len(batched) == count
+    for got, expect in zip(batched, sequential):
+        assert len(got) == len(balls)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+    assert batched_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
 def test_solve_trace_matches_per_block_reference_solver():
     rng = np.random.default_rng(313)
     n, m, p, T = 3, 2, 2, 4
