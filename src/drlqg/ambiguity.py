@@ -44,11 +44,13 @@ would.  ``oracle_maximize`` is the single-block call.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
+from .linalg import _check_psd
 from .lqg import CovarianceProfile, _frozen
 
 _MAX_BISECT = 200
@@ -77,9 +79,9 @@ def gelbrich_distance(s1, s2) -> float:
 class GelbrichBall:
     """Floored Gelbrich ball {Z : G(Z, center) <= radius, Z >= floor * I}.
 
-    The floor is the smallest eigenvalue of the center; it is computed on
-    construction and is not an argument.  The oracle's optimality guarantee
-    assumes a PD center or a zero one.
+    The floor, ``min_eigval`` of the center, is computed once on construction,
+    where the center also passes ``psd_eig``'s checks; it is not an argument.
+    The oracle's optimality guarantee assumes a PD center or a zero one.
     """
 
     center: np.ndarray
@@ -88,11 +90,12 @@ class GelbrichBall:
 
     def __post_init__(self):
         center = symmetrize(self.center)
-        psd_eig(center)  # raises if genuinely indefinite
+        floor = min_eigval(center)
+        _check_psd(center, floor)  # raises if non-finite or genuinely indefinite
         if not (self.radius >= 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
         object.__setattr__(self, "center", _frozen(center))
-        object.__setattr__(self, "floor", min_eigval(center))
+        object.__setattr__(self, "floor", floor)
 
     @property
     def dim(self) -> int:
@@ -120,6 +123,7 @@ class AmbiguitySpec:
     rho_x0: float
     rho_w: tuple
     rho_v: tuple
+    _balls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho_w = tuple(float(r) for r in self.rho_w)
@@ -131,36 +135,30 @@ class AmbiguitySpec:
         ] + [(f"rho_v[{t}]", r) for t, r in enumerate(rho_v)]:
             if not (r >= 0.0 and math.isfinite(r)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {r}")
-        for t, v in enumerate(self.nominal.V):
-            if min_eigval(v) <= 0.0:
+        nom = self.nominal
+        radii = (float(self.rho_x0), *rho_w, *rho_v)
+        balls = tuple(map(GelbrichBall, (nom.X0, *nom.W, *nom.V), radii))
+        for t, ball in enumerate(balls[1 + nom.T :]):
+            if ball.floor <= 0.0:
                 raise ValueError(f"nominal V[{t}] must be positive definite")
         # the oracle's bisection is exact only for PD or zero centers: a
         # singular, nonzero one can report a zero gap where the ball gains
-        for name, center, r in [("X0", self.nominal.X0, self.rho_x0)] + [
-            (f"W[{t}]", w, r) for t, (w, r) in enumerate(zip(self.nominal.W, rho_w))
-        ]:
-            if r == 0.0 or not center.any():
+        for name, ball in zip(["X0"] + [f"W[{t}]" for t in range(nom.T)], balls):
+            if ball.radius == 0.0 or not ball.center.any():
                 continue
-            lo = min_eigval(center)
-            if lo <= 0.0:
+            if ball.floor <= 0.0:
                 raise ValueError(
-                    f"nominal {name} is singular but nonzero (min eig {lo:.3e}); "
+                    f"nominal {name} is singular but nonzero (min eig {ball.floor:.3e}); "
                     "with a positive radius it must be positive definite or zero"
                 )
         object.__setattr__(self, "rho_x0", float(self.rho_x0))
         object.__setattr__(self, "rho_w", rho_w)
         object.__setattr__(self, "rho_v", rho_v)
+        object.__setattr__(self, "_balls", balls)
 
     def balls(self) -> tuple[GelbrichBall, ...]:
-        """Balls in the fixed block order X0, W_0.., V_0.."""
-        out = [GelbrichBall(center=self.nominal.X0, radius=self.rho_x0)]
-        out += [
-            GelbrichBall(center=w, radius=r) for w, r in zip(self.nominal.W, self.rho_w)
-        ]
-        out += [
-            GelbrichBall(center=v, radius=r) for v, r in zip(self.nominal.V, self.rho_v)
-        ]
-        return tuple(out)
+        """The balls in the fixed block order X0, W_0.., V_0.., built on construction."""
+        return self._balls
 
 
 @dataclass(frozen=True)
@@ -346,8 +344,8 @@ def oracle_maximize(
 _SAMPLE_ELEMENTS = 1 << 16
 
 
-def _sample_feasible(balls, rng: np.random.Generator, count: int) -> list[list[np.ndarray]]:
-    """``count`` random feasible profiles: one member of each ball per profile.
+def _sample_feasible(balls, rng: np.random.Generator, count: int) -> Iterator[list]:
+    """Yield ``count`` random feasible profiles: one member of each ball per profile.
 
     Profile by profile and, within a profile, ball by ball, the draws are
     the normals of a random PSD direction, then a uniform u.  One
@@ -358,12 +356,12 @@ def _sample_feasible(balls, rng: np.random.Generator, count: int) -> list[list[n
     convexity of the floored ball.  Zero-radius balls return their center
     and draw nothing.  The oracle draws nothing and solves each block as a
     separate call would, so the profiles equal ``count`` consecutive
-    ``sample_feasible_blocks`` calls bit for bit.
+    ``sample_feasible_blocks`` calls bit for bit.  A group is drawn only
+    once the profiles before it have been taken, so one group is held at a time.
     """
     moving = [i for i, ball in enumerate(balls) if ball.radius != 0.0]
     chosen = [balls[i] for i in moving]
     group = max(1, _SAMPLE_ELEMENTS // max(1, sum(b.dim**2 for b in chosen)))
-    out = []
     for start in range(0, count, group):
         size = min(group, count - start)
         directions, weights = [], []
@@ -380,8 +378,7 @@ def _sample_feasible(balls, rng: np.random.Generator, count: int) -> list[list[n
             blocks = [ball.center.copy() for ball in balls]
             for i, (ball, res, u) in zip(moving, picks):
                 blocks[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
-            out.append(blocks)
-    return out
+            yield blocks
 
 
 def sample_feasible_blocks(balls, rng: np.random.Generator) -> list[np.ndarray]:
@@ -390,7 +387,7 @@ def sample_feasible_blocks(balls, rng: np.random.Generator) -> list[np.ndarray]:
     The draws come in the order that one ``sample_feasible`` call per ball
     would make, so a seed yields the same samples either way.
     """
-    return _sample_feasible(balls, rng, 1)[0]
+    return next(_sample_feasible(balls, rng, 1))
 
 
 def sample_feasible(ball: GelbrichBall, rng: np.random.Generator) -> np.ndarray:

@@ -169,7 +169,9 @@ def _cmd_verify(args) -> int:
     failures = []
 
     ks = [rec.k for rec in trace]
-    if ks != sorted(set(ks)) or not ks:
+    if not ks:
+        failures.append("trace.csv holds no iterations")
+    elif ks != sorted(set(ks)):
         failures.append("trace iteration indices are not strictly increasing")
     scale = max(1.0, abs(meta["f_value"]))
     for rec in trace:

@@ -43,15 +43,20 @@ def psd_eig(s) -> tuple[np.ndarray, np.ndarray]:
     means the matrix is genuinely indefinite and raises :class:`NotPSDError`.
     """
     s = symmetrize(s)
+    w, v = np.linalg.eigh(s)
+    _check_psd(s, w[0])
+    return np.clip(w, 0.0, None), v
+
+
+def _check_psd(s: np.ndarray, lowest: float):
+    """``psd_eig``'s checks of the symmetric ``s``, given its smallest eigenvalue."""
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix contains non-finite entries")
-    w, v = np.linalg.eigh(s)
     floor = -PSD_CLAMP_REL * np.linalg.norm(s)
-    if w[0] < floor:
+    if lowest < floor:
         raise NotPSDError(
-            f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance {floor:.6e}"
+            f"minimum eigenvalue {lowest:.6e} is below the PSD tolerance {floor:.6e}"
         )
-    return np.clip(w, 0.0, None), v
 
 
 def psd_sqrt(s) -> np.ndarray:

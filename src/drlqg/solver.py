@@ -40,6 +40,7 @@ does better against the worst case.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -274,10 +275,10 @@ def saddle_check(
     linear in the covariances with weights grad f(Z*) (the envelope
     identity), so it costs sum_i <grad f(Z*)_i, Z_i> on a profile Z.  On
     nature's oracle best response and on ``n_samples`` random feasible
-    profiles it may not exceed f* by more than max(10 * tol, 1e-6 * scale),
-    the slack implied by the convergence tolerance the run claims.  (A
-    truncated run's best response exceeds that slack, which is what makes
-    this a usable negative control.)
+    profiles, priced as they are drawn, one group at a time, it may not
+    exceed f* by more than max(10 * tol, 1e-6 * scale), the slack implied by
+    the convergence tolerance the run claims.  (A truncated run's best
+    response exceeds that slack, which makes this a usable negative control.)
 
     Controller side: no causal policy may cost less than f* - 1e-9 * scale
     at Z*, as certified by ``drlqg.stacked._first_order_bound`` at the
@@ -298,9 +299,10 @@ def saddle_check(
     kal = kalman_forward(sys, sol.worst_case)
     grads = grad_f(sys, sol.worst_case, riccati=ric, kalman=kal).flat()
     best_response = oracle_maximize_blocks(balls, grads, _blocks(sol.worst_case), delta=0.99)
-    candidates = [("best-response", [r.maximizer for r in best_response])]
-    for i, blocks in enumerate(_sample_feasible(balls, rng, n_samples)):
-        candidates.append((f"sample-{i}", blocks))
+    candidates = itertools.chain(
+        [("best-response", [r.maximizer for r in best_response])],
+        ((f"sample-{i}", b) for i, b in enumerate(_sample_feasible(balls, rng, n_samples))),
+    )
     for label, blocks in candidates:
         cost = _price(grads, blocks)
         if cost > f_star + nature_slack:

@@ -111,20 +111,9 @@ def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
                 )
 
 
-def _freeze_causal(ctrl, name: str):
-    """Check a linear controller's causal gain and offset, then store them frozen."""
-    U = np.asarray(ctrl.U, dtype=float)
-    q = np.asarray(ctrl.q, dtype=float)
-    _check_causal(U, ctrl.m, ctrl.p, ctrl.T, name)
-    if q.shape != (ctrl.m * ctrl.T,):
-        raise ValueError(f"offset: expected shape {(ctrl.m * ctrl.T,)}, got {q.shape}")
-    object.__setattr__(ctrl, "U", _frozen(U))
-    object.__setattr__(ctrl, "q", _frozen(q))
-
-
 @dataclass(frozen=True)
-class LinearPurifiedController:
-    """Causal affine policy u = U eta + q over purified observations."""
+class _CausalGain:
+    """Causal u = U z + q, checked and frozen; subclasses say what z is and set ``_name``."""
 
     U: np.ndarray
     q: np.ndarray
@@ -133,33 +122,39 @@ class LinearPurifiedController:
     T: int
 
     def __post_init__(self):
-        _freeze_causal(self, "purified gain")
+        U = np.asarray(self.U, dtype=float)
+        q = np.asarray(self.q, dtype=float)
+        _check_causal(U, self.m, self.p, self.T, self._name)
+        if q.shape != (self.m * self.T,):
+            raise ValueError(f"offset: expected shape {(self.m * self.T,)}, got {q.shape}")
+        object.__setattr__(self, "U", _frozen(U))
+        object.__setattr__(self, "q", _frozen(q))
+
+
+@dataclass(frozen=True)
+class LinearPurifiedController(_CausalGain):
+    """Causal affine policy u = U eta + q over purified observations."""
+
+    _name = "purified gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
         return _PurifiedPolicy(sys, self)
 
 
 @dataclass(frozen=True)
-class LinearOutputController:
+class LinearOutputController(_CausalGain):
     """Causal affine policy u = U y + q over raw observations."""
 
-    U: np.ndarray
-    q: np.ndarray
-    m: int
-    p: int
-    T: int
-
-    def __post_init__(self):
-        _freeze_causal(self, "output gain")
+    _name = "output gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
         return _OutputPolicy(self)
 
 
 class _OutputPolicy:
-    """u_t = q_t + sum_{s<=t} U[t,s] y_s, batched over leading dims."""
+    """u_t = q_t + sum_{s<=t} U[t,s] y_s (or eta_s), batched over leading dims."""
 
-    def __init__(self, ctrl: LinearOutputController):
+    def __init__(self, ctrl: _CausalGain):
         self._ctrl = ctrl
         self._ys = []
         self._t = 0
@@ -177,28 +172,19 @@ class _OutputPolicy:
 
 
 class _PurifiedPolicy:
-    """Purify on the fly with a noise-free twin, then apply u = U eta + q."""
+    """Purify on the fly with a noise-free twin, then apply u = U eta + q as an output gain."""
 
     def __init__(self, sys: TimeVaryingSystem, ctrl: LinearPurifiedController):
         self._sys = sys
-        self._ctrl = ctrl
-        self._etas = []
+        self._gain = _OutputPolicy(ctrl)
         self._xtwin = None
-        self._t = 0
 
     def step(self, t: int, y):
-        if t != self._t:
-            raise ValueError(f"policy stepped out of order: expected t={self._t}, got {t}")
-        sys, c = self._sys, self._ctrl
-        if t == 0:
+        sys = self._sys
+        if self._xtwin is None:
             self._xtwin = np.zeros(y.shape[:-1] + (sys.n,))
-        eta = y - self._xtwin @ sys.C[t].T
-        self._etas.append(eta)
-        u = np.broadcast_to(c.q[t * c.m : (t + 1) * c.m], y.shape[:-1] + (c.m,)).copy()
-        for s, es in enumerate(self._etas):
-            u += es @ c.U[t * c.m : (t + 1) * c.m, s * c.p : (s + 1) * c.p].T
+        u = self._gain.step(t, y - self._xtwin @ sys.C[t].T)
         self._xtwin = self._xtwin @ sys.A[t].T + u @ sys.B[t].T
-        self._t += 1
         return u
 
 
@@ -276,6 +262,14 @@ def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarra
     return X
 
 
+def _substitute(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
+    """Solve (I + sign U Cs H) (U', q') = (U, q), sign = +-1.0, into a ``cls`` gain."""
+    N = sign * (ctrl.U @ st.Cs @ st.H)
+    U = _unit_lower_solve(N, ctrl.U, st.m, st.T)
+    q = _unit_lower_solve(N, ctrl.q, st.m, st.T)
+    return cls(U=U, q=q, m=st.m, p=st.p, T=st.T)
+
+
 def purified_to_output(
     ctrl: LinearPurifiedController, st: StackedSystem
 ) -> LinearOutputController:
@@ -285,20 +279,14 @@ def purified_to_output(
     strictly block lower-triangular, so the conversion is a forward
     substitution that preserves exact zeros above the block diagonal.
     """
-    N = ctrl.U @ st.Cs @ st.H
-    U = _unit_lower_solve(N, ctrl.U, st.m, st.T)
-    q = _unit_lower_solve(N, ctrl.q, st.m, st.T)
-    return LinearOutputController(U=U, q=q, m=st.m, p=st.p, T=st.T)
+    return _substitute(ctrl, st, 1.0, LinearOutputController)
 
 
 def output_to_purified(
     ctrl: LinearOutputController, st: StackedSystem
 ) -> LinearPurifiedController:
     """Invert :func:`purified_to_output`: solve (I - U' Cs H) U = U'."""
-    N = -(ctrl.U @ st.Cs @ st.H)
-    U = _unit_lower_solve(N, ctrl.U, st.m, st.T)
-    q = _unit_lower_solve(N, ctrl.q, st.m, st.T)
-    return LinearPurifiedController(U=U, q=q, m=st.m, p=st.p, T=st.T)
+    return _substitute(ctrl, st, -1.0, LinearPurifiedController)
 
 
 def unroll_controller(sys: TimeVaryingSystem, ctrl: KalmanController) -> LinearOutputController:

@@ -11,7 +11,7 @@ from drlqg import (
     oracle_maximize,
     sample_feasible,
 )
-from drlqg.linalg import NotPSDError
+from drlqg.linalg import NotPSDError, min_eigval, psd_eig
 
 from helpers import random_profile, random_psd, random_spd
 
@@ -90,6 +90,32 @@ def test_ball_rejects_infinite_radius():
     # an infinite radius would make the oracle return a NaN maximizer
     with pytest.raises(ValueError, match="finite"):
         GelbrichBall(center=np.eye(2), radius=math.inf)
+
+
+def test_ball_checks_its_center_as_psd_eig_does():
+    bad = np.diag([1.0, -1.0])
+    with pytest.raises(NotPSDError) as expect:
+        psd_eig(bad)
+    with pytest.raises(NotPSDError) as got:
+        GelbrichBall(center=bad, radius=0.5)
+    assert str(got.value) == str(expect.value)
+    for entry in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+            GelbrichBall(center=[[entry, 0.0], [0.0, 1.0]], radius=0.5)
+
+
+def test_spec_builds_its_balls_once():
+    rng = np.random.default_rng(57)
+    nominal = random_profile(rng, 3, 2, 2)
+    spec = AmbiguitySpec(nominal=nominal, rho_x0=0.2, rho_w=(0.0, 0.3), rho_v=(0.1, 0.4))
+    balls = spec.balls()
+    assert balls is spec.balls()
+    blocks = [nominal.X0, *nominal.W, *nominal.V]
+    assert [b.radius for b in balls] == [0.2, 0.0, 0.3, 0.1, 0.4]
+    assert len(balls) == len(blocks)
+    for ball, block in zip(balls, blocks):
+        assert ball.center.tobytes() == block.tobytes()
+        assert ball.floor == min_eigval(ball.center)
 
 
 def test_spec_validates_inputs():

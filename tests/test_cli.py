@@ -368,6 +368,19 @@ def test_verify_rejects_non_finite_trace_value(tmp_path, capsys, column, value):
     assert f"{path}: line {len(lines)}: column '{column}' is not finite" in err
 
 
+def test_verify_names_a_trace_without_iterations(tmp_path, capsys):
+    inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=2, rho=0.1)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    path = res / "trace.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")  # the header alone
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "  - trace.csv holds no iterations\n" in out
+    assert "strictly increasing" not in out
+
+
 @pytest.mark.parametrize("field, value", [("f_value", "NaN"), ("final_gap", "Infinity")])
 def test_verify_rejects_non_finite_value_in_bundle(tmp_path, capsys, field, value):
     inst = _generate(tmp_path, n=2, m=2, p=2, T=2, seed=2, rho=0.1)

@@ -214,7 +214,7 @@ def test_batched_samples_equal_sequential_calls(monkeypatch, count, group):
     budget = {"all": ambiguity._SAMPLE_ELEMENTS, "one": entries + 1, "two": 2 * entries}[group]
     monkeypatch.setattr(ambiguity, "_SAMPLE_ELEMENTS", budget)
     batched_rng, sequential_rng = np.random.default_rng(9), np.random.default_rng(9)
-    batched = ambiguity._sample_feasible(balls, batched_rng, count)
+    batched = list(ambiguity._sample_feasible(balls, batched_rng, count))
     sequential = [sample_feasible_blocks(balls, sequential_rng) for _ in range(count)]
     assert len(batched) == count
     for got, expect in zip(batched, sequential):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,23 @@ def test_saddle_check_rejects_negative_sample_count():
     with pytest.raises(ValueError, match="n_samples"):
         saddle_check(sys, amb, sol, n_samples=-1)
     assert saddle_check(sys, amb, sol, n_samples=0).passed
+
+
+def test_saddle_check_memory_does_not_grow_with_samples():
+    # nature samples are priced as they are drawn, one oracle group at a
+    # time, so 300 more samples at n = T = 20 (0.13 MiB each if all were
+    # held) leave the peak where it was
+    sys, amb, _ = generate_instance(20, 20, 20, 20, seed=0, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-2))
+    peaks = {}
+    for n_samples in (100, 400):
+        tracemalloc.start()
+        try:
+            saddle_check(sys, amb, sol, n_samples=n_samples)
+            peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] - peaks[100] <= 2 * 2**20
 
 
 # ------------------------------------------------- exact saddle certificates

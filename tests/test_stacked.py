@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,29 @@ def test_causality_is_enforced():
         LinearPurifiedController(U=U, q=np.zeros(2), m=1, p=2, T=2)
     with pytest.raises(ValueError):
         LinearOutputController(U=U, q=np.zeros(2), m=1, p=2, T=2)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(LinearPurifiedController, "purified gain"), (LinearOutputController, "output gain")],
+)
+def test_controller_classes_keep_their_fields_repr_and_messages(cls, name):
+    ctrl = cls(U=np.zeros((2, 4)), q=np.zeros(2), m=1, p=2, T=2)
+    assert repr(ctrl).startswith(f"{cls.__name__}(U=array(")
+    assert [f.name for f in dataclasses.fields(ctrl)] == ["U", "q", "m", "p", "T"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctrl.m = 2
+    with pytest.raises(ValueError, match=rf"^{name}: expected shape \(2, 4\), got \(2, 3\)$"):
+        cls(U=np.zeros((2, 3)), q=np.zeros(2), m=1, p=2, T=2)
+    U = np.zeros((2, 4))
+    U[0, 2] = 1.0
+    with pytest.raises(
+        ValueError,
+        match=rf"^{name}: block \(0,1\) above the diagonal is nonzero; the gain must be causal$",
+    ):
+        cls(U=U, q=np.zeros(2), m=1, p=2, T=2)
+    with pytest.raises(ValueError, match=r"^offset: expected shape \(2,\), got \(3,\)$"):
+        cls(U=np.zeros((2, 4)), q=np.zeros(3), m=1, p=2, T=2)
 
 
 # ----------------------------------------------------------------- unroll
