@@ -179,6 +179,15 @@ def _diag_in_basis(vec: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.sum(vec * (m @ vec), axis=-2)
 
 
+def _unresolved(label, radius, detail) -> ValueError:
+    return ValueError(
+        f"gradient block {label}: radius {radius:.3e} is out of the range that double "
+        f"precision resolves for this block ({detail})"
+    )
+
+
+# floating-point exceptions surface through the finite checks, not as warnings
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _oracle_stack(centers, radii, gradients, references, delta, labels):
     """Batched bisection over a (B,d,d) stack of same-shape blocks.
 
@@ -189,6 +198,10 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     keeping its accepted gamma, its iteration count and a frozen bracket.
     The dual, its derivative and the primal gap are O(d) per block in the
     gradient's eigenbasis, and the maximizers are built once, after the loop.
+    A radius so large or so small against the block's scale that the
+    bracket does not sit finitely above lambda_max raises ``ValueError``
+    naming the block; floating-point exceptions are left to the finite
+    check of ``oracle_maximize_blocks``.
     """
     B = len(radii)
     maximizers = _symmetrize_stack(np.asarray(references, dtype=float))
@@ -236,6 +249,10 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     # zdiag[:, -1] is p1' Zhat p1 for the top eigenvector p1
     lo = lam1 * (1.0 + np.sqrt(np.maximum(zdiag[:, -1], 0.0)) / rho)
     hi = lam1 * (1.0 + np.sqrt(np.maximum(np.trace(zhat, axis1=1, axis2=2), 0.0)) / rho)
+    for j in np.flatnonzero(~(np.isfinite(hi) & (hi > lam1))):
+        raise _unresolved(
+            labels[live[j]], rho[j], f"dual bracket ends at {hi[j]:.17g}, lambda_max {lam1[j]:.17g}"
+        )
 
     gamma = np.empty(live.size)
     iters = np.zeros(live.size, dtype=int)
@@ -304,7 +321,9 @@ def oracle_maximize_blocks(
     center and a zero (clamped) gradient returns the reference, both with
     zero gap, and a zero center returns the exact maximizer rho^2 p1 p1'
     (p1 the gradient's top eigenvector), or the reference if that gains
-    nothing.
+    nothing.  No maximizer or gap is ever non-finite: a radius out of the
+    range double precision resolves for its block raises ``ValueError``
+    naming the block.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -321,6 +340,8 @@ def oracle_maximize_blocks(
             delta,
             idx,
         )
+        for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
+            raise _unresolved(idx[j], balls[idx[j]].radius, "its maximizer or gap overflows")
         for j, i in enumerate(idx):
             out[i] = OracleResult(
                 maximizer=maximizers[j],

@@ -31,7 +31,10 @@ The returned controller pairs the solve's Riccati gains with the Kalman
 gains of the worst-case profile; by the separation structure it is a best
 response, which makes the pair a saddle point.
 
-``saddle_check`` audits a claimed solution from both sides with exact
+``saddle_check`` audits everything a claimed solution states, from one
+Riccati and one Kalman sweep at its worst case.  Every worst-case block must
+lie in its ball, and the claimed value and controller gains must equal the
+recomputed ones.  Both sides of the saddle point are then checked with exact
 certificates: no feasible noise profile (including an adversarially
 constructed best response) may beat the claimed value by more than the
 convergence slack, and a first-order bound shows that no causal controller
@@ -53,6 +56,7 @@ from .lqg import (
     CovarianceProfile,
     KalmanController,
     TimeVaryingSystem,
+    _check_gains,
     _kalman_forward_raw,
     _value_from_solutions,
     kalman_forward,
@@ -241,25 +245,31 @@ def solve(
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """Outcome of the two-sided saddle audit.
+    """Outcome of the saddle audit of everything a ``RobustSolution`` claims.
 
-    ``nature_violations`` lists (label, cost, excess) for feasible noise
-    profiles that beat the claimed value by more than ``nature_slack``;
-    ``controller_violations`` holds ("first-order", cost, shortfall) when
-    the certified lower bound on a causal controller's cost at the worst
-    case undercuts it.  ``n_samples`` counts the random nature samples.
+    ``claim_violations`` lists messages for what the recursions at the
+    worst case do not confirm: a block outside its ball (tol 1e-7), a
+    ``f_value`` off the recomputed value (1e-8 relative), or a gain K[t] or
+    L[t] of ``controller`` off the recomputed Riccati or Kalman gain (1e-8
+    absolute).  ``nature_violations`` lists (label, cost, excess) for
+    feasible noise profiles that beat the claimed value by more than
+    ``nature_slack``; ``controller_violations`` holds ("first-order", cost,
+    shortfall) when the certified lower bound on a causal controller's cost
+    at the worst case undercuts it.  ``n_samples`` counts the random nature
+    samples.
     """
 
     f_value: float
     nature_slack: float
     controller_slack: float
+    claim_violations: tuple
     nature_violations: tuple
     controller_violations: tuple
     n_samples: int
 
     @property
     def passed(self) -> bool:
-        return not self.nature_violations and not self.controller_violations
+        return not (self.claim_violations or self.nature_violations or self.controller_violations)
 
 
 def saddle_check(
@@ -269,7 +279,11 @@ def saddle_check(
     n_samples: int = 100,
     seed: int = 0,
 ) -> SaddleReport:
-    """Audit a solution as an approximate saddle point, both sides exactly.
+    """Audit a solution's claims and its saddle point, from one Riccati and one Kalman sweep.
+
+    Claims: every block of ``sol.worst_case`` lies in its ball, and
+    ``sol.f_value`` and the gains of ``sol.controller`` equal the value and
+    the gains the two recursions give at that worst case.
 
     Nature side: the cost of the Kalman controller at the worst case Z* is
     linear in the covariances with weights grad f(Z*) (the envelope
@@ -282,8 +296,8 @@ def saddle_check(
 
     Controller side: no causal policy may cost less than f* - 1e-9 * scale
     at Z*, as certified by ``drlqg.stacked._first_order_bound`` at the
-    purified Kalman gain -- the best response is an exact minimizer, so
-    only numerics may move it.
+    purified Kalman gain recomputed at Z* -- the best response is an exact
+    minimizer, so only numerics may move it.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
@@ -293,12 +307,31 @@ def saddle_check(
     nature_slack = max(10.0 * sol.config.tol, 1e-6 * scale)
     controller_slack = 1e-9 * scale
     balls = amb.balls()
+    worst = _blocks(sol.worst_case)
+    K, L = _check_gains(sys, sol.controller.K, sol.controller.L)
 
-    nature_violations = []
+    names = ["X0", *(f"W[{t}]" for t in range(sys.T)), *(f"V[{t}]" for t in range(sys.T))]
+    claim_violations = [
+        f"worst-case block {name} is outside its ambiguity ball"
+        for name, ball, block in zip(names, balls, worst)
+        if not ball.contains(block, tol=1e-7)
+    ]
     ric = riccati_backward(sys)
     kal = kalman_forward(sys, sol.worst_case)
+    f_check = _value_from_solutions(sys, ric, kal, sol.worst_case.X0)
+    if abs(f_check - f_star) > 1e-8 * max(1.0, abs(f_check)):
+        claim_violations.append(
+            f"claimed value {f_star:.12g} does not match recomputation {f_check:.12g}"
+        )
+    for t in range(sys.T):
+        if np.max(np.abs(ric.K[t] - K[t])) > 1e-8:
+            claim_violations.append(f"stored feedback gain K[{t}] does not match recomputation")
+        if np.max(np.abs(kal.L[t] - L[t])) > 1e-8:
+            claim_violations.append(f"stored filter gain L[{t}] does not match recomputation")
+
+    nature_violations = []
     grads = grad_f(sys, sol.worst_case, riccati=ric, kalman=kal).flat()
-    best_response = oracle_maximize_blocks(balls, grads, _blocks(sol.worst_case), delta=0.99)
+    best_response = oracle_maximize_blocks(balls, grads, worst, delta=0.99)
     candidates = itertools.chain(
         [("best-response", [r.maximizer for r in best_response])],
         ((f"sample-{i}", b) for i, b in enumerate(_sample_feasible(balls, rng, n_samples))),
@@ -311,7 +344,7 @@ def saddle_check(
     st = build_stacked(sys)
     upur = output_to_purified(unroll_controller(sys, KalmanController(K=ric.K, L=kal.L)), st)
     bound = _first_order_bound(st, upur.U, sol.worst_case)
-    lowest = _price(grads, _blocks(sol.worst_case)) - bound  # J(U*) - bound
+    lowest = _price(grads, worst) - bound  # J(U*) - bound
     controller_violations = []
     if lowest < f_star - controller_slack:
         controller_violations.append(("first-order", lowest, f_star - lowest))
@@ -320,6 +353,7 @@ def saddle_check(
         f_value=f_star,
         nature_slack=nature_slack,
         controller_slack=controller_slack,
+        claim_violations=tuple(claim_violations),
         nature_violations=tuple(nature_violations),
         controller_violations=tuple(controller_violations),
         n_samples=n_samples,

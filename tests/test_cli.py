@@ -163,6 +163,77 @@ def test_verify_detects_tampered_gain(tmp_path):
     assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_VERIFY_FAILED
 
 
+@pytest.mark.parametrize(
+    "edit, finding",
+    [
+        (
+            {"final_gap": 5.0},
+            "converged=True disagrees with final gap 5.000e+00 against tol 1.000e-04",
+        ),
+        ({"converged": False}, "converged=False disagrees with final gap"),
+    ],
+    ids=["final-gap", "converged"],
+)
+def test_verify_checks_the_bundle_metadata(tmp_path, capsys, edit, finding):
+    inst = _generate(tmp_path, n=3, m=3, p=3, T=3, seed=0, rho=0.5)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res), "--tol", "1e-4"]) == EXIT_OK
+    path = res / "worst_case.json"
+    doc = json.loads(path.read_text())
+    doc.update(edit)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert f"  - {finding}" in out
+    # the value and the gap are those of the trace's first minimum-gap row
+    trace_finding = "final gap and value do not match the minimum-gap trace row"
+    assert (trace_finding in out) == ("final_gap" in edit)
+
+
+def test_verify_checks_the_value_against_the_trace(tmp_path, capsys):
+    inst = _generate(tmp_path, n=3, m=3, p=3, T=3, seed=0, rho=0.5)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res), "--tol", "1e-4"]) == EXIT_OK
+    path = res / "trace.csv"
+    lines = path.read_text().splitlines()
+    last = lines[-1].split(",")
+    last[1] = repr(float(last[1]) * (1 + 1e-12))  # inside verify's 1e-8 value tolerance
+    lines[-1] = ",".join(last)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "  - final gap and value do not match the minimum-gap trace row (iter " in out
+
+
+@pytest.mark.parametrize("rho", ["1e20", "1e-300"])
+def test_solve_names_a_radius_out_of_double_range(tmp_path, capsys, rho):
+    # far outside the scale of its block, a radius leaves the oracle no
+    # finite dual bracket or an overflowing maximizer; no warning escapes
+    inst = _generate(tmp_path, n=3, m=2, p=2, T=2, seed=0, rho=float(rho))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: gradient block 0: radius ")
+    assert "out of the range that double precision resolves" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_against_balls_out_of_double_range_is_bad_input(tmp_path, capsys):
+    inst = _generate(tmp_path, n=3, m=2, p=2, T=2, seed=0, rho=1e10)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    huge = _generate(tmp_path, "huge.json", n=3, m=2, p=2, T=2, seed=0, rho=1e20)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(huge), str(res), "--samples", "0"]) == EXIT_BAD_INPUT
+    assert "out of the range that double precision resolves" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_fewer_than_two_rollouts(tmp_path, capsys):
     inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
     res = tmp_path / "res"
@@ -422,7 +493,7 @@ def test_solve_and_verify_run_each_recursion_only_where_needed(tmp_path, monkeyp
     riccati.clear()
     kalman.clear()
     assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_OK
-    assert len(riccati) <= 2 and len(kalman) <= 2
+    assert len(riccati) == 1 and len(kalman) == 1  # one audit, inside saddle_check
 
 
 def _solved(tmp_path, **dims):

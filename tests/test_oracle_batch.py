@@ -171,6 +171,23 @@ def test_indefinite_gradient_in_batch_names_the_block():
         oracle_maximize_blocks(balls, grads, [b.center for b in balls])
 
 
+@pytest.mark.parametrize(
+    "radius, zero_center",
+    [(1e20, False), (1e-300, False), (1e200, True)],
+    ids=["bracket-on-lambda-max", "gamma-squared-overflows", "zero-center-overflows"],
+)
+def test_radius_out_of_double_range_names_the_block(radius, zero_center):
+    # Such a radius once returned NaN maximizers and infinite gaps, with
+    # RuntimeWarnings; pytest turns any escaping warning into an error.
+    rng = np.random.default_rng(313)
+    balls = [GelbrichBall(center=random_spd(rng, 3), radius=0.5) for _ in range(3)]
+    center = np.zeros((3, 3)) if zero_center else random_spd(rng, 3)
+    balls[2] = GelbrichBall(center=center, radius=radius)
+    grads = [random_psd(rng, 3) + np.eye(3) for _ in balls]
+    with pytest.raises(ValueError, match="gradient block 2: radius .* out of the range"):
+        oracle_maximize_blocks(balls, grads, [b.center for b in balls])
+
+
 def test_indefinite_gradient_of_zero_radius_block_is_not_inspected():
     # A zero radius short-circuits before the gradient is decomposed.
     ball = GelbrichBall(center=np.eye(2), radius=0.0)

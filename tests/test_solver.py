@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -261,6 +262,75 @@ def test_saddle_check_rejects_negative_sample_count():
     with pytest.raises(ValueError, match="n_samples"):
         saddle_check(sys, amb, sol, n_samples=-1)
     assert saddle_check(sys, amb, sol, n_samples=0).passed
+
+
+def _tripled(sys, sol):
+    """The worst case scaled 3x, out of every ball, with its own value and controller."""
+    cov = CovarianceProfile(
+        X0=3 * sol.worst_case.X0,
+        W=[3 * w for w in sol.worst_case.W],
+        V=[3 * v for v in sol.worst_case.V],
+    )
+    return dataclasses.replace(
+        sol,
+        worst_case=cov,
+        f_value=lqg_value(sys, cov),
+        controller=assemble_controller(sys, cov),
+    )
+
+
+def _bumped_filter_gain(sol, t=2):
+    L = [l.copy() for l in sol.controller.L]
+    L[t][0, 0] += 1e-6
+    return dataclasses.replace(sol, controller=dataclasses.replace(sol.controller, L=L))
+
+
+@pytest.mark.parametrize(
+    "tamper, flagged",
+    [
+        (
+            lambda sys, sol: dataclasses.replace(
+                sol,
+                controller=dataclasses.replace(
+                    sol.controller, K=[np.zeros_like(k) for k in sol.controller.K]
+                ),
+            ),
+            [f"stored feedback gain K[{t}] does not match recomputation" for t in range(4)],
+        ),
+        (
+            lambda sys, sol: _bumped_filter_gain(sol),
+            ["stored filter gain L[2] does not match recomputation"],
+        ),
+        (
+            lambda sys, sol: dataclasses.replace(sol, f_value=sol.f_value * (1 + 1e-6)),
+            ["claimed value"],
+        ),
+        (
+            _tripled,
+            [f"worst-case block {name} is outside its ambiguity ball"
+             for name in ["X0", *(f"W[{t}]" for t in range(4)), *(f"V[{t}]" for t in range(4))]],
+        ),
+    ],
+    ids=["zero-K", "L-entry", "value", "tripled-worst-case"],
+)
+def test_saddle_check_flags_what_the_solution_claims(tamper, flagged):
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4))
+    assert sol.converged
+    assert saddle_check(sys, amb, sol, n_samples=10).claim_violations == ()
+    report = saddle_check(sys, amb, tamper(sys, sol), n_samples=10)
+    assert not report.passed
+    for message in flagged:
+        assert any(v.startswith(message) for v in report.claim_violations), message
+    assert len(report.claim_violations) == len(flagged)
+
+
+def test_saddle_check_names_a_controller_that_does_not_fit():
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4))
+    short = dataclasses.replace(sol.controller, K=sol.controller.K[:-1])
+    with pytest.raises(ValueError, match="K: expected 4 matrices, got 3"):
+        saddle_check(sys, amb, dataclasses.replace(sol, controller=short), n_samples=0)
 
 
 def test_saddle_check_memory_does_not_grow_with_samples():
