@@ -8,8 +8,12 @@ written row by row by a streaming encoder whose output is byte-identical to
 is formatted, so no document's text or nested float list is built.  The trace
 is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms``, exactly those
 four fields on every row, and floats printed with 17 significant digits.
-All writes go through a temporary file in the target directory followed by
-an atomic rename.
+Every write goes to a new temporary file beside its target, which then takes
+the target's name.  A reader sees the old file or the new one, never a
+partial file; the name is absent only between two back-to-back renames, and a
+write that fails leaves the old file in place.  Nothing is fsynced, so what
+survives a power loss is up to the file system.  Files get mode
+``0o666 & ~umask``, as ``open()`` would give them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import csv
 import json
 import math
 import os
-import tempfile
+import stat
 
 import numpy as np
 
@@ -119,21 +123,51 @@ def _naming(path: str):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _atomic_write(path: str, write):
-    """Call ``write(fh)`` on a temporary file, then rename it onto ``path``.
-
-    An ``OSError`` is re-raised naming ``path``, not the temporary file.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+def _is_file(path: str) -> bool:
+    """Whether ``path`` names something other than a directory (a symlink is
+    not followed, as ``rename`` does not follow it)."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+        return not stat.S_ISDIR(os.lstat(path).st_mode)
+    except OSError:
+        return False
+
+
+def _atomic_write(path: str, write):
+    """Call ``write(fh)`` on a new temporary file beside ``path``, then give
+    it the name ``path`` without renaming it over an existing file.
+
+    ext4 (``auto_da_alloc``) flushes a file's data when it is renamed over
+    another one, tens of milliseconds per file, but not when it is renamed
+    onto a free name.  So an existing non-directory ``path`` is first renamed
+    aside, the temporary file takes the freed name, and last the old file is
+    unlinked; if the second rename fails, the old file is renamed back.  The
+    temporary file is ``.tmp-<token>-new-<name>``, created with ``O_EXCL``,
+    and the aside name ``.tmp-<token>-old-<name>`` is derived from it, so no
+    other write uses it.  An ``OSError`` is re-raised naming ``path``, not a
+    temporary name.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    stem = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-")
+    new, old = stem + "new-" + name, stem + "old-" + name
+    tmp = aside = None
+    try:
+        fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = new
         with os.fdopen(fd, "w") as fh:
             write(fh)
-        os.replace(tmp, path)
+        if _is_file(path):
+            os.rename(path, old)
+            aside = old
+        os.rename(tmp, path)
+        tmp = None
+        if aside is not None:
+            os.unlink(aside)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp is not None:
+            if aside is not None:
+                os.rename(aside, path)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -332,6 +332,92 @@ def test_write_error_names_the_target_file(tmp_path, capsys):
     assert ".tmp-" not in err
 
 
+def _failing_temp_rename(monkeypatch):
+    """Make every rename of a new temporary file fail with EACCES; putting an
+    old file back (from a ``-old-`` name) still works."""
+    for fn in ("rename", "replace"):
+        real = getattr(os, fn)
+
+        def fail(src, dst, *args, _real=real, **kwargs):
+            name = os.path.basename(src)
+            if name.startswith(".tmp-") and "-old-" not in name:
+                raise PermissionError(13, "Permission denied", src)
+            return _real(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, fn, fail)
+
+
+def test_failed_rename_puts_the_old_file_back(tmp_path, capsys, monkeypatch):
+    out = _generate(tmp_path, name="g.json", seed=1)
+    before = out.read_bytes()
+    capsys.readouterr()
+    _failing_temp_rename(monkeypatch)
+    rc = main(["generate", "--n", "1", "--m", "1", "--p", "1", "--T", "1", "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"Permission denied: '{out}'" in err
+    assert ".tmp-" not in err
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["g.json"]
+
+
+def test_generate_onto_a_directory_leaves_it_alone(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    rc = main(["generate", "--n", "1", "--m", "1", "--p", "1", "--T", "1", "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    assert f"Is a directory: '{out}'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["d"]
+    assert os.listdir(out) == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept\n"
+
+
+def test_written_files_get_the_umask_mode(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        inst, res = _solved(tmp_path)
+    finally:
+        os.umask(previous)
+    for path in (inst, res / "worst_case.json", res / "controller.json", res / "trace.csv"):
+        assert oct(os.stat(path).st_mode & 0o777) == oct(0o644), path
+
+
+def _trace_columns(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_resolve_renames_onto_free_names_only(tmp_path, monkeypatch):
+    inst = _generate(tmp_path, n=2, m=2, p=2, T=2, seed=4, rho=0.3)
+    res = tmp_path / "res"
+    res.mkdir()
+    (res / "notes.txt").write_text("not drlqg's\n")
+    calls = []
+    for fn in ("rename", "replace"):
+        real = getattr(os, fn)
+
+        def spy(src, dst, *args, _real=real, **kwargs):
+            calls.append((str(dst), os.path.lexists(dst)))
+            return _real(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(io.os, fn, spy)
+
+    bundles = []
+    for _ in range(2):
+        assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+        bundles.append(
+            ((res / "worst_case.json").read_bytes(), (res / "controller.json").read_bytes(),
+             _trace_columns(res / "trace.csv"))
+        )
+    # three files written fresh, then three moved aside and replaced
+    assert len(calls) == 3 + 3 * 2
+    assert [dst for dst, existed in calls if existed] == []
+    assert bundles[0] == bundles[1]
+    assert (res / "notes.txt").read_text() == "not drlqg's\n"
+    assert sorted(os.listdir(res)) == ["controller.json", "notes.txt", "trace.csv", "worst_case.json"]
+    assert sorted(os.listdir(tmp_path)) == ["inst.json", "res"]
+
+
 @pytest.mark.parametrize("command", ["generate", "verify", "evaluate"])
 def test_negative_seed_names_the_flag(tmp_path, capsys, command):
     inst, res = _solved(tmp_path)

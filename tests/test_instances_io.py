@@ -316,6 +316,17 @@ def test_writes_leave_no_temp_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["inst.json"]
 
 
+def test_encoder_error_keeps_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    io.write_json_atomic(str(path), {"a": 1})
+    before = path.read_bytes()
+    # the array streams out before the non-str key stops the encoder
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        io.write_json_atomic(str(path), {"a": np.ones((50, 50)), 1: 2})
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["doc.json"]
+
+
 def test_worst_case_format_is_checked(tmp_path):
     path = tmp_path / "wc.json"
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
