@@ -51,7 +51,7 @@ import numpy as np
 
 from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
 from .linalg import _check_psd
-from .lqg import CovarianceProfile, _frozen
+from .lqg import CovarianceProfile, _block_labels, _frozen
 
 _MAX_BISECT = 200
 
@@ -126,35 +126,31 @@ class AmbiguitySpec:
     _balls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        nom = self.nominal
         rho_w = tuple(float(r) for r in self.rho_w)
         rho_v = tuple(float(r) for r in self.rho_v)
-        if len(rho_w) != self.nominal.T or len(rho_v) != self.nominal.T:
+        if len(rho_w) != nom.T or len(rho_v) != nom.T:
             raise ValueError("per-stage radius counts must match the horizon")
-        for name, r in [("rho_x0", self.rho_x0)] + [
-            (f"rho_w[{t}]", r) for t, r in enumerate(rho_w)
-        ] + [(f"rho_v[{t}]", r) for t, r in enumerate(rho_v)]:
-            if not (r >= 0.0 and math.isfinite(r)):
-                raise ValueError(f"{name} must be finite and nonnegative, got {r}")
-        nom = self.nominal
-        radii = (float(self.rho_x0), *rho_w, *rho_v)
-        balls = tuple(map(GelbrichBall, (nom.X0, *nom.W, *nom.V), radii))
-        for t, ball in enumerate(balls[1 + nom.T :]):
-            if ball.floor <= 0.0:
-                raise ValueError(f"nominal V[{t}] must be positive definite")
-        # the oracle's bisection is exact only for PD or zero centers: a
-        # singular, nonzero one can report a zero gap where the ball gains
-        for name, ball in zip(["X0"] + [f"W[{t}]" for t in range(nom.T)], balls):
-            if ball.radius == 0.0 or not ball.center.any():
-                continue
-            if ball.floor <= 0.0:
+        radii = (self.rho_x0, *rho_w, *rho_v)
+        balls = []
+        for label, center, r in zip(_block_labels(nom.T), nom.blocks, radii):
+            if not (r >= 0.0 and math.isfinite(r)):  # rho_x0, rho_w[t] or rho_v[t]
+                raise ValueError(f"rho_{label.lower()} must be finite and nonnegative, got {r}")
+            ball = GelbrichBall(center, float(r))
+            if label.startswith("V") and ball.floor <= 0.0:
+                raise ValueError(f"nominal {label} must be positive definite")
+            # the oracle's bisection is exact only for PD or zero centers: a
+            # singular, nonzero X0 or W_t can report a zero gap where the ball gains
+            if ball.floor <= 0.0 and ball.radius != 0.0 and ball.center.any():
                 raise ValueError(
-                    f"nominal {name} is singular but nonzero (min eig {ball.floor:.3e}); "
+                    f"nominal {label} is singular but nonzero (min eig {ball.floor:.3e}); "
                     "with a positive radius it must be positive definite or zero"
                 )
+            balls.append(ball)
         object.__setattr__(self, "rho_x0", float(self.rho_x0))
         object.__setattr__(self, "rho_w", rho_w)
         object.__setattr__(self, "rho_v", rho_v)
-        object.__setattr__(self, "_balls", balls)
+        object.__setattr__(self, "_balls", tuple(balls))
 
     def balls(self) -> tuple[GelbrichBall, ...]:
         """The balls in the fixed block order X0, W_0.., V_0.., built on construction."""
@@ -306,7 +302,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
 
 
 def oracle_maximize_blocks(
-    balls, gradients, references, delta: float = 0.95
+    balls, gradients, references, delta: float = 0.95, labels=None
 ) -> list[OracleResult]:
     """delta-approximate maximizers of <gradient, L - reference>, one per ball.
 
@@ -314,7 +310,8 @@ def oracle_maximize_blocks(
     with a per-block active mask, so every block accepts the same gamma a
     separate call would.  Each ``gradient`` must be symmetric and PSD up to
     roundoff (tiny negative eigenvalues are clamped; genuinely indefinite or
-    non-finite input raises, naming the block's index in ``balls``).  Every
+    non-finite input raises, naming the block by its entry in ``labels``, or
+    else its index in ``balls``).  Every
     returned ``gap_contribution`` is at least ``delta`` times the block's
     true maximum and never meaningfully negative.  Degenerate blocks
     short-circuit with NaN gamma and no bisection: a zero radius returns the
@@ -323,10 +320,14 @@ def oracle_maximize_blocks(
     (p1 the gradient's top eigenvector), or the reference if that gains
     nothing.  No maximizer or gap is ever non-finite: a radius out of the
     range double precision resolves for its block raises ``ValueError``
-    naming the block.
+    naming the block, and so do differing counts of the three sequences.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    counts = (len(balls), len(gradients), len(references))
+    if len(set(counts)) > 1:
+        raise ValueError("{} balls, {} gradients and {} references do not pair up".format(*counts))
+    labels = range(len(balls)) if labels is None else labels
     groups: dict[int, list[int]] = {}
     for i, ball in enumerate(balls):
         groups.setdefault(ball.dim, []).append(i)
@@ -338,10 +339,11 @@ def oracle_maximize_blocks(
             np.stack([gradients[i] for i in idx]),
             np.stack([references[i] for i in idx]),
             delta,
-            idx,
+            [labels[i] for i in idx],
         )
         for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
-            raise _unresolved(idx[j], balls[idx[j]].radius, "its maximizer or gap overflows")
+            i = idx[j]
+            raise _unresolved(labels[i], balls[i].radius, "its maximizer or gap overflows")
         for j, i in enumerate(idx):
             out[i] = OracleResult(
                 maximizer=maximizers[j],

@@ -11,7 +11,8 @@ Sigma_t = S_t - Kt C_t S_t has the exact differentials
 
 so a single backward sweep of matrix adjoints gives the full gradient.
 ``fd_grad`` provides an independent central-difference reference built from
-symmetric elementary perturbations.
+symmetric elementary perturbations of one block at a time, in the order and
+under the labels of ``CovarianceProfile.blocks``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .lqg import (
     KalmanSolution,
     RiccatiSolution,
     TimeVaryingSystem,
+    _block_labels,
     _check_dims,
     _frozen,
     _kalman_forward_raw,
+    _split,
     _value_from_solutions,
     kalman_forward,
     riccati_backward,
@@ -86,11 +89,6 @@ def grad_f(
     return _grad_from_solutions(sys, ric, kal)
 
 
-def _value_raw(sys, ric, X0, W, V) -> float:
-    kal = _kalman_forward_raw(sys, X0, W, V)
-    return _value_from_solutions(sys, ric, kal, X0)
-
-
 def _fd_block(eval_at, base: np.ndarray, step: float) -> np.ndarray:
     """Central differences along symmetric elementary directions.
 
@@ -124,38 +122,22 @@ def fd_grad(sys: TimeVaryingSystem, cov: CovarianceProfile, step: float = 1e-5) 
     if step <= 0:
         raise ValueError("step must be positive")
     ric = riccati_backward(sys)
-    X0, W, V = cov.X0, list(cov.W), list(cov.V)
+    blocks = cov.blocks
+    grads = []
+    for i, label in enumerate(_block_labels(sys.T)):
 
-    def with_x0(z):
-        return _value_raw(sys, ric, z, W, V)
+        def value_at(z, i=i):
+            kal = _kalman_forward_raw(sys, (*blocks[:i], z, *blocks[i + 1 :]))
+            return _value_from_solutions(sys, ric, kal)
 
-    def with_w(t):
-        def f(z):
-            wt = list(W)
-            wt[t] = z
-            return _value_raw(sys, ric, X0, wt, V)
-
-        return f
-
-    def with_v(t):
-        def f(z):
-            vt = list(V)
-            vt[t] = z
-            return _value_raw(sys, ric, X0, W, vt)
-
-        return f
-
-    dX0 = _fd_block(with_x0, X0, step)
-    dW = tuple(_fd_block(with_w(t), W[t], step) for t in range(sys.T))
-    dV = []
-    for t in range(sys.T):
-        margin = min_eigval(V[t])
         eff = step
-        if margin <= eff:
-            eff = step / 10.0
-        if margin <= eff:
-            raise SingularMatrixError(
-                f"V[{t}] margin {margin:.3e} too small for finite-difference step"
-            )
-        dV.append(_fd_block(with_v(t), V[t], eff))
-    return GradientBlocks(dX0=_frozen(dX0), dW=dW, dV=tuple(_frozen(g) for g in dV))
+        if label.startswith("V"):
+            margin = min_eigval(blocks[i])
+            if margin <= eff:
+                eff = step / 10.0
+            if margin <= eff:
+                raise SingularMatrixError(
+                    f"{label} margin {margin:.3e} too small for finite-difference step"
+                )
+        grads.append(_frozen(_fd_block(value_at, blocks[i], eff)))
+    return GradientBlocks(*_split(grads))

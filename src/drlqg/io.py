@@ -105,6 +105,16 @@ def _as_stages(doc, path: str) -> tuple:
     return tuple(arr)
 
 
+def _profile_doc(cov: CovarianceProfile) -> dict:
+    return {"X0": _mat(cov.X0), "W": [_mat(w) for w in cov.W], "V": [_mat(v) for v in cov.V]}
+
+
+def _as_profile(doc, path: str) -> CovarianceProfile:
+    """The profile of fields ``path``.X0, ``path``.W and ``path``.V."""
+    X0 = _as_array(doc, f"{path}.X0")
+    return CovarianceProfile(X0=X0, W=_as_stages(doc, f"{path}.W"), V=_as_stages(doc, f"{path}.V"))
+
+
 def _check_header(doc, fmt: str):
     """Require ``format`` to be ``fmt`` and ``version`` to be ``FORMAT_VERSION``."""
     if _get(doc, "format") != fmt:
@@ -265,11 +275,7 @@ def write_instance(path: str, sys: TimeVaryingSystem, amb: AmbiguitySpec, genera
             "rho_x0": amb.rho_x0,
             "rho_w": list(amb.rho_w),
             "rho_v": list(amb.rho_v),
-            "nominal": {
-                "X0": _mat(amb.nominal.X0),
-                "W": [_mat(w) for w in amb.nominal.W],
-                "V": [_mat(v) for v in amb.nominal.V],
-            },
+            "nominal": _profile_doc(amb.nominal),
         },
     }
     if generator is not None:
@@ -289,11 +295,7 @@ def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
             Q=_as_stages(doc, "system.Q"),
             R=_as_stages(doc, "system.R"),
         )
-        nominal = CovarianceProfile(
-            X0=_as_array(doc, "ambiguity.nominal.X0"),
-            W=_as_stages(doc, "ambiguity.nominal.W"),
-            V=_as_stages(doc, "ambiguity.nominal.V"),
-        )
+        nominal = _as_profile(doc, "ambiguity.nominal")
         amb = AmbiguitySpec(
             nominal=nominal,
             rho_x0=_scalar(doc, "ambiguity.rho_x0", float),
@@ -354,11 +356,7 @@ def write_result_bundle(out_dir: str, sol: RobustSolution, controller_gain: np.n
             "max_iter": cfg.max_iter,
             "step": cfg.step,
         },
-        "covariance": {
-            "X0": _mat(sol.worst_case.X0),
-            "W": [_mat(w) for w in sol.worst_case.W],
-            "V": [_mat(v) for v in sol.worst_case.V],
-        },
+        "covariance": _profile_doc(sol.worst_case),
     }
     write_json_atomic(os.path.join(out_dir, "worst_case.json"), worst)
     ctrl = {
@@ -376,11 +374,7 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
     doc = _load_json(path)
     with _naming(path):
         _check_header(doc, WORST_CASE_FORMAT)
-        cov = CovarianceProfile(
-            X0=_as_array(doc, "covariance.X0"),
-            W=_as_stages(doc, "covariance.W"),
-            V=_as_stages(doc, "covariance.V"),
-        )
+        cov = _as_profile(doc, "covariance")
         knobs = dict(
             delta=_finite(doc, "config.delta"),
             tol=_finite(doc, "config.tol"),

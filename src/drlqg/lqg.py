@@ -116,6 +116,17 @@ class TimeVaryingSystem:
         return self.C[0].shape[0]
 
 
+def _block_labels(T: int) -> tuple[str, ...]:
+    """X0, W[0]..W[T-1], V[0]..V[T-1]: the block names of ``CovarianceProfile``'s messages."""
+    return ("X0", *(f"W[{t}]" for t in range(T)), *(f"V[{t}]" for t in range(T)))
+
+
+def _split(blocks) -> tuple:
+    """(X0, (W_0..), (V_0..)) from 2T+1 blocks in that order; T comes from the length."""
+    T = (len(blocks) - 1) // 2
+    return blocks[0], tuple(blocks[1 : 1 + T]), tuple(blocks[1 + T :])
+
+
 @dataclass(frozen=True)
 class CovarianceProfile:
     """A zero-mean Gaussian noise model: X0 plus per-stage W_t and V_t.
@@ -138,8 +149,8 @@ class CovarianceProfile:
         object.__setattr__(self, "V", _stage_tuple(V, len(V), (p, p), "V", psd=True))
 
     @classmethod
-    def _trusted(cls, blocks, T: int) -> "CovarianceProfile":
-        """Wrap blocks X0, W_0.., V_0.. that are already symmetric and PSD.
+    def _trusted(cls, blocks) -> "CovarianceProfile":
+        """Wrap 2T+1 blocks, ordered as ``blocks``, that are already symmetric and PSD.
 
         Skips the checks of public construction; the caller hands over fresh
         symmetrized arrays, which are frozen in place.  Used for iterates
@@ -148,10 +159,14 @@ class CovarianceProfile:
         for b in blocks:
             b.flags.writeable = False
         out = object.__new__(cls)
-        object.__setattr__(out, "X0", blocks[0])
-        object.__setattr__(out, "W", tuple(blocks[1 : 1 + T]))
-        object.__setattr__(out, "V", tuple(blocks[1 + T :]))
+        for name, value in zip(("X0", "W", "V"), _split(blocks)):
+            object.__setattr__(out, name, value)
         return out
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """X0, W_0..W_{T-1}, V_0..V_{T-1}: the one order of balls, gradients and draws."""
+        return (self.X0, *self.W, *self.V)
 
     @property
     def T(self) -> int:
@@ -212,8 +227,9 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
     return RiccatiSolution(P=tuple(_frozen(m) for m in P), K=tuple(_frozen(m) for m in K))
 
 
-def _kalman_forward_raw(sys: TimeVaryingSystem, X0, W, V) -> KalmanSolution:
-    """Forward recursion on raw arrays; the caller guarantees V_t PD."""
+def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
+    """Forward recursion on the raw 2T+1 ``blocks``; the caller guarantees V_t PD."""
+    X0, W, V = _split(blocks)
     T = sys.T
     Sig = [None] * T
     L = [None] * T
@@ -247,10 +263,11 @@ def kalman_forward(sys: TimeVaryingSystem, cov: CovarianceProfile) -> KalmanSolu
     for t, v in enumerate(cov.V):
         if min_eigval(v) <= 0.0:
             raise SingularMatrixError(f"observation covariance V[{t}] is not positive definite")
-    return _kalman_forward_raw(sys, cov.X0, cov.W, cov.V)
+    return _kalman_forward_raw(sys, cov.blocks)
 
 
 def _check_dims(sys: TimeVaryingSystem, cov: CovarianceProfile):
+    """The one check of a profile against a system (or a ``StackedSystem``)."""
     if cov.T != sys.T or cov.n != sys.n or cov.p != sys.p:
         raise ValueError(
             f"covariance profile (n={cov.n}, p={cov.p}, T={cov.T}) does not match "
@@ -259,15 +276,16 @@ def _check_dims(sys: TimeVaryingSystem, cov: CovarianceProfile):
 
 
 def _value_from_solutions(
-    sys: TimeVaryingSystem, ric: RiccatiSolution, kal: KalmanSolution, X0
+    sys: TimeVaryingSystem, ric: RiccatiSolution, kal: KalmanSolution
 ) -> float:
     """Expected optimal cost from precomputed recursions.
 
-        f = sum_{t<T} tr((Q_t - P_t) Sigma_t)
-          + sum_{t=1..T} tr(P_t Sigma_{t|t-1}) + tr(P_0 X0)
+        f = sum_{t<T} tr((Q_t - P_t) Sigma_t) + sum_{t=0..T} tr(P_t Sigma_{t|t-1})
+
+    Sigma_{0|-1} is ``symmetrize(X0)``, which is X0 bit for bit when X0 is symmetric.
     """
     T = sys.T
-    f = float(np.trace(ric.P[0] @ X0))
+    f = float(np.trace(ric.P[0] @ kal.Sigma_pred[0]))
     for t in range(T):
         f += float(np.trace((sys.Q[t] - ric.P[t]) @ kal.Sigma[t]))
         f += float(np.trace(ric.P[t + 1] @ kal.Sigma_pred[t + 1]))
@@ -287,7 +305,7 @@ def lqg_value(
     """
     ric = riccati if riccati is not None else riccati_backward(sys)
     kal = kalman if kalman is not None else kalman_forward(sys, cov)
-    return _value_from_solutions(sys, ric, kal, cov.X0)
+    return _value_from_solutions(sys, ric, kal)
 
 
 @dataclass(frozen=True)
@@ -411,8 +429,8 @@ _CHUNK_ELEMENTS = 1 << 18
 
 
 def _noise_roots(cov: CovarianceProfile) -> list[np.ndarray]:
-    """Symmetric PSD square roots of X0, W_0..W_{T-1}, V_0..V_{T-1}, in draw order."""
-    return [psd_sqrt(b) for b in (cov.X0, *cov.W, *cov.V)]
+    """Symmetric PSD square roots of ``cov.blocks``, which is the draw order."""
+    return [psd_sqrt(b) for b in cov.blocks]
 
 
 def _color(z: np.ndarray, roots, cov: CovarianceProfile):
@@ -472,7 +490,7 @@ def _closed_loop_maps(sys: TimeVaryingSystem, K, L, roots):
     are folded in, so the maps take standard normals z.
     """
     n, T = sys.n, sys.T
-    s_x0, s_w, s_v = roots[0], roots[1 : T + 1], roots[T + 1 :]
+    s_x0, s_w, s_v = _split(roots)
     gain = [c.T @ l.T for c, l in zip(sys.C, L)]
     first = (np.hstack([s_x0, s_x0 @ gain[0]]), s_v[0] @ L[0].T)
     zeros = np.zeros((n, n))
@@ -535,14 +553,15 @@ def monte_carlo_cost(
     state: the draw order and the meaning of a seed do not depend on the
     chunking.
 
-    A ``KalmanController``, checked on ``sys`` as ``make_policy`` checks
-    it, is rolled out on the closed loop of ``_closed_loop_maps``: per
-    stage one product prices the stage and advances s_t = [x_t, xhat_t],
-    and two more add the folded-in process and observation noise.  Its
-    costs agree with ``simulate``'s to roundoff.  Any other controller is
-    rolled out through its ``make_policy`` on the colored noise, exactly as
-    ``simulate`` does.
+    ``cov`` must fit ``sys``.  A ``KalmanController``, checked on ``sys`` as
+    ``make_policy`` checks it, is rolled out on the closed loop of
+    ``_closed_loop_maps``: per stage one product prices the stage and
+    advances s_t = [x_t, xhat_t], and two more add the folded-in process and
+    observation noise.  Its costs agree with ``simulate``'s to roundoff.  Any
+    other controller is rolled out through its ``make_policy`` on the
+    colored noise, exactly as ``simulate`` does.
     """
+    _check_dims(sys, cov)
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     if not isinstance(rng, np.random.Generator):

@@ -4,12 +4,12 @@ The inner maximization  max f(X0, W, V)  over the product of floored
 Gelbrich balls is concave, so a Frank-Wolfe scheme applies: at each iterate
 compute the gradient blocks, solve the linearization over all 2T+1 balls
 with one batched oracle call (one vectorized bisection per block shape, see
-``drlqg.ambiguity``), sum the per-block surrogate gaps into g_k in the fixed
-block order X0, W_0.., V_0.., stop once g_k falls below the tolerance, and
-otherwise move from Z_k towards the oracle's maximizers L_k along
-D_k = L_k - Z_k with a step alpha in [0, 1].  Iterates are convex
-combinations of feasible blocks (so V_t stays PD), and are used without
-re-validation.
+``drlqg.ambiguity``), sum the per-block surrogate gaps into g_k, stop once
+g_k falls below the tolerance, and otherwise move from Z_k towards the
+oracle's maximizers L_k along D_k = L_k - Z_k with a step alpha in [0, 1].
+Blocks, balls and gradients follow ``CovarianceProfile.blocks``, and oracle
+errors name a block by its ``lqg._block_labels`` label.  Iterates are convex
+combinations of feasible blocks (so V_t stays PD), used without re-validation.
 
 Two step rules are available (``FWConfig.step``).  "open-loop" is the
 paper's alpha_k = 2/(2+k).  "line" maximizes h(alpha) = f(Z_k + alpha D_k)
@@ -56,6 +56,8 @@ from .lqg import (
     CovarianceProfile,
     KalmanController,
     TimeVaryingSystem,
+    _block_labels,
+    _check_dims,
     _check_gains,
     _kalman_forward_raw,
     _value_from_solutions,
@@ -119,24 +121,18 @@ class RobustSolution:
     config: FWConfig
 
 
-def _blocks(cov: CovarianceProfile) -> list[np.ndarray]:
-    return [cov.X0, *cov.W, *cov.V]
-
-
 def _price(grads: list[np.ndarray], blocks: list[np.ndarray]) -> float:
     """Cost of the fixed Kalman controller whose value has gradient ``grads``."""
     return sum(float(np.vdot(g, z)) for g, z in zip(grads, blocks))
 
 
-def _evaluate(sys: TimeVaryingSystem, ric, blocks: list[np.ndarray]):
-    """(f, gradient blocks) at the profile with blocks X0, W_0.., V_0.."""
-    T = sys.T
-    X0, W, V = blocks[0], blocks[1 : 1 + T], blocks[1 + T :]
-    kal = _kalman_forward_raw(sys, X0, W, V)
-    return _value_from_solutions(sys, ric, kal, X0), _grad_from_solutions(sys, ric, kal).flat()
+def _evaluate(sys: TimeVaryingSystem, ric, blocks):
+    """(f, gradient blocks) at the profile whose ``CovarianceProfile.blocks`` are ``blocks``."""
+    kal = _kalman_forward_raw(sys, blocks)
+    return _value_from_solutions(sys, ric, kal), _grad_from_solutions(sys, ric, kal).flat()
 
 
-def _move(refs: list[np.ndarray], direction: list[np.ndarray], alpha: float) -> list[np.ndarray]:
+def _move(refs, direction, alpha: float) -> list[np.ndarray]:
     return [symmetrize(z + alpha * d) for z, d in zip(refs, direction)]
 
 
@@ -196,9 +192,9 @@ def solve(
     is invoked once per iteration (used by audits and tests).
     """
     cfg = config if config is not None else FWConfig()
-    if amb.nominal.T != sys.T or amb.nominal.n != sys.n or amb.nominal.p != sys.p:
-        raise ValueError("ambiguity set does not match the system dimensions")
+    _check_dims(sys, amb.nominal)
     balls = amb.balls()
+    labels = _block_labels(sys.T)
     ric = riccati_backward(sys)
     cov = amb.nominal
     evaluated = None  # (f, grads) at cov when the line search produced them
@@ -207,9 +203,9 @@ def solve(
     converged = False
     start = time.perf_counter()
     for k in range(cfg.max_iter):
-        refs = _blocks(cov)
+        refs = cov.blocks
         f_k, grads = evaluated if evaluated is not None else _evaluate(sys, ric, refs)
-        results = oracle_maximize_blocks(balls, grads, refs, delta=cfg.delta)
+        results = oracle_maximize_blocks(balls, grads, refs, delta=cfg.delta, labels=labels)
         gap = sum(r.gap_contribution for r in results)  # fixed block order
         trace.append(
             FWIteration(k=k, f_value=f_k, surrogate_gap=gap, wall_time=time.perf_counter() - start)
@@ -229,9 +225,9 @@ def solve(
             evaluated = (f_next, grads_next)
         else:
             stepped = _move(refs, direction, 2.0 / (2.0 + k))
-        cov = CovarianceProfile._trusted(stepped, sys.T)
+        cov = CovarianceProfile._trusted(stepped)
     final_gap, f_value, worst = best
-    kal = _kalman_forward_raw(sys, worst.X0, worst.W, worst.V)
+    kal = _kalman_forward_raw(sys, worst.blocks)
     return RobustSolution(
         worst_case=worst,
         controller=KalmanController(K=ric.K, L=kal.L),
@@ -301,24 +297,25 @@ def saddle_check(
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
+    _check_dims(sys, amb.nominal)
     rng = np.random.default_rng(seed)
     f_star = sol.f_value
     scale = max(1.0, abs(f_star))
     nature_slack = max(10.0 * sol.config.tol, 1e-6 * scale)
     controller_slack = 1e-9 * scale
     balls = amb.balls()
-    worst = _blocks(sol.worst_case)
+    labels = _block_labels(sys.T)
     K, L = _check_gains(sys, sol.controller.K, sol.controller.L)
-
-    names = ["X0", *(f"W[{t}]" for t in range(sys.T)), *(f"V[{t}]" for t in range(sys.T))]
-    claim_violations = [
-        f"worst-case block {name} is outside its ambiguity ball"
-        for name, ball, block in zip(names, balls, worst)
-        if not ball.contains(block, tol=1e-7)
-    ]
     ric = riccati_backward(sys)
     kal = kalman_forward(sys, sol.worst_case)
-    f_check = _value_from_solutions(sys, ric, kal, sol.worst_case.X0)
+    worst = sol.worst_case.blocks
+
+    claim_violations = [
+        f"worst-case block {label} is outside its ambiguity ball"
+        for label, ball, block in zip(labels, balls, worst)
+        if not ball.contains(block, tol=1e-7)
+    ]
+    f_check = _value_from_solutions(sys, ric, kal)
     if abs(f_check - f_star) > 1e-8 * max(1.0, abs(f_check)):
         claim_violations.append(
             f"claimed value {f_star:.12g} does not match recomputation {f_check:.12g}"
@@ -331,7 +328,7 @@ def saddle_check(
 
     nature_violations = []
     grads = grad_f(sys, sol.worst_case, riccati=ric, kalman=kal).flat()
-    best_response = oracle_maximize_blocks(balls, grads, worst, delta=0.99)
+    best_response = oracle_maximize_blocks(balls, grads, worst, delta=0.99, labels=labels)
     candidates = itertools.chain(
         [("best-response", [r.maximizer for r in best_response])],
         ((f"sample-{i}", b) for i, b in enumerate(_sample_feasible(balls, rng, n_samples))),

@@ -30,6 +30,7 @@ from .lqg import (
     CovarianceProfile,
     KalmanController,
     TimeVaryingSystem,
+    _check_dims,
     _check_gains,
     _frozen,
     assemble_controller,
@@ -192,11 +193,15 @@ def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
     """Recover eta_t = y_t - yhat_t from a recorded (u, y) trajectory.
 
     The noise-free twin is driven by the recorded inputs: xhat_0 = 0,
-    yhat_t = C_t xhat_t, xhat_{t+1} = A_t xhat_t + B_t u_t.
+    yhat_t = C_t xhat_t, xhat_{t+1} = A_t xhat_t + B_t u_t.  ``u`` must have
+    shape (T, m) and ``y`` shape (T, p); a misfit raises ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     T = sys.T
+    for name, a, shape in (("u", u, (T, sys.m)), ("y", y, (T, sys.p))):
+        if a.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {a.shape}")
     eta = np.empty_like(y)
     xhat = np.zeros(sys.n)
     for t in range(T):
@@ -216,8 +221,7 @@ def controller_cost_trace(
         J(U, q) = tr[(D'U'S U D + 2 G'Qs H U D + G'Qs G) Wbig]
                   + tr[(U'S U) Vbig] + q'S q
     """
-    if cov.T != st.T or cov.n != st.n or cov.p != st.p:
-        raise ValueError("covariance profile does not match the stacked system")
+    _check_dims(st, cov)
     Wbig = _block_diag((cov.X0, *cov.W))
     Vbig = _block_diag(cov.V)
     S = st.Rs + st.H.T @ st.Qs @ st.H

@@ -79,7 +79,7 @@ def reference_solve(sys, amb, delta=0.95, tol=1e-3, max_iter=1000):
     trace = []
     for k in range(max_iter):
         kal = kalman_forward(sys, cov)
-        f_k = _value_from_solutions(sys, ric, kal, cov.X0)
+        f_k = _value_from_solutions(sys, ric, kal)
         grads = _grad_from_solutions(sys, ric, kal).flat()
         refs = [cov.X0, *cov.W, *cov.V]
         results = [reference_oracle(b, g, z, delta) for b, g, z in zip(balls, grads, refs)]

@@ -217,7 +217,7 @@ def test_solve_names_a_radius_out_of_double_range(tmp_path, capsys, rho):
         warnings.simplefilter("error")
         assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: gradient block 0: radius ")
+    assert err.startswith("error: gradient block X0: radius ")
     assert "out of the range that double precision resolves" in err
     assert not (tmp_path / "o").exists()
 

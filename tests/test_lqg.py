@@ -205,6 +205,27 @@ def test_profile_errors_name_the_block(X0, W, V, message):
         CovarianceProfile(X0=X0, W=W, V=V)
 
 
+def test_block_labels_are_the_profile_messages():
+    # each label of _block_labels names its block exactly as the profile does
+    T = 3
+    for i, label in enumerate(lqg._block_labels(T)):
+        blocks = [np.eye(2)] * (T + 1) + [np.eye(1)] * T
+        blocks[i] = -blocks[i]
+        with pytest.raises(ValueError) as err:
+            CovarianceProfile(*lqg._split(blocks))
+        assert str(err.value).startswith(f"{label} must be positive semidefinite")
+
+
+def test_profile_blocks_follow_the_one_order():
+    cov = random_profile(np.random.default_rng(22), 3, 2, 2)
+    assert cov.blocks == (cov.X0, *cov.W, *cov.V)
+    assert lqg._split(cov.blocks) == (cov.X0, cov.W, cov.V)
+    trusted = CovarianceProfile._trusted([b.copy() for b in cov.blocks])
+    assert len(trusted.blocks) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(trusted.blocks, cov.blocks))
+    assert (trusted.T, trusted.n, trusted.p) == (2, 3, 2)
+
+
 def test_profile_stores_symmetrized_frozen_blocks():
     rng = np.random.default_rng(21)
     X0, W, V = (a @ a.T + 1e-3 * np.triu(a, 1) for a in rng.standard_normal((3, 3, 3)))
@@ -290,6 +311,24 @@ def test_monte_carlo_rejects_gains_that_do_not_fit(K, L, message):
     cov = random_profile(rng, 3, 1, 4)
     with pytest.raises(ValueError, match=message):
         monte_carlo_cost(sys, KalmanController(K=K, L=L), cov, 10, rng=0)
+
+
+@pytest.mark.parametrize(
+    "n, T, message",
+    [
+        (2, 3, r"\(n=2, p=1, T=3\) does not match system \(n=2, p=1, T=2\)"),
+        (3, 2, r"\(n=3, p=1, T=2\) does not match system \(n=2, p=1, T=2\)"),
+    ],
+    ids=["longer-horizon", "larger-state"],
+)
+def test_monte_carlo_rejects_a_profile_that_does_not_fit(n, T, message):
+    # a longer profile once rolled out on the system's first stages and
+    # returned a mean; a larger state failed inside numpy
+    rng = np.random.default_rng(19)
+    sys = random_system(rng, 2, 2, 1, 2)
+    ctrl = assemble_controller(sys, random_profile(rng, 2, 1, 2))
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_cost(sys, ctrl, random_profile(rng, n, 1, T), 10, rng=0)
 
 
 def test_policy_rejects_out_of_order_steps():

@@ -188,6 +188,25 @@ def test_radius_out_of_double_range_names_the_block(radius, zero_center):
         oracle_maximize_blocks(balls, grads, [b.center for b in balls])
 
 
+def test_oracle_rejects_counts_that_differ():
+    # three balls once took the first three of five gradients and references
+    rng = np.random.default_rng(314)
+    balls = [GelbrichBall(center=random_spd(rng, 2), radius=0.5) for _ in range(3)]
+    grads = [random_psd(rng, 2) for _ in range(5)]
+    with pytest.raises(ValueError, match="^3 balls, 5 gradients and 5 references"):
+        oracle_maximize_blocks(balls, grads, grads)
+
+
+def test_oracle_errors_name_the_given_labels():
+    rng = np.random.default_rng(311)
+    balls = [GelbrichBall(center=random_spd(rng, d), radius=0.5) for d in (2, 3, 2, 3)]
+    grads = [random_psd(rng, b.dim) for b in balls]
+    grads[3] = np.diag([1.0, 0.5, -1.0])
+    labels = ("X0", "W[0]", "V[0]", "W[1]")
+    with pytest.raises(NotPSDError, match=r"^gradient block W\[1\]: minimum eigenvalue"):
+        oracle_maximize_blocks(balls, grads, [b.center for b in balls], labels=labels)
+
+
 def test_indefinite_gradient_of_zero_radius_block_is_not_inspected():
     # A zero radius short-circuits before the gradient is decomposed.
     ball = GelbrichBall(center=np.eye(2), radius=0.0)

@@ -136,6 +136,15 @@ def test_solve_rejects_mismatched_ambiguity():
     )
     with pytest.raises(ValueError):
         solve(sys, amb)
+    with pytest.raises(ValueError):
+        saddle_check(sys, amb, solve(*_scalar_instance()), n_samples=0)
+    # an audit against the set of a shorter horizon once paired its 7 balls
+    # with the first 7 of the solution's 9 blocks, and passed
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    sol = solve(sys, amb, FWConfig(max_iter=2))
+    _, shorter, _ = generate_instance(3, 3, 3, 3, seed=7, rho=0.5)
+    with pytest.raises(ValueError, match=r"\(n=3, p=3, T=3\) does not match system"):
+        saddle_check(sys, shorter, sol, n_samples=0)
 
 
 # ------------------------------------------------------------- line search

@@ -89,6 +89,16 @@ def test_purified_zero_noise_is_zero():
     assert np.array_equal(eta, np.zeros((1, 1)))
 
 
+def test_purified_from_rollout_rejects_a_trajectory_that_does_not_fit():
+    # one row too many once came back as an uninitialised last row of eta
+    sys, cov = scalar_ones()
+    res = simulate(sys, assemble_controller(sys, cov), np.ones(1), np.ones((1, 1)), np.ones((1, 1)))
+    with pytest.raises(ValueError, match=r"^y: expected shape \(1, 1\), got \(2, 1\)$"):
+        purified_from_rollout(sys, res.u, np.vstack([res.y, res.y]))
+    with pytest.raises(ValueError, match=r"^u: expected shape \(1, 1\), got \(1,\)$"):
+        purified_from_rollout(sys, res.u[0], res.y)
+
+
 def test_purified_equals_output_without_control():
     rng = np.random.default_rng(23)
     sys = random_system(rng, 2, 1, 2, 3)
