@@ -8,7 +8,9 @@ y = (y_0..y_{T-1}) and noise w = (x_0-noise, w_0..w_{T-1}) gives
 where G is block lower-triangular with blocks G[t,s] = A_{t-1}...A_s
 (identity on the diagonal), H is strictly block lower-triangular with blocks
 H[t,s] = A_{t-1}...A_{s+1} B_s, Cs places C_t on the block diagonal (the
-terminal state is unobserved), and D = Cs G.
+terminal state is unobserved), and D = Cs G.  G and H are filled one block
+row per stage (row t is A_{t-1} times row t-1), and D = Cs G one stage row
+at a time.
 
 A *purified* observation is eta_t = y_t - yhat_t, where yhat comes from a
 noise-free twin of the plant driven by the same inputs.  The map from inputs
@@ -16,7 +18,17 @@ to eta is control-independent (eta = D w + v), so causal policies u = U eta + q
 parameterize the closed loop linearly: the expected quadratic cost of such a
 policy is an explicit trace formula in the noise covariances, and the
 causal-in-y and causal-in-eta parameterizations are related by triangular
-changes of variables.
+changes of variables.  Under u = U eta + q the state is
+
+    x = M w + H U v + H q,        M = G + H U D,
+
+so the cost and its gradient are traces of products with M, H U and U D.
+The block-diagonal factors Qs, Rs, Wbig = diag(X0, W_0..W_{T-1}) and
+Vbig = diag(V_0..V_{T-1}) are applied stage by stage, as batched per-block
+products, and a trace tr(A B') is taken as the elementwise sum of A * B;
+neither is ever multiplied as a dense matrix.  Both rely on the blocks being
+symmetric, which ``TimeVaryingSystem`` and ``CovarianceProfile`` guarantee:
+tr[Qs M Wbig M'] is the sum of (Qs M) * (M Wbig), for instance.
 """
 
 from __future__ import annotations
@@ -65,34 +77,50 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
+def _diag_blocks(M: np.ndarray, k: int, r: int, c: int) -> np.ndarray:
+    """The first ``k`` diagonal r x c blocks of ``M`` as a (k, r, c) stack."""
+    i = np.arange(k)[:, None, None]
+    return M[i * r + np.arange(r)[:, None], i * c + np.arange(c)]
+
+
+def _left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """diag(blocks) @ X, one stage at a time; ``blocks`` is a (k, b, b) stack."""
+    k, b, _ = blocks.shape
+    return (blocks @ X.reshape(k, b, -1)).reshape(X.shape)
+
+
+def _right(X: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """X @ diag(blocks), one stage at a time; ``blocks`` is a (k, b, b) stack."""
+    k, b, _ = blocks.shape
+    r = X.shape[0]
+    return (X.reshape(r, k, b).swapaxes(0, 1) @ blocks).swapaxes(0, 1).reshape(r, k * b)
+
+
 def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
     """Assemble the stacked matrices from per-stage data."""
     n, m, p, T = sys.n, sys.m, sys.p, sys.T
     N = n * (T + 1)
-    G = np.zeros((N, N))
+    G = np.eye(N)
     H = np.zeros((N, m * T))
-    for t in range(T + 1):
-        G[t * n : (t + 1) * n, t * n : (t + 1) * n] = np.eye(n)
     for t in range(1, T + 1):
         rows = slice(t * n, (t + 1) * n)
         prev = slice((t - 1) * n, t * n)
-        for s in range(t):
-            G[rows, s * n : (s + 1) * n] = sys.A[t - 1] @ G[prev, s * n : (s + 1) * n]
+        G[rows, : t * n] = sys.A[t - 1] @ G[prev, : t * n]
+        H[rows, : (t - 1) * m] = sys.A[t - 1] @ H[prev, : (t - 1) * m]
         H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
-        for s in range(t - 1):
-            H[rows, s * m : (s + 1) * m] = sys.A[t - 1] @ H[prev, s * m : (s + 1) * m]
     Cs = np.zeros((p * T, N))
+    D = np.zeros((p * T, N))
     for t in range(T):
-        Cs[t * p : (t + 1) * p, t * n : (t + 1) * n] = sys.C[t]
-    Qs = _block_diag(sys.Q)
-    Rs = _block_diag(sys.R)
+        rows, cols = slice(t * p, (t + 1) * p), slice(t * n, (t + 1) * n)
+        Cs[rows, cols] = sys.C[t]
+        D[rows, : (t + 1) * n] = sys.C[t] @ G[cols, : (t + 1) * n]
     return StackedSystem(
-        Qs=_frozen(Qs),
-        Rs=_frozen(Rs),
+        Qs=_frozen(_block_diag(sys.Q)),
+        Rs=_frozen(_block_diag(sys.R)),
         Cs=_frozen(Cs),
         G=_frozen(G),
         H=_frozen(H),
-        D=_frozen(Cs @ G),
+        D=_frozen(D),
         n=n,
         m=m,
         p=p,
@@ -103,13 +131,13 @@ def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
 def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
     if U.shape != (m * T, p * T):
         raise ValueError(f"{name}: expected shape {(m * T, p * T)}, got {U.shape}")
-    for t in range(T):
-        for s in range(t + 1, T):
-            if np.any(U[t * m : (t + 1) * m, s * p : (s + 1) * p] != 0.0):
-                raise ValueError(
-                    f"{name}: block ({t},{s}) above the diagonal is nonzero; "
-                    "the gain must be causal"
-                )
+    nonzero = np.triu((U != 0.0).reshape(T, m, T, p).any(axis=(1, 3)), 1)
+    if nonzero.any():
+        t, s = np.argwhere(nonzero)[0]  # the first in row-major order
+        raise ValueError(
+            f"{name}: block ({t},{s}) above the diagonal is nonzero; "
+            "the gain must be causal"
+        )
 
 
 @dataclass(frozen=True)
@@ -210,28 +238,45 @@ def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
     return eta
 
 
+def _stage_stacks(st: StackedSystem, cov: CovarianceProfile):
+    """(Q, R, W, V) per-stage stacks of Qs, Rs, Wbig and Vbig."""
+    n, m, T = st.n, st.m, st.T
+    return (
+        _diag_blocks(st.Qs, T + 1, n, n),
+        _diag_blocks(st.Rs, T, m, m),
+        np.stack((cov.X0, *cov.W)),
+        np.stack(cov.V),
+    )
+
+
 def controller_cost_trace(
     st: StackedSystem, ctrl: LinearPurifiedController, cov: CovarianceProfile
 ) -> float:
     """Exact expected cost of a purified-feedback policy as a trace formula.
 
-    With S = Rs + H' Qs H, Wbig = diag(X0, W_0..W_{T-1}) and
+    With M = G + H U D, Wbig = diag(X0, W_0..W_{T-1}) and
     Vbig = diag(V_0..V_{T-1}):
 
-        J(U, q) = tr[(D'U'S U D + 2 G'Qs H U D + G'Qs G) Wbig]
-                  + tr[(U'S U) Vbig] + q'S q
+        J(U, q) = tr[Qs M Wbig M'] + tr[Qs (H U) Vbig (H U)']
+                  + tr[Rs (U D) Wbig (U D)'] + tr[Rs U Vbig U']
+                  + q'Rs q + (H q)'Qs (H q)
+
+    The block-diagonal Qs, Rs, Wbig and Vbig are applied stage by stage, so
+    the only dense products are U D, H (U D) and H U.
     """
     _check_dims(st, cov)
-    Wbig = _block_diag((cov.X0, *cov.W))
-    Vbig = _block_diag(cov.V)
-    S = st.Rs + st.H.T @ st.Qs @ st.H
-    UD = ctrl.U @ st.D
-    SU = S @ ctrl.U
-    w_term = UD.T @ S @ UD + 2.0 * st.G.T @ (st.Qs @ (st.H @ UD)) + st.G.T @ st.Qs @ st.G
-    val = float(np.trace(w_term @ Wbig))
-    val += float(np.trace((ctrl.U.T @ SU) @ Vbig))
-    val += float(ctrl.q @ S @ ctrl.q)
-    return val
+    Q, R, W, V = _stage_stacks(st, cov)
+    U, q = ctrl.U, ctrl.q
+    UD = U @ st.D
+    M = st.G + st.H @ UD
+    HU = st.H @ U
+    Hq = st.H @ q
+    val = np.vdot(_left(Q, M), _right(M, W))  # tr(A B') as the sum of A * B
+    val += np.vdot(_left(Q, HU), _right(HU, V))
+    val += np.vdot(_left(R, UD), _right(UD, W))
+    val += np.vdot(_left(R, U), _right(U, V))
+    val += q @ _left(R, q) + Hq @ _left(Q, Hq)
+    return float(val)
 
 
 def _first_order_bound(st: StackedSystem, U: np.ndarray, cov: CovarianceProfile) -> float:
@@ -241,14 +286,21 @@ def _first_order_bound(st: StackedSystem, U: np.ndarray, cov: CovarianceProfile)
     + q' S q, with S = Rs + H' Qs H, Sigma_eta = D Wbig D' + Vbig and g the
     causal part of 2 (S U Sigma_eta + H' Qs G Wbig D'), so
     b = |g|_F^2 / (4 lmin(S) lmin(Sigma_eta)) (infinite unless both are > 0).
+    Since S >= Rs and Sigma_eta >= Vbig, min_t lmin(R_t) * min_t lmin(V_t)
+    stands in for lmin(S) * lmin(Sigma_eta); only when that product is not
+    positive are the two exact eigenvalues computed.
     """
-    Wbig = _block_diag((cov.X0, *cov.W))
-    S = st.Rs + st.H.T @ st.Qs @ st.H
-    sigma_eta = st.D @ Wbig @ st.D.T + _block_diag(cov.V)
-    grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ st.Qs @ st.G @ Wbig @ st.D.T)
+    Q, R, W, V = _stage_stacks(st, cov)
+    DW = _right(st.D, W)
+    sigma_eta = DW @ st.D.T + _block_diag(cov.V)
+    USig = U @ sigma_eta
+    grad = 2.0 * (_left(R, USig) + st.H.T @ _left(Q, st.H @ USig + st.G @ DW.T))
     for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
-    curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
+    curvature = 4.0 * float(np.linalg.eigvalsh(R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
+    if not curvature > 0.0:
+        S = st.Rs + st.H.T @ _left(Q, st.H)
+        curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
     return float(np.sum(grad**2)) / curvature if curvature > 0.0 else np.inf
 
 
@@ -268,10 +320,12 @@ def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarra
 
 def _substitute(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
     """Solve (I + sign U Cs H) (U', q') = (U, q), sign = +-1.0, into a ``cls`` gain."""
-    N = sign * (ctrl.U @ st.Cs @ st.H)
-    U = _unit_lower_solve(N, ctrl.U, st.m, st.T)
-    q = _unit_lower_solve(N, ctrl.q, st.m, st.T)
-    return cls(U=U, q=q, m=st.m, p=st.p, T=st.T)
+    n, m, p, T = st.n, st.m, st.p, st.T
+    CsH = _diag_blocks(st.Cs, T, p, n) @ st.H[: n * T].reshape(T, n, m * T)
+    N = sign * (ctrl.U @ CsH.reshape(p * T, m * T))
+    U = _unit_lower_solve(N, ctrl.U, m, T)
+    q = _unit_lower_solve(N, ctrl.q, m, T)
+    return cls(U=U, q=q, m=m, p=p, T=T)
 
 
 def purified_to_output(

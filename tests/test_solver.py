@@ -23,9 +23,10 @@ from drlqg import (
 )
 from drlqg import solver
 from drlqg.ambiguity import sample_feasible_blocks
+from drlqg.linalg import min_eigval
 from drlqg.stacked import _first_order_bound
 
-from helpers import random_causal_gain, random_profile, random_system, scalar_ones
+from helpers import block_diag, random_causal_gain, random_profile, random_system, scalar_ones
 
 
 def _scalar_instance(rho=0.1):
@@ -415,3 +416,49 @@ def test_first_order_bound_brackets_the_optimum():
             bound = _first_order_bound(st, U, cov)
             assert bound > 0.0
             assert cost - bound <= best * (1.0 + 1e-12) and best <= cost
+
+
+def _dense_first_order_bound(st, U, cov):
+    """Reference bound: dense S, Sigma_eta and gradient, exact lmin(S) * lmin(Sigma_eta)."""
+    Wbig = block_diag(cov.X0, *cov.W)
+    S = st.Rs + st.H.T @ st.Qs @ st.H
+    sigma_eta = st.D @ Wbig @ st.D.T + block_diag(*cov.V)
+    grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ st.Qs @ st.G @ Wbig @ st.D.T)
+    for t in range(st.T):
+        grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
+    curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
+    return float(np.sum(grad**2)) / curvature if curvature > 0.0 else np.inf
+
+
+@pytest.mark.parametrize(
+    "n, m, p, T", [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1)) for T in (1, 2, 5)]
+)
+def test_first_order_bound_is_no_tighter_than_the_dense_one(n, m, p, T):
+    # min_t lmin(R_t) * min_t lmin(V_t) bounds lmin(S) * lmin(Sigma_eta) from
+    # below, so the bound can only grow, which keeps the certificate valid.
+    rng = np.random.default_rng(300 + 7 * n + T)
+    sys = random_system(rng, n, m, p, T)
+    st = build_stacked(sys)
+    for _ in range(3):
+        cov = random_profile(rng, n, p, T)
+        U = random_causal_gain(rng, m, p, T, scale=0.5)
+        dense = _dense_first_order_bound(st, U, cov)
+        assert 0.0 < dense < np.inf
+        assert _first_order_bound(st, U, cov) >= dense * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("n, m, p, T", [(2, 3, 1, 3), (3, 2, 2, 2)])
+def test_first_order_bound_falls_back_to_exact_eigenvalues_for_a_singular_v(n, m, p, T):
+    # lmin(V_1) = 0 makes the stage-wise curvature 0, which alone would give
+    # an infinite bound; Sigma_eta is still PD, so the exact one is finite.
+    rng = np.random.default_rng(310 + p)
+    sys = random_system(rng, n, m, p, T)
+    st = build_stacked(sys)
+    nominal = random_profile(rng, n, p, T)
+    V = list(nominal.V)
+    V[1] = np.diag([0.7] * (p - 1) + [0.0])
+    cov = CovarianceProfile(X0=nominal.X0, W=nominal.W, V=V)
+    U = random_causal_gain(rng, m, p, T, scale=0.5)
+    dense = _dense_first_order_bound(st, U, cov)
+    assert 0.0 < dense < np.inf
+    assert abs(_first_order_bound(st, U, cov) - dense) <= 1e-9 * dense

@@ -36,6 +36,45 @@ def _stack_noise(x0, w):
     return np.concatenate([x0, w.ravel()])
 
 
+# Rectangular block sizes (n != m != p) catch a per-stage reshape that mixes
+# up two of them; every benchmark instance has n = m = p.
+RECTANGULAR = [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1)) for T in (1, 2, 5)]
+
+
+def _dense_stacked(sys):
+    """Reference G, H and D: every block of G and H on its own, D = Cs @ G densely."""
+    n, m, p, T = sys.n, sys.m, sys.p, sys.T
+    N = n * (T + 1)
+    G = np.zeros((N, N))
+    H = np.zeros((N, m * T))
+    for t in range(T + 1):
+        G[t * n : (t + 1) * n, t * n : (t + 1) * n] = np.eye(n)
+    for t in range(1, T + 1):
+        rows = slice(t * n, (t + 1) * n)
+        prev = slice((t - 1) * n, t * n)
+        for s in range(t):
+            G[rows, s * n : (s + 1) * n] = sys.A[t - 1] @ G[prev, s * n : (s + 1) * n]
+        H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
+        for s in range(t - 1):
+            H[rows, s * m : (s + 1) * m] = sys.A[t - 1] @ H[prev, s * m : (s + 1) * m]
+    Cs = np.zeros((p * T, N))
+    for t in range(T):
+        Cs[t * p : (t + 1) * p, t * n : (t + 1) * n] = sys.C[t]
+    return G, H, Cs @ G
+
+
+def _dense_cost_trace(st, ctrl, cov):
+    """Reference cost: the trace formula with S = Rs + H'Qs H and dense Wbig, Vbig."""
+    Wbig = block_diag(cov.X0, *cov.W)
+    Vbig = block_diag(*cov.V)
+    S = st.Rs + st.H.T @ st.Qs @ st.H
+    UD = ctrl.U @ st.D
+    w_term = UD.T @ S @ UD + 2.0 * st.G.T @ (st.Qs @ (st.H @ UD)) + st.G.T @ st.Qs @ st.G
+    val = float(np.trace(w_term @ Wbig))
+    val += float(np.trace((ctrl.U.T @ S @ ctrl.U) @ Vbig))
+    return val + float(ctrl.q @ S @ ctrl.q)
+
+
 # ---------------------------------------------------------- stacked build
 
 
@@ -53,6 +92,15 @@ def test_build_stacked_single_stage_blocks():
     assert np.array_equal(st.D, st.Cs @ st.G)
     assert np.array_equal(st.Qs, block_diag(*sys.Q))
     assert np.array_equal(st.Rs, block_diag(*sys.R))
+
+
+@pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
+def test_build_stacked_matches_dense_reference(n, m, p, T):
+    sys = random_system(np.random.default_rng(100 + 7 * n + T), n, m, p, T)
+    st = build_stacked(sys)
+    for got, ref in zip((st.G, st.H, st.D), _dense_stacked(sys)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_build_stacked_zero_dynamics_gives_identity():
@@ -156,6 +204,24 @@ def test_cost_trace_zero_controller_open_loop():
     wbig = block_diag(cov.X0, *cov.W)
     expect = float(np.trace(st.G.T @ st.Qs @ st.G @ wbig))
     assert abs(controller_cost_trace(st, ctrl, cov) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+@pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
+def test_cost_trace_matches_dense_reference(n, m, p, T):
+    rng = np.random.default_rng(200 + 7 * n + T)
+    sys = random_system(rng, n, m, p, T)
+    st = build_stacked(sys)
+    for _ in range(3):
+        cov = random_profile(rng, n, p, T)
+        ctrl = LinearPurifiedController(
+            U=random_causal_gain(rng, m, p, T, scale=0.5),
+            q=rng.standard_normal(m * T),
+            m=m,
+            p=p,
+            T=T,
+        )
+        ref = _dense_cost_trace(st, ctrl, cov)
+        assert abs(controller_cost_trace(st, ctrl, cov) - ref) <= 1e-12 * abs(ref)
 
 
 def test_cost_trace_matches_value_on_scalar_instance():
@@ -315,6 +381,17 @@ def test_controller_classes_keep_their_fields_repr_and_messages(cls, name):
         cls(U=U, q=np.zeros(2), m=1, p=2, T=2)
     with pytest.raises(ValueError, match=r"^offset: expected shape \(2,\), got \(3,\)$"):
         cls(U=np.zeros((2, 4)), q=np.zeros(3), m=1, p=2, T=2)
+
+
+def test_causality_error_names_the_first_block_in_row_major_order():
+    # Element order would name (0,3): row 0 of block row 0 is nonzero only in
+    # block 3, row 1 in block 2.
+    U = np.zeros((8, 4))
+    U[0, 3] = 1.0
+    U[1, 2] = 1.0
+    U[4, 3] = 1.0
+    with pytest.raises(ValueError, match=r"^output gain: block \(0,2\) above the diagonal"):
+        LinearOutputController(U=U, q=np.zeros(8), m=2, p=1, T=4)
 
 
 # ----------------------------------------------------------------- unroll
