@@ -293,7 +293,8 @@ def saddle_check(
     Controller side: no causal policy may cost less than f* - 1e-9 * scale
     at Z*, as certified by ``drlqg.stacked._first_order_bound`` at the
     purified Kalman gain recomputed at Z* -- the best response is an exact
-    minimizer, so only numerics may move it.
+    minimizer, so only numerics may move it.  The bound's cheap stage-wise
+    curvature is replaced by the exact one before a violation is reported.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
@@ -340,8 +341,10 @@ def saddle_check(
 
     st = build_stacked(sys)
     upur = output_to_purified(unroll_controller(sys, KalmanController(K=ric.K, L=kal.L)), st)
-    bound = _first_order_bound(st, upur.U, sol.worst_case)
-    lowest = _price(grads, worst) - bound  # J(U*) - bound
+    priced = _price(grads, worst)  # J(U*)
+    lowest = priced - _first_order_bound(st, upur.U, sol.worst_case)
+    if lowest < f_star - controller_slack:  # only the exact curvature may fail a solution
+        lowest = priced - _first_order_bound(st, upur.U, sol.worst_case, exact=True)
     controller_violations = []
     if lowest < f_star - controller_slack:
         controller_violations.append(("first-order", lowest, f_star - lowest))

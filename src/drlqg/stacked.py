@@ -8,9 +8,7 @@ y = (y_0..y_{T-1}) and noise w = (x_0-noise, w_0..w_{T-1}) gives
 where G is block lower-triangular with blocks G[t,s] = A_{t-1}...A_s
 (identity on the diagonal), H is strictly block lower-triangular with blocks
 H[t,s] = A_{t-1}...A_{s+1} B_s, Cs places C_t on the block diagonal (the
-terminal state is unobserved), and D = Cs G.  G and H are filled one block
-row per stage (row t is A_{t-1} times row t-1), and D = Cs G one stage row
-at a time.
+terminal state is unobserved), and D = Cs G.
 
 A *purified* observation is eta_t = y_t - yhat_t, where yhat comes from a
 noise-free twin of the plant driven by the same inputs.  The map from inputs
@@ -279,29 +277,34 @@ def controller_cost_trace(
     return float(val)
 
 
-def _first_order_bound(st: StackedSystem, U: np.ndarray, cov: CovarianceProfile) -> float:
+def _first_order_bound(
+    st: StackedSystem, U: np.ndarray, cov: CovarianceProfile, exact: bool = False
+) -> float:
     """Bound b: every causal purified policy costs at least J(U, 0) - b.
 
     For causal dU, J(U + dU, q) = J(U, 0) + <g, dU> + tr(dU' S dU Sigma_eta)
     + q' S q, with S = Rs + H' Qs H, Sigma_eta = D Wbig D' + Vbig and g the
     causal part of 2 (S U Sigma_eta + H' Qs G Wbig D'), so
     b = |g|_F^2 / (4 lmin(S) lmin(Sigma_eta)) (infinite unless both are > 0).
-    Since S >= Rs and Sigma_eta >= Vbig, min_t lmin(R_t) * min_t lmin(V_t)
-    stands in for lmin(S) * lmin(Sigma_eta); only when that product is not
-    positive are the two exact eigenvalues computed.
+    Since S >= Rs and Sigma_eta >= Vbig, the default divides by the smaller
+    min_t lmin(R_t) * min_t lmin(V_t), which needs no eigensolve of size N;
+    on a badly scaled stage that b can exceed the exact one by many orders
+    of magnitude.  ``exact=True`` computes lmin(S) and lmin(Sigma_eta).
     """
     Q, R, W, V = _stage_stacks(st, cov)
     DW = _right(st.D, W)
-    sigma_eta = DW @ st.D.T + _block_diag(cov.V)
+    sigma_eta = DW @ st.D.T
+    for t in range(st.T):
+        sigma_eta[t * st.p : (t + 1) * st.p, t * st.p : (t + 1) * st.p] += V[t]
     USig = U @ sigma_eta
     grad = 2.0 * (_left(R, USig) + st.H.T @ _left(Q, st.H @ USig + st.G @ DW.T))
     for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
-    curvature = 4.0 * float(np.linalg.eigvalsh(R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
-    if not curvature > 0.0:
-        S = st.Rs + st.H.T @ _left(Q, st.H)
-        curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
-    return float(np.sum(grad**2)) / curvature if curvature > 0.0 else np.inf
+    if exact:
+        curvature = min_eigval(st.Rs + st.H.T @ _left(Q, st.H)) * min_eigval(sigma_eta)
+    else:
+        curvature = float(np.linalg.eigvalsh(R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
+    return float(np.sum(grad**2)) / (4.0 * curvature) if curvature > 0.0 else np.inf
 
 
 def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarray:

@@ -433,9 +433,10 @@ def _dense_first_order_bound(st, U, cov):
 @pytest.mark.parametrize(
     "n, m, p, T", [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1)) for T in (1, 2, 5)]
 )
-def test_first_order_bound_is_no_tighter_than_the_dense_one(n, m, p, T):
+def test_first_order_bound_against_the_dense_one(n, m, p, T):
     # min_t lmin(R_t) * min_t lmin(V_t) bounds lmin(S) * lmin(Sigma_eta) from
-    # below, so the bound can only grow, which keeps the certificate valid.
+    # below, so the stage-wise bound can only grow, which keeps the
+    # certificate valid; the exact one is the dense one.
     rng = np.random.default_rng(300 + 7 * n + T)
     sys = random_system(rng, n, m, p, T)
     st = build_stacked(sys)
@@ -445,20 +446,33 @@ def test_first_order_bound_is_no_tighter_than_the_dense_one(n, m, p, T):
         dense = _dense_first_order_bound(st, U, cov)
         assert 0.0 < dense < np.inf
         assert _first_order_bound(st, U, cov) >= dense * (1.0 - 1e-9)
+        assert abs(_first_order_bound(st, U, cov, exact=True) - dense) <= 1e-9 * dense
 
 
-@pytest.mark.parametrize("n, m, p, T", [(2, 3, 1, 3), (3, 2, 2, 2)])
-def test_first_order_bound_falls_back_to_exact_eigenvalues_for_a_singular_v(n, m, p, T):
-    # lmin(V_1) = 0 makes the stage-wise curvature 0, which alone would give
-    # an infinite bound; Sigma_eta is still PD, so the exact one is finite.
-    rng = np.random.default_rng(310 + p)
-    sys = random_system(rng, n, m, p, T)
-    st = build_stacked(sys)
+@pytest.mark.parametrize("r0, v_scale", [(1e-8, 1.0), (1e-12, 1e-8)])
+def test_saddle_check_passes_a_badly_scaled_stage(r0, v_scale):
+    # A tiny R_0 and tiny V_t shrink min_t lmin(R_t) * min_t lmin(V_t) far
+    # below the exact curvature; at (1e-12, 1e-8) the stage-wise bound alone
+    # exceeds the controller slack, and the audit must settle on the exact one.
+    n = m = p = 3
+    T = 6
+    rng = np.random.default_rng(5)
+    base = random_system(rng, n, m, p, T)
+    sys = dataclasses.replace(base, R=(r0 * np.eye(m), *base.R[1:]))
     nominal = random_profile(rng, n, p, T)
-    V = list(nominal.V)
-    V[1] = np.diag([0.7] * (p - 1) + [0.0])
-    cov = CovarianceProfile(X0=nominal.X0, W=nominal.W, V=V)
-    U = random_causal_gain(rng, m, p, T, scale=0.5)
-    dense = _dense_first_order_bound(st, U, cov)
-    assert 0.0 < dense < np.inf
-    assert abs(_first_order_bound(st, U, cov) - dense) <= 1e-9 * dense
+    nominal = CovarianceProfile(
+        X0=nominal.X0, W=nominal.W, V=tuple(v_scale * v for v in nominal.V)
+    )
+    amb = AmbiguitySpec(
+        nominal=nominal, rho_x0=0.3, rho_w=(0.3,) * T, rho_v=(0.3 * math.sqrt(v_scale),) * T
+    )
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    report = saddle_check(sys, amb, sol, n_samples=5)
+    assert report.passed, report
+    st = build_stacked(sys)
+    U = output_to_purified(unroll_kalman(sys, sol.worst_case), st).U
+    stagewise = _first_order_bound(st, U, sol.worst_case)
+    exact = _first_order_bound(st, U, sol.worst_case, exact=True)
+    assert exact <= stagewise
+    if r0 == 1e-12:  # the stage-wise bound alone would fail this solution
+        assert stagewise > report.controller_slack
