@@ -28,7 +28,7 @@ import stat
 import numpy as np
 
 from .ambiguity import AmbiguitySpec
-from .lqg import CovarianceProfile, TimeVaryingSystem
+from .lqg import CovarianceProfile, TimeVaryingSystem, _check_dims
 from .solver import FWConfig, FWIteration, RobustSolution
 
 INSTANCE_FORMAT = "drlqg-instance"
@@ -296,6 +296,10 @@ def read_instance(path: str) -> tuple[TimeVaryingSystem, AmbiguitySpec, dict]:
             R=_as_stages(doc, "system.R"),
         )
         nominal = _as_profile(doc, "ambiguity.nominal")
+        try:
+            _check_dims(sys, nominal)
+        except ValueError as exc:
+            raise FormatError(f"field 'ambiguity.nominal': {exc}") from None
         amb = AmbiguitySpec(
             nominal=nominal,
             rho_x0=_scalar(doc, "ambiguity.rho_x0", float),

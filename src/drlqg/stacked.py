@@ -21,10 +21,12 @@ changes of variables.  Under u = U eta + q the state is
     x = M w + H U v + H q,        M = G + H U D,
 
 so the cost and its gradient are traces of products with M, H U and U D.
-The block-diagonal factors Qs, Rs, Wbig = diag(X0, W_0..W_{T-1}) and
-Vbig = diag(V_0..V_{T-1}) are applied stage by stage, as batched per-block
-products, and a trace tr(A B') is taken as the elementwise sum of A * B;
-neither is ever multiplied as a dense matrix.  Both rely on the blocks being
+``StackedSystem`` holds G, H and D densely, but of Qs, Rs and Cs only their
+stage blocks Q_t, R_t and C_t.  These and the blocks of
+Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
+stage by stage, as batched per-block products, and a trace tr(A B') is
+taken as the elementwise sum of A * B; no block-diagonal factor is ever
+formed or multiplied as a dense matrix.  Both rely on the blocks being
 symmetric, which ``TimeVaryingSystem`` and ``CovarianceProfile`` guarantee:
 tr[Qs M Wbig M'] is the sum of (Qs M) * (M Wbig), for instance.
 """
@@ -49,36 +51,33 @@ from .lqg import (
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Stacked matrices plus block dimensions for indexing."""
+    """Dense G, H and D, plus the stage stacks of Qs, Rs and Cs.
 
-    Qs: np.ndarray  # n(T+1) x n(T+1), block diag(Q_0..Q_T)
-    Rs: np.ndarray  # mT x mT, block diag(R_0..R_{T-1})
-    Cs: np.ndarray  # pT x n(T+1)
+    ``n``, ``m``, ``p`` and ``T`` are read off the stacks' shapes.
+    """
+
+    Q: np.ndarray  # (T+1, n, n): Q_0..Q_T
+    R: np.ndarray  # (T, m, m): R_0..R_{T-1}
+    C: np.ndarray  # (T, p, n): C_0..C_{T-1}
     G: np.ndarray  # n(T+1) x n(T+1)
     H: np.ndarray  # n(T+1) x mT
     D: np.ndarray  # pT x n(T+1), equals Cs @ G
-    n: int
-    m: int
-    p: int
-    T: int
 
+    @property
+    def T(self) -> int:
+        return self.R.shape[0]
 
-def _block_diag(blocks) -> np.ndarray:
-    """Place the square ``blocks`` along the diagonal of a zero matrix."""
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim))
-    i = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[i : i + k, i : i + k] = b
-        i += k
-    return out
+    @property
+    def n(self) -> int:
+        return self.Q.shape[1]
 
+    @property
+    def m(self) -> int:
+        return self.R.shape[1]
 
-def _diag_blocks(M: np.ndarray, k: int, r: int, c: int) -> np.ndarray:
-    """The first ``k`` diagonal r x c blocks of ``M`` as a (k, r, c) stack."""
-    i = np.arange(k)[:, None, None]
-    return M[i * r + np.arange(r)[:, None], i * c + np.arange(c)]
+    @property
+    def p(self) -> int:
+        return self.C.shape[1]
 
 
 def _left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -106,24 +105,12 @@ def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
         G[rows, : t * n] = sys.A[t - 1] @ G[prev, : t * n]
         H[rows, : (t - 1) * m] = sys.A[t - 1] @ H[prev, : (t - 1) * m]
         H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
-    Cs = np.zeros((p * T, N))
     D = np.zeros((p * T, N))
     for t in range(T):
-        rows, cols = slice(t * p, (t + 1) * p), slice(t * n, (t + 1) * n)
-        Cs[rows, cols] = sys.C[t]
-        D[rows, : (t + 1) * n] = sys.C[t] @ G[cols, : (t + 1) * n]
-    return StackedSystem(
-        Qs=_frozen(_block_diag(sys.Q)),
-        Rs=_frozen(_block_diag(sys.R)),
-        Cs=_frozen(Cs),
-        G=_frozen(G),
-        H=_frozen(H),
-        D=_frozen(D),
-        n=n,
-        m=m,
-        p=p,
-        T=T,
-    )
+        D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ G[t * n : (t + 1) * n, : (t + 1) * n]
+    for a in (G, H, D):  # fresh arrays: frozen in place, not copied
+        a.flags.writeable = False
+    return StackedSystem(Q=_frozen(sys.Q), R=_frozen(sys.R), C=_frozen(sys.C), G=G, H=H, D=D)
 
 
 def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
@@ -158,6 +145,15 @@ class _CausalGain:
         object.__setattr__(self, "q", _frozen(q))
 
 
+def _check_fits(ctrl: _CausalGain, sys):
+    """The one check of a causal gain against a system (or a ``StackedSystem``)."""
+    if (ctrl.m, ctrl.p, ctrl.T) != (sys.m, sys.p, sys.T):
+        raise ValueError(
+            f"{ctrl._name} (m={ctrl.m}, p={ctrl.p}, T={ctrl.T}) does not match "
+            f"system (m={sys.m}, p={sys.p}, T={sys.T})"
+        )
+
+
 @dataclass(frozen=True)
 class LinearPurifiedController(_CausalGain):
     """Causal affine policy u = U eta + q over purified observations."""
@@ -165,6 +161,7 @@ class LinearPurifiedController(_CausalGain):
     _name = "purified gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
+        _check_fits(self, sys)
         return _PurifiedPolicy(sys, self)
 
 
@@ -175,6 +172,7 @@ class LinearOutputController(_CausalGain):
     _name = "output gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
+        _check_fits(self, sys)
         return _OutputPolicy(self)
 
 
@@ -236,15 +234,9 @@ def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
     return eta
 
 
-def _stage_stacks(st: StackedSystem, cov: CovarianceProfile):
-    """(Q, R, W, V) per-stage stacks of Qs, Rs, Wbig and Vbig."""
-    n, m, T = st.n, st.m, st.T
-    return (
-        _diag_blocks(st.Qs, T + 1, n, n),
-        _diag_blocks(st.Rs, T, m, m),
-        np.stack((cov.X0, *cov.W)),
-        np.stack(cov.V),
-    )
+def _stage_stacks(cov: CovarianceProfile):
+    """(W, V) per-stage stacks of Wbig and Vbig."""
+    return np.stack((cov.X0, *cov.W)), np.stack(cov.V)
 
 
 def controller_cost_trace(
@@ -263,17 +255,18 @@ def controller_cost_trace(
     the only dense products are U D, H (U D) and H U.
     """
     _check_dims(st, cov)
-    Q, R, W, V = _stage_stacks(st, cov)
+    _check_fits(ctrl, st)
+    W, V = _stage_stacks(cov)
     U, q = ctrl.U, ctrl.q
     UD = U @ st.D
     M = st.G + st.H @ UD
     HU = st.H @ U
     Hq = st.H @ q
-    val = np.vdot(_left(Q, M), _right(M, W))  # tr(A B') as the sum of A * B
-    val += np.vdot(_left(Q, HU), _right(HU, V))
-    val += np.vdot(_left(R, UD), _right(UD, W))
-    val += np.vdot(_left(R, U), _right(U, V))
-    val += q @ _left(R, q) + Hq @ _left(Q, Hq)
+    val = np.vdot(_left(st.Q, M), _right(M, W))  # tr(A B') as the sum of A * B
+    val += np.vdot(_left(st.Q, HU), _right(HU, V))
+    val += np.vdot(_left(st.R, UD), _right(UD, W))
+    val += np.vdot(_left(st.R, U), _right(U, V))
+    val += q @ _left(st.R, q) + Hq @ _left(st.Q, Hq)
     return float(val)
 
 
@@ -291,19 +284,22 @@ def _first_order_bound(
     on a badly scaled stage that b can exceed the exact one by many orders
     of magnitude.  ``exact=True`` computes lmin(S) and lmin(Sigma_eta).
     """
-    Q, R, W, V = _stage_stacks(st, cov)
+    W, V = _stage_stacks(cov)
     DW = _right(st.D, W)
     sigma_eta = DW @ st.D.T
     for t in range(st.T):
         sigma_eta[t * st.p : (t + 1) * st.p, t * st.p : (t + 1) * st.p] += V[t]
     USig = U @ sigma_eta
-    grad = 2.0 * (_left(R, USig) + st.H.T @ _left(Q, st.H @ USig + st.G @ DW.T))
+    grad = 2.0 * (_left(st.R, USig) + st.H.T @ _left(st.Q, st.H @ USig + st.G @ DW.T))
     for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
     if exact:
-        curvature = min_eigval(st.Rs + st.H.T @ _left(Q, st.H)) * min_eigval(sigma_eta)
+        S = st.H.T @ _left(st.Q, st.H)
+        for t in range(st.T):
+            S[t * st.m : (t + 1) * st.m, t * st.m : (t + 1) * st.m] += st.R[t]
+        curvature = min_eigval(S) * min_eigval(sigma_eta)
     else:
-        curvature = float(np.linalg.eigvalsh(R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
+        curvature = float(np.linalg.eigvalsh(st.R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
     return float(np.sum(grad**2)) / (4.0 * curvature) if curvature > 0.0 else np.inf
 
 
@@ -323,8 +319,9 @@ def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarra
 
 def _substitute(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
     """Solve (I + sign U Cs H) (U', q') = (U, q), sign = +-1.0, into a ``cls`` gain."""
+    _check_fits(ctrl, st)
     n, m, p, T = st.n, st.m, st.p, st.T
-    CsH = _diag_blocks(st.Cs, T, p, n) @ st.H[: n * T].reshape(T, n, m * T)
+    CsH = st.C @ st.H[: n * T].reshape(T, n, m * T)
     N = sign * (ctrl.U @ CsH.reshape(p * T, m * T))
     U = _unit_lower_solve(N, ctrl.U, m, T)
     q = _unit_lower_solve(N, ctrl.q, m, T)

@@ -64,3 +64,9 @@ def block_diag(*blocks):
             for i, b in enumerate(blocks)
         ]
     )
+
+
+def dense_factors(sys):
+    """Reference Qs, Rs and Cs = [diag(C_0..C_{T-1}), 0], assembled from ``sys``'s stages."""
+    Cs = np.hstack([block_diag(*sys.C), np.zeros((sys.p * sys.T, sys.n))])
+    return block_diag(*sys.Q), block_diag(*sys.R), Cs

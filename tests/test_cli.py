@@ -632,6 +632,24 @@ def test_bundle_of_another_instance_names_the_mismatch(tmp_path, capsys):
         assert "(n=2, p=2, T=3) does not match system (n=3, p=2, T=2)" in err
 
 
+def test_nominal_of_another_horizon_names_the_instance_field(tmp_path, capsys):
+    inst, res = _solved(tmp_path, n=2, m=2, p=2, T=3, seed=4)
+    doc = json.loads(inst.read_text())
+    amb = doc["ambiguity"]
+    for key in ("W", "V"):
+        amb["nominal"][key] = amb["nominal"][key][:2]
+    amb["rho_w"], amb["rho_v"] = amb["rho_w"][:2], amb["rho_v"][:2]
+    inst.write_text(json.dumps(doc))
+    for args in [["solve", str(inst), "--out", str(tmp_path / "o")], *_audits(inst, res)]:
+        capsys.readouterr()
+        assert main(args) == EXIT_BAD_INPUT
+        assert (
+            f"{inst}: field 'ambiguity.nominal': covariance profile (n=2, p=2, T=2) "
+            "does not match system (n=2, p=2, T=3)"
+        ) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 _WITHOUT_SCIPY = """
 import sys
 

@@ -26,7 +26,14 @@ from drlqg.ambiguity import sample_feasible_blocks
 from drlqg.linalg import min_eigval
 from drlqg.stacked import _first_order_bound
 
-from helpers import block_diag, random_causal_gain, random_profile, random_system, scalar_ones
+from helpers import (
+    block_diag,
+    dense_factors,
+    random_causal_gain,
+    random_profile,
+    random_system,
+    scalar_ones,
+)
 
 
 def _scalar_instance(rho=0.1):
@@ -418,12 +425,13 @@ def test_first_order_bound_brackets_the_optimum():
             assert cost - bound <= best * (1.0 + 1e-12) and best <= cost
 
 
-def _dense_first_order_bound(st, U, cov):
+def _dense_first_order_bound(sys, st, U, cov):
     """Reference bound: dense S, Sigma_eta and gradient, exact lmin(S) * lmin(Sigma_eta)."""
+    Qs, Rs, _ = dense_factors(sys)
     Wbig = block_diag(cov.X0, *cov.W)
-    S = st.Rs + st.H.T @ st.Qs @ st.H
+    S = Rs + st.H.T @ Qs @ st.H
     sigma_eta = st.D @ Wbig @ st.D.T + block_diag(*cov.V)
-    grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ st.Qs @ st.G @ Wbig @ st.D.T)
+    grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ Qs @ st.G @ Wbig @ st.D.T)
     for t in range(st.T):
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
     curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
@@ -443,7 +451,7 @@ def test_first_order_bound_against_the_dense_one(n, m, p, T):
     for _ in range(3):
         cov = random_profile(rng, n, p, T)
         U = random_causal_gain(rng, m, p, T, scale=0.5)
-        dense = _dense_first_order_bound(st, U, cov)
+        dense = _dense_first_order_bound(sys, st, U, cov)
         assert 0.0 < dense < np.inf
         assert _first_order_bound(st, U, cov) >= dense * (1.0 - 1e-9)
         assert abs(_first_order_bound(st, U, cov, exact=True) - dense) <= 1e-9 * dense

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from drlqg import (
 
 from helpers import (
     block_diag,
+    dense_factors,
     random_causal_gain,
     random_dims,
     random_profile,
@@ -43,7 +45,7 @@ RECTANGULAR = [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1)) for T in (1, 2
 
 def _dense_stacked(sys):
     """Reference G, H and D: every block of G and H on its own, D = Cs @ G densely."""
-    n, m, p, T = sys.n, sys.m, sys.p, sys.T
+    n, m, T = sys.n, sys.m, sys.T
     N = n * (T + 1)
     G = np.zeros((N, N))
     H = np.zeros((N, m * T))
@@ -57,19 +59,17 @@ def _dense_stacked(sys):
         H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
         for s in range(t - 1):
             H[rows, s * m : (s + 1) * m] = sys.A[t - 1] @ H[prev, s * m : (s + 1) * m]
-    Cs = np.zeros((p * T, N))
-    for t in range(T):
-        Cs[t * p : (t + 1) * p, t * n : (t + 1) * n] = sys.C[t]
-    return G, H, Cs @ G
+    return G, H, dense_factors(sys)[2] @ G
 
 
-def _dense_cost_trace(st, ctrl, cov):
-    """Reference cost: the trace formula with S = Rs + H'Qs H and dense Wbig, Vbig."""
+def _dense_cost_trace(sys, st, ctrl, cov):
+    """Reference cost: the trace formula with S = Rs + H'Qs H and dense Qs, Rs, Wbig, Vbig."""
+    Qs, Rs, _ = dense_factors(sys)
     Wbig = block_diag(cov.X0, *cov.W)
     Vbig = block_diag(*cov.V)
-    S = st.Rs + st.H.T @ st.Qs @ st.H
+    S = Rs + st.H.T @ Qs @ st.H
     UD = ctrl.U @ st.D
-    w_term = UD.T @ S @ UD + 2.0 * st.G.T @ (st.Qs @ (st.H @ UD)) + st.G.T @ st.Qs @ st.G
+    w_term = UD.T @ S @ UD + 2.0 * st.G.T @ (Qs @ (st.H @ UD)) + st.G.T @ Qs @ st.G
     val = float(np.trace(w_term @ Wbig))
     val += float(np.trace((ctrl.U.T @ S @ ctrl.U) @ Vbig))
     return val + float(ctrl.q @ S @ ctrl.q)
@@ -87,17 +87,16 @@ def test_build_stacked_single_stage_blocks():
     assert np.array_equal(st.G[2:, 2:], np.eye(2))
     assert np.array_equal(st.H[:2, :], np.zeros((2, 1)))
     assert np.array_equal(st.H[2:, :], sys.B[0])
-    assert np.array_equal(st.Cs[:, :2], sys.C[0])
-    assert np.array_equal(st.Cs[:, 2:], np.zeros((2, 2)))
-    assert np.array_equal(st.D, st.Cs @ st.G)
-    assert np.array_equal(st.Qs, block_diag(*sys.Q))
-    assert np.array_equal(st.Rs, block_diag(*sys.R))
+    assert np.array_equal(st.D, np.hstack([sys.C[0], np.zeros((2, 2))]) @ st.G)
+    for stack, blocks in ((st.Q, sys.Q), (st.R, sys.R), (st.C, sys.C)):
+        assert np.array_equal(stack, np.stack(blocks))
 
 
 @pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
 def test_build_stacked_matches_dense_reference(n, m, p, T):
     sys = random_system(np.random.default_rng(100 + 7 * n + T), n, m, p, T)
     st = build_stacked(sys)
+    assert (st.n, st.m, st.p, st.T) == (n, m, p, T)
     for got, ref in zip((st.G, st.H, st.D), _dense_stacked(sys)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -111,6 +110,19 @@ def test_build_stacked_zero_dynamics_gives_identity():
     )
     st = build_stacked(frozen)
     assert np.array_equal(st.G, np.eye(8))
+
+
+def test_build_stacked_allocates_little_beyond_g_h_and_d():
+    # Here G, H and D take 4.1 MB and the stage stacks of Qs, Rs and Cs 0.2 MB;
+    # a dense Qs, Rs or Cs, or a copy of G, H or D, would add about a third.
+    sys = random_system(np.random.default_rng(23), 20, 20, 20, 20)
+    tracemalloc.start()
+    try:
+        st = build_stacked(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (st.G.nbytes + st.H.nbytes + st.D.nbytes)
 
 
 def test_stacked_reproduces_simulated_trajectory():
@@ -202,7 +214,7 @@ def test_cost_trace_zero_controller_open_loop():
     st = build_stacked(sys)
     ctrl = LinearPurifiedController(U=np.zeros((3, 6)), q=np.zeros(3), m=1, p=2, T=3)
     wbig = block_diag(cov.X0, *cov.W)
-    expect = float(np.trace(st.G.T @ st.Qs @ st.G @ wbig))
+    expect = float(np.trace(st.G.T @ block_diag(*sys.Q) @ st.G @ wbig))
     assert abs(controller_cost_trace(st, ctrl, cov) - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -220,7 +232,7 @@ def test_cost_trace_matches_dense_reference(n, m, p, T):
             p=p,
             T=T,
         )
-        ref = _dense_cost_trace(st, ctrl, cov)
+        ref = _dense_cost_trace(sys, st, ctrl, cov)
         assert abs(controller_cost_trace(st, ctrl, cov) - ref) <= 1e-12 * abs(ref)
 
 
@@ -322,7 +334,8 @@ def test_conversions_solve_their_defining_equations(T):
     # solves (I - U Cs H) U' = U; a dense residual checks each direction.
     rng = np.random.default_rng(40 + T)
     m, p = 2, 3
-    st = build_stacked(random_system(rng, 3, m, p, T))
+    sys = random_system(rng, 3, m, p, T)
+    st = build_stacked(sys)
     U = random_causal_gain(rng, m, p, T)
     q = rng.standard_normal(m * T)
     upper = np.ones_like(U, dtype=bool)
@@ -333,7 +346,7 @@ def test_conversions_solve_their_defining_equations(T):
         (output_to_purified, LinearOutputController, -1.0),
     ):
         got = convert(cls(U=U, q=q, m=m, p=p, T=T), st)
-        M = np.eye(m * T) + sign * U @ st.Cs @ st.H
+        M = np.eye(m * T) + sign * U @ dense_factors(sys)[2] @ st.H
         for x, b in ((got.U, U), (got.q, q)):
             assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert np.all(got.U[upper] == 0.0)
@@ -392,6 +405,35 @@ def test_causality_error_names_the_first_block_in_row_major_order():
     U[4, 3] = 1.0
     with pytest.raises(ValueError, match=r"^output gain: block \(0,2\) above the diagonal"):
         LinearOutputController(U=U, q=np.zeros(8), m=2, p=1, T=4)
+
+
+@pytest.mark.parametrize(
+    "cls, name, convert",
+    [
+        (LinearPurifiedController, "purified gain", purified_to_output),
+        (LinearOutputController, "output gain", output_to_purified),
+    ],
+)
+def test_gains_that_do_not_fit_the_system_are_rejected(cls, name, convert):
+    rng = np.random.default_rng(34)
+    sys = random_system(rng, 2, 1, 2, 3)
+    cov = random_profile(rng, 2, 2, 3)
+    st = build_stacked(sys)
+    x0, w, v = np.zeros(2), np.zeros((3, 2)), np.zeros((3, 2))
+    for m, p, T in ((1, 2, 4), (2, 2, 3), (1, 1, 3)):
+        gain = cls(U=random_causal_gain(rng, m, p, T), q=np.ones(m * T), m=m, p=p, T=T)
+        calls = [
+            lambda: gain.make_policy(sys),
+            lambda: simulate(sys, gain, x0, w, v),
+            lambda: monte_carlo_cost(sys, gain, cov, 10, rng=0),
+            lambda: convert(gain, st),
+        ]
+        if cls is LinearPurifiedController:
+            calls.append(lambda: controller_cost_trace(st, gain, cov))
+        message = rf"^{name} \(m={m}, p={p}, T={T}\) does not match system \(m=1, p=2, T=3\)$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 # ----------------------------------------------------------------- unroll
