@@ -15,7 +15,6 @@ from .ambiguity import (
     oracle_maximize,
     oracle_maximize_blocks,
     sample_feasible,
-    sample_feasible_blocks,
 )
 from .gradient import GradientBlocks, fd_grad, grad_f
 from .instances import banded_system, generate_instance, sample_nominal_profile
@@ -96,7 +95,6 @@ __all__ = [
     "riccati_backward",
     "saddle_check",
     "sample_feasible",
-    "sample_feasible_blocks",
     "sample_noise",
     "sample_nominal_profile",
     "simulate",

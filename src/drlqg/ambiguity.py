@@ -129,8 +129,9 @@ class AmbiguitySpec:
         nom = self.nominal
         rho_w = tuple(float(r) for r in self.rho_w)
         rho_v = tuple(float(r) for r in self.rho_v)
-        if len(rho_w) != nom.T or len(rho_v) != nom.T:
-            raise ValueError("per-stage radius counts must match the horizon")
+        for name, radii in (("rho_w", rho_w), ("rho_v", rho_v)):
+            if len(radii) != nom.T:
+                raise ValueError(f"{name}: expected {nom.T} radii, one per stage, got {len(radii)}")
         radii = (self.rho_x0, *rho_w, *rho_v)
         balls = []
         for label, center, r in zip(_block_labels(nom.T), nom.blocks, radii):
@@ -378,8 +379,8 @@ def _sample_feasible(balls, rng: np.random.Generator, count: int) -> Iterator[li
     fraction u of the way from the center to it, which is feasible by
     convexity of the floored ball.  Zero-radius balls return their center
     and draw nothing.  The oracle draws nothing and solves each block as a
-    separate call would, so the profiles equal ``count`` consecutive
-    ``sample_feasible_blocks`` calls bit for bit.  A group is drawn only
+    separate call would, so the profiles equal, bit for bit, those of
+    ``count`` consecutive one-profile calls.  A group is drawn only
     once the profiles before it have been taken, so one group is held at a time.
     """
     moving = [i for i, ball in enumerate(balls) if ball.radius != 0.0]
@@ -404,15 +405,6 @@ def _sample_feasible(balls, rng: np.random.Generator, count: int) -> Iterator[li
             yield blocks
 
 
-def sample_feasible_blocks(balls, rng: np.random.Generator) -> list[np.ndarray]:
-    """Draw a random feasible member of each ball (see ``_sample_feasible``).
-
-    The draws come in the order that one ``sample_feasible`` call per ball
-    would make, so a seed yields the same samples either way.
-    """
-    return next(_sample_feasible(balls, rng, 1))
-
-
 def sample_feasible(ball: GelbrichBall, rng: np.random.Generator) -> np.ndarray:
-    """``sample_feasible_blocks`` for a single ball."""
-    return sample_feasible_blocks((ball,), rng)[0]
+    """Draw a random feasible member of ``ball`` (see ``_sample_feasible``)."""
+    return next(_sample_feasible((ball,), rng, 1))[0]

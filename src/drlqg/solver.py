@@ -32,9 +32,9 @@ gains of the worst-case profile; by the separation structure it is a best
 response, which makes the pair a saddle point.
 
 ``saddle_check`` audits everything a claimed solution states, from one
-Riccati and one Kalman sweep at its worst case.  Every worst-case block must
-lie in its ball, and the claimed value and controller gains must equal the
-recomputed ones.  Both sides of the saddle point are then checked with exact
+Riccati and one Kalman sweep at its worst case.  The run's trace, flag and
+final gap must agree, every worst-case block must lie in its ball, and the
+claimed value and controller gains must equal the recomputed ones.  Both sides of the saddle point are then checked with exact
 certificates: no feasible noise profile (including an adversarially
 constructed best response) may beat the claimed value by more than the
 convergence slack, and a first-order bound shows that no causal controller
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguitySpec, _sample_feasible, oracle_maximize_blocks
-from .gradient import grad_f, _grad_from_solutions
+from .gradient import _grad_from_solutions
 from .lqg import (
     CovarianceProfile,
     KalmanController,
@@ -243,8 +243,10 @@ def solve(
 class SaddleReport:
     """Outcome of the saddle audit of everything a ``RobustSolution`` claims.
 
-    ``claim_violations`` lists messages for what the recursions at the
-    worst case do not confirm: a block outside its ball (tol 1e-7), a
+    ``claim_violations`` lists messages, first for a run record that does
+    not hold together (see ``saddle_check``; a negative gap counts below
+    ``-controller_slack``), then for what the recursions at the worst case
+    do not confirm: a block outside its ball (tol 1e-7), a
     ``f_value`` off the recomputed value (1e-8 relative), or a gain K[t] or
     L[t] of ``controller`` off the recomputed Riccati or Kalman gain (1e-8
     absolute).  ``nature_violations`` lists (label, cost, excess) for
@@ -277,9 +279,13 @@ def saddle_check(
 ) -> SaddleReport:
     """Audit a solution's claims and its saddle point, from one Riccati and one Kalman sweep.
 
-    Claims: every block of ``sol.worst_case`` lies in its ball, and
-    ``sol.f_value`` and the gains of ``sol.controller`` equal the value and
-    the gains the two recursions give at that worst case.
+    Claims: ``sol.trace`` is non-empty and strictly increasing in k, with
+    no gap below -1e-9 * scale (scale = max(1, |f*|)); ``sol.converged``
+    equals ``sol.final_gap <= sol.config.tol``; ``(sol.final_gap,
+    sol.f_value)`` are those of the trace's first minimum-gap row, as
+    ``solve`` keeps them.  Every block of ``sol.worst_case`` lies in its
+    ball, and ``sol.f_value`` and the gains of ``sol.controller`` equal the
+    value and the gains the two recursions give at that worst case.
 
     Nature side: the cost of the Kalman controller at the worst case Z* is
     linear in the covariances with weights grad f(Z*) (the envelope
@@ -311,11 +317,32 @@ def saddle_check(
     kal = kalman_forward(sys, sol.worst_case)
     worst = sol.worst_case.blocks
 
-    claim_violations = [
+    claim_violations = []
+    if not sol.trace:
+        claim_violations.append("the trace holds no iterations")
+    elif any(a.k >= b.k for a, b in itertools.pairwise(sol.trace)):
+        claim_violations.append("trace iteration indices are not strictly increasing")
+    claim_violations.extend(
+        f"negative surrogate gap {rec.surrogate_gap:.3e} at iter {rec.k}"
+        for rec in sol.trace
+        if rec.surrogate_gap < -controller_slack
+    )
+    if sol.converged != (sol.final_gap <= sol.config.tol):
+        claim_violations.append(
+            f"converged={sol.converged} disagrees with final gap "
+            f"{sol.final_gap:.3e} against tol {sol.config.tol:.3e}"
+        )
+    if sol.trace:
+        best = min(sol.trace, key=lambda rec: rec.surrogate_gap)  # the first, as solve keeps
+        if (best.surrogate_gap, best.f_value) != (sol.final_gap, f_star):
+            claim_violations.append(
+                f"final gap and value do not match the minimum-gap trace row (iter {best.k})"
+            )
+    claim_violations.extend(
         f"worst-case block {label} is outside its ambiguity ball"
         for label, ball, block in zip(labels, balls, worst)
         if not ball.contains(block, tol=1e-7)
-    ]
+    )
     f_check = _value_from_solutions(sys, ric, kal)
     if abs(f_check - f_star) > 1e-8 * max(1.0, abs(f_check)):
         claim_violations.append(
@@ -328,7 +355,7 @@ def saddle_check(
             claim_violations.append(f"stored filter gain L[{t}] does not match recomputation")
 
     nature_violations = []
-    grads = grad_f(sys, sol.worst_case, riccati=ric, kalman=kal).flat()
+    grads = _grad_from_solutions(sys, ric, kal).flat()
     best_response = oracle_maximize_blocks(balls, grads, worst, delta=0.99, labels=labels)
     candidates = itertools.chain(
         [("best-response", [r.maximizer for r in best_response])],
@@ -341,10 +368,11 @@ def saddle_check(
 
     st = build_stacked(sys)
     upur = output_to_purified(unroll_controller(sys, KalmanController(K=ric.K, L=kal.L)), st)
-    priced = _price(grads, worst)  # J(U*)
-    lowest = priced - _first_order_bound(st, upur.U, sol.worst_case)
+    # J(U*) = sum_i <grad f(Z*)_i, Z*_i> = f(Z*) by Euler's identity, since f
+    # is positively homogeneous of degree 1 in the covariances
+    lowest = f_check - _first_order_bound(st, upur.U, sol.worst_case)
     if lowest < f_star - controller_slack:  # only the exact curvature may fail a solution
-        lowest = priced - _first_order_bound(st, upur.U, sol.worst_case, exact=True)
+        lowest = f_check - _first_order_bound(st, upur.U, sol.worst_case, exact=True)
     controller_violations = []
     if lowest < f_star - controller_slack:
         controller_violations.append(("first-order", lowest, f_star - lowest))

@@ -147,6 +147,16 @@ def test_spec_rejects_non_finite_radii_naming_the_field():
             AmbiguitySpec(nominal=nominal, rho_x0=0.1, rho_w=ok, rho_v=(bad, 0.1, 0.1, 0.1))
 
 
+@pytest.mark.parametrize("field", ["rho_w", "rho_v"])
+@pytest.mark.parametrize("count", [2, 4])
+def test_spec_names_the_field_and_counts_of_a_radius_count_mismatch(field, count):
+    nominal = random_profile(np.random.default_rng(57), 2, 2, 3)
+    radii = {"rho_w": (0.1,) * 3, "rho_v": (0.1,) * 3, field: (0.1,) * count}
+    message = rf"^{field}: expected 3 radii, one per stage, got {count}$"
+    with pytest.raises(ValueError, match=message):
+        AmbiguitySpec(nominal=nominal, rho_x0=0.1, **radii)
+
+
 def test_spec_rejects_singular_nonzero_center_with_a_radius():
     # diag(1, 0) at radius 0.5: the oracle reports gap 0 against diag(0, 1),
     # though diag(1, 0.25) lies in the ball and gains 0.25

@@ -475,6 +475,17 @@ def test_solve_names_infinite_radius_in_instance(tmp_path, capsys):
     assert "rho_w[3] must be finite" in capsys.readouterr().err
 
 
+def test_solve_names_the_field_and_counts_of_too_few_radii(tmp_path, capsys):
+    inst = _generate(tmp_path, n=2, m=2, p=2, T=3, seed=0, rho=0.5)
+    doc = json.loads(inst.read_text())
+    doc["ambiguity"]["rho_w"] = doc["ambiguity"]["rho_w"][:2]
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--out", str(tmp_path / "res")]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{inst}: rho_w: expected 3 radii, one per stage, got 2" in err
+
+
 def test_solve_names_malformed_scalar_in_instance(tmp_path, capsys):
     inst = _generate(tmp_path)
     doc = json.loads(inst.read_text())
@@ -534,7 +545,7 @@ def test_verify_names_a_trace_without_iterations(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
-    assert "  - trace.csv holds no iterations\n" in out
+    assert "  - the trace holds no iterations\n" in out
     assert "strictly increasing" not in out
 
 

@@ -6,6 +6,7 @@ from drlqg import (
     TimeVaryingSystem,
     fd_grad,
     grad_f,
+    lqg_value,
     riccati_backward,
 )
 from drlqg.linalg import SingularMatrixError, min_eigval, symmetrize
@@ -162,6 +163,27 @@ def test_grad_blocks_are_psd_up_to_roundoff():
         cov = random_profile(rng, sys.n, sys.p, sys.T)
         for block in grad_f(sys, cov).flat():
             assert min_eigval(block) >= -1e-7 * max(1.0, np.linalg.norm(block))
+
+
+@pytest.mark.parametrize("zero_blocks", [False, True])
+@pytest.mark.parametrize("n, m, p, T", [(3, 2, 1, 4), (2, 3, 4, 2), (4, 1, 2, 3), (1, 2, 3, 5)])
+def test_value_is_the_gradient_priced_at_its_own_profile(n, m, p, T, zero_blocks):
+    # f is positively homogeneous of degree 1 in (X0, W, V): scaling all noise
+    # by c scales the optimal cost by c and leaves the gains alone, so Euler's
+    # identity gives f(Z) = sum_i <grad f(Z)_i, Z_i>
+    rng = np.random.default_rng(49 + 10 * n + T)
+    for _ in range(3):
+        sys = random_system(rng, n, m, p, T)
+        cov = random_profile(rng, n, p, T)
+        if zero_blocks:  # X0 and the even-stage W blocks
+            zero = np.zeros((n, n))
+            cov = CovarianceProfile(
+                X0=zero, W=[zero if t % 2 == 0 else w for t, w in enumerate(cov.W)], V=cov.V
+            )
+        value = lqg_value(sys, cov)
+        priced = sum(float(np.vdot(g, z)) for g, z in zip(grad_f(sys, cov).flat(), cov.blocks))
+        assert value > 0.0
+        assert abs(priced - value) <= 1e-12 * value
 
 
 def test_fd_rejects_nonpositive_step():

@@ -15,7 +15,6 @@ from drlqg import (
     oracle_maximize,
     oracle_maximize_blocks,
     sample_feasible,
-    sample_feasible_blocks,
     solve,
 )
 from drlqg import ambiguity
@@ -214,14 +213,14 @@ def test_indefinite_gradient_of_zero_radius_block_is_not_inspected():
     assert np.array_equal(res.maximizer, ball.center)
 
 
-def test_sample_feasible_blocks_keeps_the_per_ball_draw_order():
+def test_sample_feasible_keeps_the_per_ball_draw_order():
     # Per ball: the direction normals, then the uniform; zero radii draw nothing.
     rng = np.random.default_rng(312)
     balls = [
         GelbrichBall(center=random_spd(rng, d), radius=r)
         for d, r in [(2, 0.4), (3, 0.0), (1, 0.2), (3, 0.8), (2, 0.0)]
     ]
-    batched = sample_feasible_blocks(balls, np.random.default_rng(7))
+    batched = next(ambiguity._sample_feasible(balls, np.random.default_rng(7), 1))
     gen = np.random.default_rng(7)
     for ball, z in zip(balls, batched):
         if ball.radius == 0.0:
@@ -251,7 +250,7 @@ def test_batched_samples_equal_sequential_calls(monkeypatch, count, group):
     monkeypatch.setattr(ambiguity, "_SAMPLE_ELEMENTS", budget)
     batched_rng, sequential_rng = np.random.default_rng(9), np.random.default_rng(9)
     batched = list(ambiguity._sample_feasible(balls, batched_rng, count))
-    sequential = [sample_feasible_blocks(balls, sequential_rng) for _ in range(count)]
+    sequential = [next(ambiguity._sample_feasible(balls, sequential_rng, 1)) for _ in range(count)]
     assert len(batched) == count
     for got, expect in zip(batched, sequential):
         assert len(got) == len(balls)

@@ -22,7 +22,7 @@ from drlqg import (
     unroll_kalman,
 )
 from drlqg import solver
-from drlqg.ambiguity import sample_feasible_blocks
+from drlqg.ambiguity import _sample_feasible
 from drlqg.linalg import min_eigval
 from drlqg.stacked import _first_order_bound
 
@@ -296,10 +296,19 @@ def _tripled(sys, sol):
     )
 
 
+_OFF_TRACE = "final gap and value do not match the minimum-gap trace row"
+
+
 def _bumped_filter_gain(sol, t=2):
     L = [l.copy() for l in sol.controller.L]
     L[t][0, 0] += 1e-6
     return dataclasses.replace(sol, controller=dataclasses.replace(sol.controller, L=L))
+
+
+def _with_row(sol, k, **fields):
+    """``sol`` with the trace row of iteration ``k`` changed by ``fields``."""
+    trace = tuple(dataclasses.replace(r, **fields) if r.k == k else r for r in sol.trace)
+    return dataclasses.replace(sol, trace=trace)
 
 
 @pytest.mark.parametrize(
@@ -320,15 +329,37 @@ def _bumped_filter_gain(sol, t=2):
         ),
         (
             lambda sys, sol: dataclasses.replace(sol, f_value=sol.f_value * (1 + 1e-6)),
-            ["claimed value"],
+            ["claimed value", _OFF_TRACE],
         ),
         (
             _tripled,
             [f"worst-case block {name} is outside its ambiguity ball"
-             for name in ["X0", *(f"W[{t}]" for t in range(4)), *(f"V[{t}]" for t in range(4))]],
+             for name in ["X0", *(f"W[{t}]" for t in range(4)), *(f"V[{t}]" for t in range(4))]]
+            + [_OFF_TRACE],
+        ),
+        (
+            lambda sys, sol: dataclasses.replace(sol, final_gap=5.0),
+            ["converged=True disagrees with final gap 5.000e+00 against tol 1.000e-04", _OFF_TRACE],
+        ),
+        (lambda sys, sol: dataclasses.replace(sol, trace=()), ["the trace holds no iterations"]),
+        (
+            lambda sys, sol: dataclasses.replace(sol, trace=sol.trace[::-1]),
+            ["trace iteration indices are not strictly increasing"],
+        ),
+        (
+            lambda sys, sol: _with_row(sol, 1, surrogate_gap=-1e-3),
+            ["negative surrogate gap -1.000e-03 at iter 1", f"{_OFF_TRACE} (iter 1)"],
+        ),
+        (
+            # inside the 1e-8 tolerance of the recomputed value
+            lambda sys, sol: _with_row(sol, sol.trace[-1].k, f_value=sol.f_value * (1 + 1e-12)),
+            [_OFF_TRACE],
         ),
     ],
-    ids=["zero-K", "L-entry", "value", "tripled-worst-case"],
+    ids=[
+        "zero-K", "L-entry", "value", "tripled-worst-case",
+        "final-gap", "empty-trace", "reversed-trace", "negative-gap", "value-off-best-row",
+    ],
 )
 def test_saddle_check_flags_what_the_solution_claims(tamper, flagged):
     sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
@@ -398,12 +429,12 @@ def test_envelope_identity_prices_feasible_profiles():
     for n, m, p, T in [(3, 2, 1, 4), (2, 3, 4, 1), (1, 1, 1, 1), (4, 1, 2, 3)]:
         sys, amb = _mixed_radius_instance(rng, n, m, p, T)
         balls = amb.balls()
-        cov = _profile(sample_feasible_blocks(balls, rng), T)
+        cov = _profile(next(_sample_feasible(balls, rng, 1)), T)
         st = build_stacked(sys)
         upur = _purified_kalman(sys, cov, st)
         grads = grad_f(sys, cov).flat()
         for _ in range(5):
-            blocks = sample_feasible_blocks(balls, rng)
+            blocks = next(_sample_feasible(balls, rng, 1))
             exact = controller_cost_trace(st, upur, _profile(blocks, T))
             priced = sum(float(np.vdot(g, z)) for g, z in zip(grads, blocks))
             assert abs(priced - exact) <= 1e-12 * abs(exact)
@@ -413,7 +444,7 @@ def test_first_order_bound_brackets_the_optimum():
     rng = np.random.default_rng(42)
     for n, m, p, T in [(3, 2, 1, 4), (2, 3, 4, 1), (2, 2, 2, 3)]:
         sys, amb = _mixed_radius_instance(rng, n, m, p, T)
-        cov = _profile(sample_feasible_blocks(amb.balls(), rng), T)
+        cov = _profile(next(_sample_feasible(amb.balls(), rng, 1)), T)
         st = build_stacked(sys)
         best = controller_cost_trace(st, _purified_kalman(sys, cov, st), cov)
         for _ in range(3):
