@@ -38,7 +38,13 @@ All blocks of one shape are solved together: one batched eigendecomposition
 of the stacked gradients, then one lockstep bisection over all of them in
 which every block keeps its own bracket, and a block's bracket freezes once
 it meets its exit test, so each block accepts the gamma a separate call
-would.  ``oracle_maximize`` is the single-block call.
+would.  ``oracle_maximize_blocks`` packs the results of that per-shape
+path, ``_oracle_stack``, and ``oracle_maximize`` is its single-block call.
+The random feasible profiles of ``_sample_feasible`` take the same path
+with their directions drawn into per-shape stacks.  Ball membership is one
+stacked floor test and one stacked distance per shape (``_in_balls``,
+``_gelbrich_distances``); ``GelbrichBall.contains`` and
+``gelbrich_distance`` are their one-block calls.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
+from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, symmetrize
 from .linalg import _check_psd
 from .lqg import CovarianceProfile, _block_labels, _frozen
 
@@ -62,17 +68,83 @@ class OracleError(RuntimeError):
 
 def gelbrich_distance(s1, s2) -> float:
     """Gelbrich distance between two PSD matrices."""
-    s1 = symmetrize(s1)
-    s2 = symmetrize(s2)
-    if np.array_equal(s1, s2):
-        # the trace expression cancels catastrophically near coincidence;
-        # the exact case is known
-        psd_eig(s1)
-        return 0.0
-    root2 = psd_sqrt(s2)
-    cross = psd_sqrt(root2 @ s1 @ root2)
-    arg = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    return math.sqrt(max(arg, 0.0))
+    return float(_gelbrich_distances(symmetrize(s1)[None], symmetrize(s2)[None])[0])
+
+
+def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
+    """``symmetrize`` for each matrix of a (B,d,d) stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _check_psd_stack(s: np.ndarray, lowest: np.ndarray):
+    """``_check_psd`` for each matrix of a symmetric (B,d,d) stack, given its smallest eigenvalues.
+
+    A vectorized screen at half the tolerance picks the candidates, and the
+    per-matrix check raises for the first one that fails.
+    """
+    floor = -0.5 * PSD_CLAMP_REL * np.linalg.norm(s, axis=(1, 2))
+    for j in np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)) | (lowest < floor)):
+        _check_psd(s[j], lowest[j])
+
+
+def _psd_sqrt_stack(s: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` for each matrix of a (B,d,d) stack, with ``psd_eig``'s checks."""
+    s = _symmetrize_stack(s)
+    w, v = np.linalg.eigh(s)
+    _check_psd_stack(s, w[:, 0])
+    w = np.clip(w, 0.0, None)
+    return _symmetrize_stack((v * np.sqrt(w)[:, None, :]) @ v.swapaxes(-1, -2))
+
+
+def _gelbrich_distances(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """``gelbrich_distance`` for each pair of two symmetric (B,d,d) stacks."""
+    dist = np.zeros(len(s1))
+    # the trace expression cancels catastrophically near coincidence; the
+    # exact case is known
+    equal = np.all(s1 == s2, axis=(1, 2))
+    if equal.any():
+        _check_psd_stack(s1[equal], np.linalg.eigh(s1[equal])[0][:, 0])
+    apart = ~equal
+    if apart.any():
+        a, b = s1[apart], s2[apart]
+        root2 = _psd_sqrt_stack(b)
+        cross = _psd_sqrt_stack(root2 @ a @ root2)
+        arg = (
+            np.trace(a, axis1=1, axis2=2)
+            + np.trace(b, axis1=1, axis2=2)
+            - 2.0 * np.trace(cross, axis1=1, axis2=2)
+        )
+        dist[apart] = np.sqrt(np.maximum(arg, 0.0))
+    return dist
+
+
+def _by_shape(balls) -> dict[int, list[int]]:
+    """Indices of ``balls`` grouped by block dimension, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, ball in enumerate(balls):
+        groups.setdefault(ball.dim, []).append(i)
+    return groups
+
+
+def _in_balls(balls, blocks, tol: float) -> list[bool]:
+    """``GelbrichBall.contains`` for each (ball, block) pair, one stack per block shape.
+
+    The floors come from one stacked ``eigvalsh`` and the distances from
+    stacked square roots; a block below its floor is out without a distance.
+    """
+    inside = [False] * len(balls)
+    for idx in _by_shape(balls).values():
+        z = np.stack([symmetrize(blocks[i]) for i in idx])
+        floors = np.array([balls[i].floor for i in idx])
+        near = ~(np.linalg.eigvalsh(z)[:, 0] < floors - tol)
+        if not near.any():
+            continue
+        kept = [i for i, keep in zip(idx, near) if keep]
+        centers = np.stack([balls[i].center for i in kept])
+        radii = np.array([balls[i].radius for i in kept])
+        for i, ok in zip(kept, _gelbrich_distances(z[near], centers) <= radii + tol):
+            inside[i] = bool(ok)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -102,10 +174,7 @@ class GelbrichBall:
         return self.center.shape[0]
 
     def contains(self, z, tol: float = 1e-9) -> bool:
-        z = symmetrize(z)
-        if min_eigval(z) < self.floor - tol:
-            return False
-        return gelbrich_distance(z, self.center) <= self.radius + tol
+        return _in_balls((self,), (z,), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -166,11 +235,6 @@ class OracleResult:
     iterations: int
 
 
-def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
-    """``symmetrize`` for each matrix of a (B,d,d) stack."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
 def _diag_in_basis(vec: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Diagonals of vec' M vec for stacks (B,d,d): the M's in each eigenbasis."""
     return np.sum(vec * (m @ vec), axis=-2)
@@ -185,11 +249,11 @@ def _unresolved(label, radius, detail) -> ValueError:
 
 # floating-point exceptions surface through the finite checks, not as warnings
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _oracle_stack(centers, radii, gradients, references, delta, labels):
+def _bisect_stack(centers, radii, gradients, references, delta, name):
     """Batched bisection over a (B,d,d) stack of same-shape blocks.
 
     Returns (maximizers, gammas, gaps, iterations) as arrays over B; see
-    ``oracle_maximize_blocks`` for the contract.  The blocks bisect in
+    ``_oracle_stack`` for the contract.  The blocks bisect in
     lockstep over full-length arrays: an ``active`` mask marks the blocks
     still bisecting, and a block that meets an exit test leaves the mask,
     keeping its accepted gamma, its iteration count and a frozen bracket.
@@ -198,7 +262,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     A radius so large or so small against the block's scale that the
     bracket does not sit finitely above lambda_max raises ``ValueError``
     naming the block; floating-point exceptions are left to the finite
-    check of ``oracle_maximize_blocks``.
+    check of ``_oracle_stack``.
     """
     B = len(radii)
     maximizers = _symmetrize_stack(np.asarray(references, dtype=float))
@@ -213,12 +277,12 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
 
     grads = _symmetrize_stack(np.asarray(gradients, dtype=float)[live])
     for j in np.flatnonzero(~np.all(np.isfinite(grads), axis=(1, 2))):
-        raise ValueError(f"gradient block {labels[live[j]]} contains non-finite entries")
+        raise ValueError(f"gradient block {name(live[j])} contains non-finite entries")
     lam, vec = np.linalg.eigh(grads)  # ascending eigenvalues
     floor = -PSD_CLAMP_REL * np.linalg.norm(grads, axis=(1, 2))
     for j in np.flatnonzero(lam[:, 0] < floor):
         raise NotPSDError(
-            f"gradient block {labels[live[j]]}: minimum eigenvalue {lam[j, 0]:.6e} "
+            f"gradient block {name(live[j])}: minimum eigenvalue {lam[j, 0]:.6e} "
             f"is below the PSD tolerance {floor[j]:.6e}"
         )
     lam = np.clip(lam, 0.0, None)
@@ -248,7 +312,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     hi = lam1 * (1.0 + np.sqrt(np.maximum(np.trace(zhat, axis1=1, axis2=2), 0.0)) / rho)
     for j in np.flatnonzero(~(np.isfinite(hi) & (hi > lam1))):
         raise _unresolved(
-            labels[live[j]], rho[j], f"dual bracket ends at {hi[j]:.17g}, lambda_max {lam1[j]:.17g}"
+            name(live[j]), rho[j], f"dual bracket ends at {hi[j]:.17g}, lambda_max {lam1[j]:.17g}"
         )
 
     gamma = np.empty(live.size)
@@ -284,7 +348,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     else:
         j = np.flatnonzero(active)[0]
         raise OracleError(
-            f"gradient block {labels[live[j]]}: bisection did not meet the exit test "
+            f"gradient block {name(live[j])}: bisection did not meet the exit test "
             f"in {_MAX_BISECT} iterations; final bracket [{lo[j]:.17g}, {hi[j]:.17g}]"
         )
 
@@ -302,17 +366,31 @@ def _oracle_stack(centers, radii, gradients, references, delta, labels):
     return maximizers, gammas, gaps, iterations
 
 
+def _oracle_stack(centers, radii, gradients, references, delta, name):
+    """The oracle on a (B,d,d) stack of same-shape blocks, as arrays over B.
+
+    Returns (maximizers, gammas, gaps, iterations) with the contract of
+    ``oracle_maximize_blocks``; ``name(j)`` is the label error messages give
+    block j, called only to raise.
+    """
+    out = _bisect_stack(centers, radii, gradients, references, delta, name)
+    maximizers, _, gaps, _ = out
+    for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
+        raise _unresolved(name(j), radii[j], "its maximizer or gap overflows")
+    return out
+
+
 def oracle_maximize_blocks(
     balls, gradients, references, delta: float = 0.95, labels=None
 ) -> list[OracleResult]:
     """delta-approximate maximizers of <gradient, L - reference>, one per ball.
 
-    The blocks are solved together: one batched bisection per block shape,
-    with a per-block active mask, so every block accepts the same gamma a
-    separate call would.  Each ``gradient`` must be symmetric and PSD up to
-    roundoff (tiny negative eigenvalues are clamped; genuinely indefinite or
-    non-finite input raises, naming the block by its entry in ``labels``, or
-    else its index in ``balls``).  Every
+    The blocks are solved together: one ``_oracle_stack`` call per block
+    shape, a batched bisection with a per-block active mask, so every block
+    accepts the same gamma a separate call would.  Each ``gradient`` must be
+    symmetric and PSD up to roundoff (tiny negative eigenvalues are clamped;
+    genuinely indefinite or non-finite input raises, naming the block by its
+    entry in ``labels``, or else its index in ``balls``).  Every
     returned ``gap_contribution`` is at least ``delta`` times the block's
     true maximum and never meaningfully negative.  Degenerate blocks
     short-circuit with NaN gamma and no bisection: a zero radius returns the
@@ -329,22 +407,16 @@ def oracle_maximize_blocks(
     if len(set(counts)) > 1:
         raise ValueError("{} balls, {} gradients and {} references do not pair up".format(*counts))
     labels = range(len(balls)) if labels is None else labels
-    groups: dict[int, list[int]] = {}
-    for i, ball in enumerate(balls):
-        groups.setdefault(ball.dim, []).append(i)
     out = [None] * len(balls)
-    for idx in groups.values():
+    for idx in _by_shape(balls).values():
         maximizers, gammas, gaps, iterations = _oracle_stack(
             np.stack([balls[i].center for i in idx]),
             np.array([float(balls[i].radius) for i in idx]),
             np.stack([gradients[i] for i in idx]),
             np.stack([references[i] for i in idx]),
             delta,
-            [labels[i] for i in idx],
+            lambda j: labels[idx[j]],
         )
-        for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
-            i = idx[j]
-            raise _unresolved(labels[i], balls[i].radius, "its maximizer or gap overflows")
         for j, i in enumerate(idx):
             out[i] = OracleResult(
                 maximizer=maximizers[j],
@@ -368,40 +440,67 @@ def oracle_maximize(
 _SAMPLE_ELEMENTS = 1 << 16
 
 
-def _sample_feasible(balls, rng: np.random.Generator, count: int) -> Iterator[list]:
+def _sample_feasible(
+    balls, rng: np.random.Generator, count: int, labels=None
+) -> Iterator[list]:
     """Yield ``count`` random feasible profiles: one member of each ball per profile.
 
     Profile by profile and, within a profile, ball by ball, the draws are
-    the normals of a random PSD direction, then a uniform u.  One
-    ``oracle_maximize_blocks`` call finds, for a group of profiles of at
-    most ``_SAMPLE_ELEMENTS`` block entries (at least one profile), the
+    the normals of a random PSD direction A A', then a uniform u.  The
+    profiles come in groups of at most ``_SAMPLE_ELEMENTS`` block entries (at
+    least one profile), and each group is worked in one stack per block
+    shape: the normals are drawn into their slots of the stack, the
+    directions are one batched product, one ``_oracle_stack`` call finds the
     extreme point of each ball along its direction, and each sample lies a
     fraction u of the way from the center to it, which is feasible by
-    convexity of the floored ball.  Zero-radius balls return their center
-    and draw nothing.  The oracle draws nothing and solves each block as a
-    separate call would, so the profiles equal, bit for bit, those of
-    ``count`` consecutive one-profile calls.  A group is drawn only
-    once the profiles before it have been taken, so one group is held at a time.
+    convexity of the floored ball.  Zero-radius balls yield their (read-only)
+    center and draw nothing; the other blocks are views into the group's
+    stacks.  The oracle draws nothing and solves each block as a separate
+    call would, so the profiles equal, bit for bit, those of ``count``
+    consecutive one-profile calls.  A group is drawn only once the profiles
+    before it have been taken, so one group is held at a time.  Oracle
+    errors name the block by its entry in ``labels`` (else its index in
+    ``balls``) and the sample by its index, as in "W[1] of nature sample 0".
     """
+    labels = range(len(balls)) if labels is None else labels
     moving = [i for i, ball in enumerate(balls) if ball.radius != 0.0]
-    chosen = [balls[i] for i in moving]
-    group = max(1, _SAMPLE_ELEMENTS // max(1, sum(b.dim**2 for b in chosen)))
+    shapes = {  # the moving balls by block dimension
+        d: [moving[j] for j in ix] for d, ix in _by_shape([balls[i] for i in moving]).items()
+    }
+    group = max(1, _SAMPLE_ELEMENTS // max(1, sum(balls[i].dim**2 for i in moving)))
+    centers = {d: np.stack([balls[i].center for i in idx]) for d, idx in shapes.items()}
+    radii = {d: np.array([float(balls[i].radius) for i in idx]) for d, idx in shapes.items()}
     for start in range(0, count, group):
         size = min(group, count - start)
-        directions, weights = [], []
-        for _ in range(size):
-            for ball in chosen:
-                a = rng.standard_normal((ball.dim, ball.dim))
-                directions.append(symmetrize(a @ a.T))
-                weights.append(rng.uniform())
-        extremes = oracle_maximize_blocks(
-            chosen * size, directions, [b.center for b in chosen] * size, delta=0.9
-        )
-        picks = iter(zip(chosen * size, extremes, weights))
-        for _ in range(size):
-            blocks = [ball.center.copy() for ball in balls]
-            for i, (ball, res, u) in zip(moving, picks):
-                blocks[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
+        normals = {d: np.empty((size, len(idx), d, d)) for d, idx in shapes.items()}
+        weights = {d: np.empty((size, len(idx))) for d, idx in shapes.items()}
+        slot = {i: (normals[d], weights[d], k) for d, ix in shapes.items() for k, i in enumerate(ix)}
+        slots = [slot[i] for i in moving]  # in the draw order
+        for s in range(size):
+            for a, u, k in slots:
+                rng.standard_normal(out=a[s, k])
+                u[s, k] = rng.random()  # the draw and the value of rng.uniform()
+        samples = {}
+        for d, idx in shapes.items():
+            a = normals[d].reshape(-1, d, d)  # row s * len(idx) + k: sample s, ball idx[k]
+            tiled = np.broadcast_to(centers[d], normals[d].shape).reshape(-1, d, d)
+            extremes = _oracle_stack(
+                tiled,
+                np.tile(radii[d], size),
+                _symmetrize_stack(a @ a.swapaxes(-1, -2)),
+                tiled,
+                0.9,
+                lambda j: f"{labels[idx[j % len(idx)]]} of nature sample "
+                f"{start + j // len(idx)}",
+            )[0].reshape(normals[d].shape)
+            samples[d] = _symmetrize_stack(
+                centers[d] + weights[d][:, :, None, None] * (extremes - centers[d])
+            )
+        for s in range(size):
+            blocks = [ball.center for ball in balls]
+            for d, idx in shapes.items():
+                for k, i in enumerate(idx):
+                    blocks[i] = samples[d][s, k]
             yield blocks
 
 

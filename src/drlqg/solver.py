@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySpec, _sample_feasible, oracle_maximize_blocks
+from .ambiguity import AmbiguitySpec, _in_balls, _sample_feasible, oracle_maximize_blocks
 from .gradient import _grad_from_solutions
 from .lqg import (
     CovarianceProfile,
@@ -291,10 +291,15 @@ def saddle_check(
     linear in the covariances with weights grad f(Z*) (the envelope
     identity), so it costs sum_i <grad f(Z*)_i, Z_i> on a profile Z.  On
     nature's oracle best response and on ``n_samples`` random feasible
-    profiles, priced as they are drawn, one group at a time, it may not
-    exceed f* by more than max(10 * tol, 1e-6 * scale), the slack implied by
-    the convergence tolerance the run claims.  (A truncated run's best
-    response exceeds that slack, which makes this a usable negative control.)
+    profiles, it may not exceed f* by more than max(10 * tol, 1e-6 * scale),
+    the slack implied by the convergence tolerance the run claims.  (A
+    truncated run's best response exceeds that slack, which makes this a
+    usable negative control.)
+    The samples are drawn, solved and built one group at a time, in one
+    stack per block shape (``ambiguity._sample_feasible``), and each is
+    priced before the next group is drawn; an oracle error in a sample names
+    the block and the sample.  Ball membership is tested in one stack per
+    block shape as well.
 
     Controller side: no causal policy may cost less than f* - 1e-9 * scale
     at Z*, as certified by ``drlqg.stacked._first_order_bound`` at the
@@ -340,8 +345,8 @@ def saddle_check(
             )
     claim_violations.extend(
         f"worst-case block {label} is outside its ambiguity ball"
-        for label, ball, block in zip(labels, balls, worst)
-        if not ball.contains(block, tol=1e-7)
+        for label, inside in zip(labels, _in_balls(balls, worst, tol=1e-7))
+        if not inside
     )
     f_check = _value_from_solutions(sys, ric, kal)
     if abs(f_check - f_star) > 1e-8 * max(1.0, abs(f_check)):
@@ -359,7 +364,10 @@ def saddle_check(
     best_response = oracle_maximize_blocks(balls, grads, worst, delta=0.99, labels=labels)
     candidates = itertools.chain(
         [("best-response", [r.maximizer for r in best_response])],
-        ((f"sample-{i}", b) for i, b in enumerate(_sample_feasible(balls, rng, n_samples))),
+        (
+            (f"sample-{i}", b)
+            for i, b in enumerate(_sample_feasible(balls, rng, n_samples, labels=labels))
+        ),
     )
     for label, blocks in candidates:
         cost = _price(grads, blocks)

@@ -6,16 +6,21 @@ gamma that passes the feasibility test.  ``reference_solve`` is the
 Frank-Wolfe loop that calls it once per block.  Both follow exactly the rules
 documented in ``drlqg.ambiguity`` and ``drlqg.solver``; the batched code must
 reproduce their iteration counts, accepted gammas and trajectories.
+
+``reference_sample_feasible``, ``reference_gelbrich_distance`` and
+``reference_contains`` are the per-ball loops the per-shape stacks of
+``drlqg.ambiguity`` replaced; the stacked code must reproduce their bits.
 """
 
 import math
 
 import numpy as np
 
-from drlqg import CovarianceProfile, OracleResult
+from drlqg import CovarianceProfile, OracleResult, oracle_maximize_blocks
+from drlqg import ambiguity
 from drlqg.ambiguity import OracleError
 from drlqg.gradient import _grad_from_solutions
-from drlqg.linalg import psd_eig, symmetrize
+from drlqg.linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
 from drlqg.lqg import _value_from_solutions, kalman_forward, riccati_backward
 
 MAX_BISECT = 200
@@ -91,3 +96,50 @@ def reference_solve(sys, amb, delta=0.95, tol=1e-3, max_iter=1000):
         blocks = [symmetrize(z + alpha * (r.maximizer - z)) for z, r in zip(refs, results)]
         cov = CovarianceProfile(X0=blocks[0], W=blocks[1 : 1 + sys.T], V=blocks[1 + sys.T :])
     return trace
+
+
+def reference_sample_feasible(balls, rng, count):
+    """Per ball: the direction normals, one uniform, and a sample built alone.
+
+    One ``oracle_maximize_blocks`` call per group of profiles, the groups
+    sized by ``drlqg.ambiguity._SAMPLE_ELEMENTS`` as the stacked sampler's are.
+    """
+    moving = [i for i, ball in enumerate(balls) if ball.radius != 0.0]
+    chosen = [balls[i] for i in moving]
+    group = max(1, ambiguity._SAMPLE_ELEMENTS // max(1, sum(b.dim**2 for b in chosen)))
+    for start in range(0, count, group):
+        size = min(group, count - start)
+        directions, weights = [], []
+        for _ in range(size):
+            for ball in chosen:
+                a = rng.standard_normal((ball.dim, ball.dim))
+                directions.append(symmetrize(a @ a.T))
+                weights.append(rng.uniform())
+        extremes = oracle_maximize_blocks(
+            chosen * size, directions, [b.center for b in chosen] * size, delta=0.9
+        )
+        picks = iter(zip(chosen * size, extremes, weights))
+        for _ in range(size):
+            blocks = [ball.center.copy() for ball in balls]
+            for i, (ball, res, u) in zip(moving, picks):
+                blocks[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
+            yield blocks
+
+
+def reference_gelbrich_distance(s1, s2) -> float:
+    s1 = symmetrize(s1)
+    s2 = symmetrize(s2)
+    if np.array_equal(s1, s2):
+        psd_eig(s1)
+        return 0.0
+    root2 = psd_sqrt(s2)
+    cross = psd_sqrt(root2 @ s1 @ root2)
+    arg = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
+    return math.sqrt(max(arg, 0.0))
+
+
+def reference_contains(ball, z, tol=1e-9) -> bool:
+    z = symmetrize(z)
+    if min_eigval(z) < ball.floor - tol:
+        return False
+    return reference_gelbrich_distance(z, ball.center) <= ball.radius + tol

@@ -234,6 +234,24 @@ def test_verify_against_balls_out_of_double_range_is_bad_input(tmp_path, capsys)
     assert "out of the range that double precision resolves" in capsys.readouterr().err
 
 
+def test_verify_names_the_block_and_sample_of_an_unresolved_radius(tmp_path, capsys):
+    # every Q zero makes every gradient zero, so solve passes the radius 1e20
+    # of W[1]; the first nature sample's oracle cannot resolve it
+    inst = _generate(tmp_path, n=2, m=2, p=2, T=3, seed=0, rho=0.5)
+    doc = json.loads(inst.read_text())
+    doc["system"]["Q"] = [[[0.0] * len(row) for row in q] for q in doc["system"]["Q"]]
+    doc["ambiguity"]["rho_w"] = [0.5, 1e20, 0.5]
+    inst.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: gradient block W[1] of nature sample 0: radius 1.000e+20 ")
+
+
 def test_evaluate_rejects_fewer_than_two_rollouts(tmp_path, capsys):
     inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
     res = tmp_path / "res"

@@ -22,7 +22,7 @@ from drlqg.ambiguity import OracleError
 from drlqg.linalg import NotPSDError, symmetrize
 
 from helpers import random_profile, random_psd, random_spd, random_system
-from reference_oracle import reference_oracle, reference_solve
+from reference_oracle import reference_oracle, reference_sample_feasible, reference_solve
 
 
 def _rotation(rng, dim):
@@ -257,6 +257,87 @@ def test_batched_samples_equal_sequential_calls(monkeypatch, count, group):
         for a, b in zip(got, expect):
             assert np.array_equal(a, b)
     assert batched_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
+def _mixed_sample_balls(rng):
+    """Blocks of sizes 1 to 4 in mixed order, zero radii and zero centers among them."""
+    sizes = [(1, 0.3), (2, 0.0), (3, 0.8), (4, 0.5), (2, 0.4), (1, 0.0), (3, 0.2), (4, 1.5)]
+    balls = [GelbrichBall(center=random_spd(rng, d), radius=r) for d, r in sizes]
+    return balls + [
+        GelbrichBall(center=np.zeros((3, 3)), radius=0.7),
+        GelbrichBall(center=np.zeros((2, 2)), radius=0.0),
+    ]
+
+
+def _assert_same_samples(balls, count, seed):
+    stacked_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = list(ambiguity._sample_feasible(balls, stacked_rng, count))
+    expect = list(reference_sample_feasible(balls, reference_rng, count))
+    assert len(stacked) == len(expect) == count
+    for got, want in zip(stacked, expect):
+        assert len(got) == len(want) == len(balls)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("groups", ["one", "ragged"])
+def test_stacked_samples_equal_the_per_ball_reference(monkeypatch, groups):
+    # the per-shape stacks draw, solve and build every sample with the bits
+    # of the per-ball loop they replaced, and leave the generator where it did
+    balls = _mixed_sample_balls(np.random.default_rng(316))
+    if groups == "ragged":  # groups of 3 profiles, the last of 2
+        entries = sum(b.dim**2 for b in balls if b.radius != 0.0)
+        monkeypatch.setattr(ambiguity, "_SAMPLE_ELEMENTS", 3 * entries + 1)
+    _assert_same_samples(balls, 11, seed=17)
+
+
+def test_stacked_samples_of_an_instance_equal_the_per_ball_reference(monkeypatch):
+    _, amb, _ = generate_instance(4, 3, 2, 5, seed=0, rho=0.5)
+    balls = amb.balls()
+    _assert_same_samples(balls, 40, seed=0)
+    entries = sum(b.dim**2 for b in balls)
+    monkeypatch.setattr(ambiguity, "_SAMPLE_ELEMENTS", 7 * entries)  # 5 groups of 7, then 5
+    _assert_same_samples(balls, 40, seed=1)
+
+
+def test_sample_oracle_names_each_block_and_sample(monkeypatch):
+    # every row of a group's stack is labeled with its ball and its sample,
+    # across groups; the labels are made only when the oracle asks for one
+    balls = _mixed_sample_balls(np.random.default_rng(317))
+    labels = tuple(f"B{i}" for i in range(len(balls)))
+    entries = sum(b.dim**2 for b in balls if b.radius != 0.0)
+    monkeypatch.setattr(ambiguity, "_SAMPLE_ELEMENTS", 2 * entries)  # groups of 2 profiles
+    named = []
+    solve_stack = ambiguity._oracle_stack
+
+    def spy(centers, radii, gradients, references, delta, name):
+        named.append((centers.shape[-1], [name(j) for j in range(len(radii))]))
+        return solve_stack(centers, radii, gradients, references, delta, name)
+
+    monkeypatch.setattr(ambiguity, "_oracle_stack", spy)
+    list(ambiguity._sample_feasible(balls, np.random.default_rng(0), 3, labels=labels))
+    expect = []
+    for start, size in ((0, 2), (2, 1)):
+        for d in (1, 3, 4, 2):  # the moving balls' shapes, in order of first appearance
+            idx = [i for i, b in enumerate(balls) if b.dim == d and b.radius != 0.0]
+            names = [f"B{i} of nature sample {start + s}" for s in range(size) for i in idx]
+            expect.append((d, names))
+    assert named == expect
+
+
+def test_sample_oracle_error_names_the_block_and_the_sample():
+    # a radius out of double range for a random direction; the error once
+    # gave the block's position in the group's tiled stack ("block 2")
+    rng = np.random.default_rng(318)
+    balls = [GelbrichBall(center=random_spd(rng, 2), radius=r) for r in (0.5, 0.0, 0.5, 1e20)]
+    labels = ("X0", "W[0]", "W[1]", "V[0]")
+    with pytest.raises(
+        ValueError, match=r"^gradient block V\[0\] of nature sample 0: radius 1\.000e\+20 "
+    ):
+        list(ambiguity._sample_feasible(balls, np.random.default_rng(0), 5, labels=labels))
+    with pytest.raises(ValueError, match=r"^gradient block 3 of nature sample 0: "):
+        list(ambiguity._sample_feasible(balls, np.random.default_rng(0), 5))
 
 
 def test_solve_trace_matches_per_block_reference_solver():

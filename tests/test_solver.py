@@ -22,7 +22,8 @@ from drlqg import (
     unroll_kalman,
 )
 from drlqg import solver
-from drlqg.ambiguity import _sample_feasible
+from drlqg.ambiguity import _sample_feasible, oracle_maximize_blocks
+from drlqg.lqg import TimeVaryingSystem, _block_labels
 from drlqg.linalg import min_eigval
 from drlqg.stacked import _first_order_bound
 
@@ -34,6 +35,7 @@ from helpers import (
     random_system,
     scalar_ones,
 )
+from reference_oracle import reference_sample_feasible
 
 
 def _scalar_instance(rho=0.1):
@@ -261,6 +263,47 @@ def test_saddle_check_flags_truncated_run():
     report = saddle_check(sys, amb, sol, n_samples=10, seed=1)
     assert len(report.nature_violations) >= 1
     assert not report.passed
+
+
+def test_saddle_check_prices_the_reference_samples_bit_for_bit():
+    # on the truncated negative control, every nature finding (label and
+    # cost) is the one the per-ball sampler loop gives; the same run claiming
+    # a value below half of the samples' costs lets those samples be findings too
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    truncated = solve(sys, amb, FWConfig(tol=1e-4, max_iter=5))
+    balls, worst = amb.balls(), truncated.worst_case.blocks
+    grads = grad_f(sys, truncated.worst_case).flat()
+    best = oracle_maximize_blocks(balls, grads, worst, delta=0.99, labels=_block_labels(sys.T))
+    samples = reference_sample_feasible(balls, np.random.default_rng(1), 100)
+    costs = [
+        (label, sum(float(np.vdot(g, z)) for g, z in zip(grads, blocks)))
+        for label, blocks in [("best-response", [r.maximizer for r in best])]
+        + [(f"sample-{i}", blocks) for i, blocks in enumerate(samples)]
+    ]
+    lowered = float(np.median([cost for _, cost in costs])) - 1e-3
+    for sol in (truncated, dataclasses.replace(truncated, f_value=lowered)):
+        report = saddle_check(sys, amb, sol, n_samples=100, seed=1)
+        f, slack = sol.f_value, report.nature_slack
+        expect = tuple((lab, cost, cost - f - slack) for lab, cost in costs if cost > f + slack)
+        assert expect and report.nature_violations == expect
+    assert len(report.nature_violations) > 40
+
+
+def test_saddle_check_names_the_block_and_sample_of_an_unresolved_radius():
+    # with every Q zero all gradients vanish, so the solve never meets the
+    # radius 1e20 of W[1]; the nature samples' random directions do
+    base, amb, _ = generate_instance(2, 2, 2, 3, seed=0, rho=0.5)
+    sys = TimeVaryingSystem(A=base.A, B=base.B, C=base.C, Q=[0.0 * q for q in base.Q], R=base.R)
+    amb = AmbiguitySpec(
+        nominal=amb.nominal, rho_x0=0.5, rho_w=(0.5, 1e20, 0.5), rho_v=(0.5, 0.5, 0.5)
+    )
+    sol = solve(sys, amb, FWConfig(tol=1e-4))
+    assert sol.converged and sol.f_value == 0.0
+    assert saddle_check(sys, amb, sol, n_samples=0).passed
+    with pytest.raises(
+        ValueError, match=r"^gradient block W\[1\] of nature sample 0: radius 1\.000e\+20 is out"
+    ):
+        saddle_check(sys, amb, sol, n_samples=5)
 
 
 def test_saddle_check_zero_radii_trivially_passes():
