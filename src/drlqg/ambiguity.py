@@ -41,10 +41,7 @@ it meets its exit test, so each block accepts the gamma a separate call
 would.  ``oracle_maximize_blocks`` packs the results of that per-shape
 path, ``_oracle_stack``, and ``oracle_maximize`` is its single-block call.
 The random feasible profiles of ``_sample_feasible`` take the same path
-with their directions drawn into per-shape stacks.  Ball membership is one
-stacked floor test and one stacked distance per shape (``_in_balls``,
-``_gelbrich_distances``); ``GelbrichBall.contains`` and
-``gelbrich_distance`` are their one-block calls.
+with their directions drawn into per-shape stacks.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, symmetrize
+from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
 from .linalg import _check_psd
 from .lqg import CovarianceProfile, _block_labels, _frozen
 
@@ -68,54 +65,17 @@ class OracleError(RuntimeError):
 
 def gelbrich_distance(s1, s2) -> float:
     """Gelbrich distance between two PSD matrices."""
-    return float(_gelbrich_distances(symmetrize(s1)[None], symmetrize(s2)[None])[0])
-
-
-def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
-    """``symmetrize`` for each matrix of a (B,d,d) stack."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
-def _check_psd_stack(s: np.ndarray, lowest: np.ndarray):
-    """``_check_psd`` for each matrix of a symmetric (B,d,d) stack, given its smallest eigenvalues.
-
-    A vectorized screen at half the tolerance picks the candidates, and the
-    per-matrix check raises for the first one that fails.
-    """
-    floor = -0.5 * PSD_CLAMP_REL * np.linalg.norm(s, axis=(1, 2))
-    for j in np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)) | (lowest < floor)):
-        _check_psd(s[j], lowest[j])
-
-
-def _psd_sqrt_stack(s: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` for each matrix of a (B,d,d) stack, with ``psd_eig``'s checks."""
-    s = _symmetrize_stack(s)
-    w, v = np.linalg.eigh(s)
-    _check_psd_stack(s, w[:, 0])
-    w = np.clip(w, 0.0, None)
-    return _symmetrize_stack((v * np.sqrt(w)[:, None, :]) @ v.swapaxes(-1, -2))
-
-
-def _gelbrich_distances(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """``gelbrich_distance`` for each pair of two symmetric (B,d,d) stacks."""
-    dist = np.zeros(len(s1))
-    # the trace expression cancels catastrophically near coincidence; the
-    # exact case is known
-    equal = np.all(s1 == s2, axis=(1, 2))
-    if equal.any():
-        _check_psd_stack(s1[equal], np.linalg.eigh(s1[equal])[0][:, 0])
-    apart = ~equal
-    if apart.any():
-        a, b = s1[apart], s2[apart]
-        root2 = _psd_sqrt_stack(b)
-        cross = _psd_sqrt_stack(root2 @ a @ root2)
-        arg = (
-            np.trace(a, axis1=1, axis2=2)
-            + np.trace(b, axis1=1, axis2=2)
-            - 2.0 * np.trace(cross, axis1=1, axis2=2)
-        )
-        dist[apart] = np.sqrt(np.maximum(arg, 0.0))
-    return dist
+    s1 = symmetrize(s1)
+    s2 = symmetrize(s2)
+    if np.array_equal(s1, s2):
+        # the trace expression cancels catastrophically near coincidence;
+        # the exact case is known
+        psd_eig(s1)
+        return 0.0
+    root2 = psd_sqrt(s2)
+    cross = psd_sqrt(root2 @ s1 @ root2)
+    arg = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
+    return math.sqrt(max(arg, 0.0))
 
 
 def _by_shape(balls) -> dict[int, list[int]]:
@@ -124,27 +84,6 @@ def _by_shape(balls) -> dict[int, list[int]]:
     for i, ball in enumerate(balls):
         groups.setdefault(ball.dim, []).append(i)
     return groups
-
-
-def _in_balls(balls, blocks, tol: float) -> list[bool]:
-    """``GelbrichBall.contains`` for each (ball, block) pair, one stack per block shape.
-
-    The floors come from one stacked ``eigvalsh`` and the distances from
-    stacked square roots; a block below its floor is out without a distance.
-    """
-    inside = [False] * len(balls)
-    for idx in _by_shape(balls).values():
-        z = np.stack([symmetrize(blocks[i]) for i in idx])
-        floors = np.array([balls[i].floor for i in idx])
-        near = ~(np.linalg.eigvalsh(z)[:, 0] < floors - tol)
-        if not near.any():
-            continue
-        kept = [i for i, keep in zip(idx, near) if keep]
-        centers = np.stack([balls[i].center for i in kept])
-        radii = np.array([balls[i].radius for i in kept])
-        for i, ok in zip(kept, _gelbrich_distances(z[near], centers) <= radii + tol):
-            inside[i] = bool(ok)
-    return inside
 
 
 @dataclass(frozen=True)
@@ -174,7 +113,10 @@ class GelbrichBall:
         return self.center.shape[0]
 
     def contains(self, z, tol: float = 1e-9) -> bool:
-        return _in_balls((self,), (z,), tol)[0]
+        z = symmetrize(z)
+        if min_eigval(z) < self.floor - tol:
+            return False
+        return gelbrich_distance(z, self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)
@@ -235,6 +177,11 @@ class OracleResult:
     iterations: int
 
 
+def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
+    """``symmetrize`` for each matrix of a (B,d,d) stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
 def _diag_in_basis(vec: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Diagonals of vec' M vec for stacks (B,d,d): the M's in each eigenbasis."""
     return np.sum(vec * (m @ vec), axis=-2)
@@ -247,22 +194,22 @@ def _unresolved(label, radius, detail) -> ValueError:
     )
 
 
-# floating-point exceptions surface through the finite checks, not as warnings
+# floating-point exceptions surface through the finite check, not as warnings
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _bisect_stack(centers, radii, gradients, references, delta, name):
-    """Batched bisection over a (B,d,d) stack of same-shape blocks.
+def _oracle_stack(centers, radii, gradients, references, delta, name):
+    """The oracle on a (B,d,d) stack of same-shape blocks, as arrays over B.
 
-    Returns (maximizers, gammas, gaps, iterations) as arrays over B; see
-    ``_oracle_stack`` for the contract.  The blocks bisect in
-    lockstep over full-length arrays: an ``active`` mask marks the blocks
-    still bisecting, and a block that meets an exit test leaves the mask,
-    keeping its accepted gamma, its iteration count and a frozen bracket.
-    The dual, its derivative and the primal gap are O(d) per block in the
-    gradient's eigenbasis, and the maximizers are built once, after the loop.
-    A radius so large or so small against the block's scale that the
-    bracket does not sit finitely above lambda_max raises ``ValueError``
-    naming the block; floating-point exceptions are left to the finite
-    check of ``_oracle_stack``.
+    Returns (maximizers, gammas, gaps, iterations) with the contract of
+    ``oracle_maximize_blocks``; ``name(j)`` is the label error messages give
+    block j, called only to raise.  The blocks bisect in lockstep over
+    full-length arrays: an ``active`` mask marks the blocks still bisecting,
+    and a block that meets an exit test leaves the mask, keeping its
+    accepted gamma, its iteration count and a frozen bracket.  The dual, its
+    derivative and the primal gap are O(d) per block in the gradient's
+    eigenbasis, and the maximizers are built once, after the loop.  A radius
+    so large or so small against the block's scale that the bracket does not
+    sit finitely above lambda_max, or that makes a maximizer or gap overflow,
+    raises ``ValueError`` naming the block.
     """
     B = len(radii)
     maximizers = _symmetrize_stack(np.asarray(references, dtype=float))
@@ -272,7 +219,7 @@ def _bisect_stack(centers, radii, gradients, references, delta, name):
     flat = radii == 0.0
     maximizers[flat] = centers[flat]
     live = np.flatnonzero(~flat)
-    if live.size == 0:
+    if live.size == 0:  # every block keeps its center, which its ball has checked
         return maximizers, gammas, gaps, iterations
 
     grads = _symmetrize_stack(np.asarray(gradients, dtype=float)[live])
@@ -299,8 +246,6 @@ def _bisect_stack(centers, radii, gradients, references, delta, name):
         maximizers[idx] = (radii[idx] ** 2)[:, None, None] * top[:, :, None] * top[:, None, :]
         gaps[idx] = gap
         live, lam, vec, ref_ip = live[~zero], lam[~zero], vec[~zero], ref_ip[~zero]
-    if live.size == 0:
-        return maximizers, gammas, gaps, iterations
 
     zhat = centers[live]
     rho = radii[live]
@@ -363,21 +308,9 @@ def _bisect_stack(centers, radii, gradients, references, delta, name):
     maximizers[live[won]] = _symmetrize_stack(cand[won])
     gaps[live[won]] = gap[won]
     gammas[live], iterations[live] = gamma, iters
-    return maximizers, gammas, gaps, iterations
-
-
-def _oracle_stack(centers, radii, gradients, references, delta, name):
-    """The oracle on a (B,d,d) stack of same-shape blocks, as arrays over B.
-
-    Returns (maximizers, gammas, gaps, iterations) with the contract of
-    ``oracle_maximize_blocks``; ``name(j)`` is the label error messages give
-    block j, called only to raise.
-    """
-    out = _bisect_stack(centers, radii, gradients, references, delta, name)
-    maximizers, _, gaps, _ = out
     for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
         raise _unresolved(name(j), radii[j], "its maximizer or gap overflows")
-    return out
+    return maximizers, gammas, gaps, iterations
 
 
 def oracle_maximize_blocks(
@@ -505,5 +438,5 @@ def _sample_feasible(
 
 
 def sample_feasible(ball: GelbrichBall, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random feasible member of ``ball`` (see ``_sample_feasible``)."""
-    return next(_sample_feasible((ball,), rng, 1))[0]
+    """Draw a random feasible member of ``ball`` as a new array (see ``_sample_feasible``)."""
+    return next(_sample_feasible((ball,), rng, 1))[0].copy()

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySpec, _in_balls, _sample_feasible, oracle_maximize_blocks
+from .ambiguity import AmbiguitySpec, _sample_feasible, oracle_maximize_blocks
 from .gradient import _grad_from_solutions
 from .lqg import (
     CovarianceProfile,
@@ -298,8 +298,7 @@ def saddle_check(
     The samples are drawn, solved and built one group at a time, in one
     stack per block shape (``ambiguity._sample_feasible``), and each is
     priced before the next group is drawn; an oracle error in a sample names
-    the block and the sample.  Ball membership is tested in one stack per
-    block shape as well.
+    the block and the sample.
 
     Controller side: no causal policy may cost less than f* - 1e-9 * scale
     at Z*, as certified by ``drlqg.stacked._first_order_bound`` at the
@@ -345,8 +344,8 @@ def saddle_check(
             )
     claim_violations.extend(
         f"worst-case block {label} is outside its ambiguity ball"
-        for label, inside in zip(labels, _in_balls(balls, worst, tol=1e-7))
-        if not inside
+        for label, ball, block in zip(labels, balls, worst)
+        if not ball.contains(block, tol=1e-7)
     )
     f_check = _value_from_solutions(sys, ric, kal)
     if abs(f_check - f_star) > 1e-8 * max(1.0, abs(f_check)):

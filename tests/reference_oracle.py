@@ -7,9 +7,8 @@ Frank-Wolfe loop that calls it once per block.  Both follow exactly the rules
 documented in ``drlqg.ambiguity`` and ``drlqg.solver``; the batched code must
 reproduce their iteration counts, accepted gammas and trajectories.
 
-``reference_sample_feasible``, ``reference_gelbrich_distance`` and
-``reference_contains`` are the per-ball loops the per-shape stacks of
-``drlqg.ambiguity`` replaced; the stacked code must reproduce their bits.
+``reference_sample_feasible`` is the per-ball sampler loop the per-shape
+stacks of ``drlqg.ambiguity`` replaced; the stacked code must reproduce its bits.
 """
 
 import math
@@ -20,7 +19,7 @@ from drlqg import CovarianceProfile, OracleResult, oracle_maximize_blocks
 from drlqg import ambiguity
 from drlqg.ambiguity import OracleError
 from drlqg.gradient import _grad_from_solutions
-from drlqg.linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
+from drlqg.linalg import psd_eig, symmetrize
 from drlqg.lqg import _value_from_solutions, kalman_forward, riccati_backward
 
 MAX_BISECT = 200
@@ -124,22 +123,3 @@ def reference_sample_feasible(balls, rng, count):
             for i, (ball, res, u) in zip(moving, picks):
                 blocks[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
             yield blocks
-
-
-def reference_gelbrich_distance(s1, s2) -> float:
-    s1 = symmetrize(s1)
-    s2 = symmetrize(s2)
-    if np.array_equal(s1, s2):
-        psd_eig(s1)
-        return 0.0
-    root2 = psd_sqrt(s2)
-    cross = psd_sqrt(root2 @ s1 @ root2)
-    arg = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    return math.sqrt(max(arg, 0.0))
-
-
-def reference_contains(ball, z, tol=1e-9) -> bool:
-    z = symmetrize(z)
-    if min_eigval(z) < ball.floor - tol:
-        return False
-    return reference_gelbrich_distance(z, ball.center) <= ball.radius + tol
