@@ -34,6 +34,15 @@ with the exact dual solution -- the right endpoint is accepted, staying on
 the feasible side.  The maximizer M Zhat M is built once, at the accepted
 gamma.
 
+Three kinds of block take a closed form instead of bisecting: a zero radius
+keeps the center, a zero gradient keeps the reference, and a zero center
+gives rho^2 p1 p1'.  A fourth is the isotropic gradient Gamma = c I of a
+block with d >= 2 (the last stage's process noise, whose gradient is Q_T):
+psi(gamma) = c^2 tr(Zhat) / (gamma - c)^2 has its root exactly at the
+bracket's upper end, so the bisection could only end by collapsing there,
+and gamma is taken at that end with no bisection, under the collapsed
+bracket's rules.
+
 All blocks of one shape are solved together: one batched eigendecomposition
 of the stacked gradients, then one lockstep bisection over all of them in
 which every block keeps its own bracket, and a block's bracket freezes once
@@ -53,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
-from .linalg import _check_psd
+from .linalg import _check_psd, _symmetrized
 from .lqg import CovarianceProfile, _block_labels, _frozen
 
 _MAX_BISECT = 200
@@ -114,6 +123,9 @@ class GelbrichBall:
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         z = symmetrize(z)
+        # LAPACK can report finite eigenvalues for a NaN on the diagonal
+        if not np.all(np.isfinite(z)):
+            raise ValueError("matrix contains non-finite entries")
         if min_eigval(z) < self.floor - tol:
             return False
         return gelbrich_distance(z, self.center) <= self.radius + tol
@@ -177,11 +189,6 @@ class OracleResult:
     iterations: int
 
 
-def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
-    """``symmetrize`` for each matrix of a (B,d,d) stack."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
 def _diag_in_basis(vec: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Diagonals of vec' M vec for stacks (B,d,d): the M's in each eigenbasis."""
     return np.sum(vec * (m @ vec), axis=-2)
@@ -212,7 +219,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     raises ``ValueError`` naming the block.
     """
     B = len(radii)
-    maximizers = _symmetrize_stack(np.asarray(references, dtype=float))
+    maximizers = _symmetrized(np.asarray(references, dtype=float))
     gammas = np.full(B, math.nan)
     gaps = np.zeros(B)
     iterations = np.zeros(B, dtype=int)
@@ -222,7 +229,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     if live.size == 0:  # every block keeps its center, which its ball has checked
         return maximizers, gammas, gaps, iterations
 
-    grads = _symmetrize_stack(np.asarray(gradients, dtype=float)[live])
+    grads = _symmetrized(np.asarray(gradients, dtype=float)[live])
     for j in np.flatnonzero(~np.all(np.isfinite(grads), axis=(1, 2))):
         raise ValueError(f"gradient block {name(live[j])} contains non-finite entries")
     lam, vec = np.linalg.eigh(grads)  # ascending eigenvalues
@@ -262,8 +269,11 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
 
     gamma = np.empty(live.size)
     iters = np.zeros(live.size, dtype=int)
-    collapsed = np.zeros(live.size, dtype=bool)
-    active = np.ones(live.size, dtype=bool)
+    # An isotropic Gamma = c I has its dual root at hi itself, where the
+    # bisection would end only once its bracket collapsed: take hi unbisected.
+    collapsed = (lam[:, 0] == lam1) & (lo < hi)
+    gamma[collapsed] = hi[collapsed]
+    active = ~collapsed
     lamz2, rho2 = lamz * lam, rho**2
     for it in range(1, _MAX_BISECT + 1):
         # Bracket exhausted: hi stays on the feasible side (phi' >= 0), and
@@ -305,7 +315,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     cand = mult @ zhat @ mult
     # a collapsed bracket whose candidate loses to the reference keeps the reference
     won = ~(collapsed & (gap < 0.0))
-    maximizers[live[won]] = _symmetrize_stack(cand[won])
+    maximizers[live[won]] = _symmetrized(cand[won])
     gaps[live[won]] = gap[won]
     gammas[live], iterations[live] = gamma, iters
     for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
@@ -330,9 +340,13 @@ def oracle_maximize_blocks(
     center and a zero (clamped) gradient returns the reference, both with
     zero gap, and a zero center returns the exact maximizer rho^2 p1 p1'
     (p1 the gradient's top eigenvector), or the reference if that gains
-    nothing.  No maximizer or gap is ever non-finite: a radius out of the
-    range double precision resolves for its block raises ``ValueError``
-    naming the block, and so do differing counts of the three sequences.
+    nothing.  An isotropic gradient c I of a block with d >= 2 takes gamma at
+    the upper end of its dual bracket, where the bisection would collapse,
+    with 0 iterations; its candidate, like a collapsed bracket's, keeps the
+    reference when it loses to it.  No maximizer or gap is ever non-finite:
+    a radius out of the range double precision resolves for its block
+    raises ``ValueError`` naming the block, and so do differing counts of
+    the three sequences.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -420,13 +434,13 @@ def _sample_feasible(
             extremes = _oracle_stack(
                 tiled,
                 np.tile(radii[d], size),
-                _symmetrize_stack(a @ a.swapaxes(-1, -2)),
+                _symmetrized(a @ a.swapaxes(-1, -2)),
                 tiled,
                 0.9,
                 lambda j: f"{labels[idx[j % len(idx)]]} of nature sample "
                 f"{start + j // len(idx)}",
             )[0].reshape(normals[d].shape)
-            samples[d] = _symmetrize_stack(
+            samples[d] = _symmetrized(
                 centers[d] + weights[d][:, :, None, None] * (extremes - centers[d])
             )
         for s in range(size):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, min_eigval, symmetrize
+from .linalg import SingularMatrixError, _symmetrized, min_eigval
 from .lqg import (
     CovarianceProfile,
     KalmanSolution,
@@ -30,6 +30,7 @@ from .lqg import (
     _block_labels,
     _check_dims,
     _frozen,
+    _frozen_in_place,
     _kalman_forward_raw,
     _split,
     _value_from_solutions,
@@ -66,14 +67,13 @@ def _grad_from_solutions(
     s_adj = ric.P[T]  # adjoint of S_{t+1}, starting at t = T-1
     for t in reversed(range(T)):
         dW[t] = s_adj
-        lam = symmetrize(sys.Q[t] - ric.P[t] + sys.A[t].T @ s_adj @ sys.A[t])
+        lam = _symmetrized(sys.Q[t] - ric.P[t] + sys.A[t].T @ s_adj @ sys.A[t])
         gain = kal.L[t]
-        dV[t] = symmetrize(gain.T @ lam @ gain)
+        dV[t] = _symmetrized(gain.T @ lam @ gain)
         closed = np.eye(sys.n) - gain @ sys.C[t]
-        s_adj = symmetrize(ric.P[t] + closed.T @ lam @ closed)
-    return GradientBlocks(
-        dX0=_frozen(s_adj), dW=tuple(_frozen(g) for g in dW), dV=tuple(_frozen(g) for g in dV)
-    )
+        s_adj = _symmetrized(ric.P[t] + closed.T @ lam @ closed)
+    s_adj.flags.writeable = False
+    return GradientBlocks(dX0=s_adj, dW=_frozen_in_place(dW), dV=_frozen_in_place(dV))
 
 
 def grad_f(

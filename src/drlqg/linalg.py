@@ -2,12 +2,15 @@
 
 Every routine symmetrizes its input up front, and ``psd_sqrt`` re-symmetrizes
 its result, so tiny asymmetries cannot accumulate through long matrix
-recursions.  ``psd_eig`` is the one eigendecomposition: eigenvalues that are
-negative only at roundoff level -- within ``PSD_CLAMP_REL`` times the
-Frobenius norm of the matrix -- are clamped to zero; anything more negative
-raises :class:`NotPSDError`.  Its eigenvectors carry no sign convention,
-because every consumer forms ``V diag(f(w)) V'``, in which negating a column
-cancels exactly.
+recursions.  The recursions themselves symmetrize what they build with the
+unchecked ``_symmetrized`` and solve with ``_spd_solve_symmetric``, which
+skips the re-symmetrization but keeps every other check of ``spd_solve``.
+``psd_eig`` is the one eigendecomposition: eigenvalues that are negative
+only at roundoff level -- within ``PSD_CLAMP_REL`` times the Frobenius norm
+of the matrix -- are clamped to zero; anything more negative raises
+:class:`NotPSDError`.  Its eigenvectors carry no sign convention, because
+every consumer forms ``V diag(f(w)) V'``, in which negating a column cancels
+exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def symmetrize(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.T)
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``symmetrize`` of a square float array, or of each matrix of a (B,d,d) stack, unchecked."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def psd_eig(s) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +80,11 @@ def spd_solve(s, b) -> np.ndarray:
     :class:`SingularMatrixError` when it fails, i.e. when ``S`` is singular
     or indefinite; the solve itself is an LU solve of the symmetrized ``S``.
     """
-    s = symmetrize(s)
+    return _spd_solve_symmetric(symmetrize(s), b)
+
+
+def _spd_solve_symmetric(s: np.ndarray, b) -> np.ndarray:
+    """``spd_solve`` of a float matrix ``s`` that is already symmetric, as built by the recursions."""
     b = np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
         raise ValueError("solve input contains non-finite entries")

@@ -30,9 +30,10 @@ import numpy as np
 from .linalg import (
     PSD_CLAMP_REL,
     SingularMatrixError,
+    _spd_solve_symmetric,
+    _symmetrized,
     min_eigval,
     psd_sqrt,
-    spd_solve,
     symmetrize,
 )
 
@@ -41,6 +42,13 @@ def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _frozen_in_place(arrays) -> tuple:
+    """``arrays`` as a tuple, each frozen in place: for arrays a recursion has just built."""
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 def _block(m, shape, label, psd=False, pd=False) -> np.ndarray:
@@ -156,10 +164,8 @@ class CovarianceProfile:
         symmetrized arrays, which are frozen in place.  Used for iterates
         the solver builds as convex combinations of feasible blocks.
         """
-        for b in blocks:
-            b.flags.writeable = False
         out = object.__new__(cls)
-        for name, value in zip(("X0", "W", "V"), _split(blocks)):
+        for name, value in zip(("X0", "W", "V"), _split(_frozen_in_place(blocks))):
             object.__setattr__(out, name, value)
         return out
 
@@ -220,11 +226,11 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
     P[T] = sys.Q[T]
     for t in reversed(range(T)):
         PB = P[t + 1] @ sys.B[t]
-        inner = symmetrize(sys.R[t] + sys.B[t].T @ PB)
+        inner = _symmetrized(sys.R[t] + sys.B[t].T @ PB)
         lin = PB.T @ sys.A[t]  # B_t' P_{t+1} A_t
-        K[t] = -spd_solve(inner, lin)
-        P[t] = symmetrize(sys.A[t].T @ P[t + 1] @ sys.A[t] + sys.Q[t] + lin.T @ K[t])
-    return RiccatiSolution(P=tuple(_frozen(m) for m in P), K=tuple(_frozen(m) for m in K))
+        K[t] = -_spd_solve_symmetric(inner, lin)
+        P[t] = _symmetrized(sys.A[t].T @ P[t + 1] @ sys.A[t] + sys.Q[t] + lin.T @ K[t])
+    return RiccatiSolution(P=_frozen_in_place(P), K=_frozen_in_place(K))
 
 
 def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
@@ -234,20 +240,18 @@ def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
     Sig = [None] * T
     L = [None] * T
     pred = [None] * (T + 1)
-    pred[0] = symmetrize(X0)
-    s = pred[0]
+    pred[0] = s = _symmetrized(X0)
     for t in range(T):
         C = sys.C[t]
-        m_t = symmetrize(C @ s @ C.T + V[t])
+        cs = C @ s
+        m_t = _symmetrized(cs @ C.T + V[t])
         # Sigma_{t|t-1} C' M^{-1}, which equals the filter gain Sigma_t C' V^{-1}
-        L[t] = spd_solve(m_t, C @ s).T
-        Sig[t] = symmetrize(s - L[t] @ C @ s)
-        s = symmetrize(sys.A[t] @ Sig[t] @ sys.A[t].T + W[t])
+        L[t] = _spd_solve_symmetric(m_t, cs).T
+        Sig[t] = _symmetrized(s - L[t] @ C @ s)
+        s = _symmetrized(sys.A[t] @ Sig[t] @ sys.A[t].T + W[t])
         pred[t + 1] = s
     return KalmanSolution(
-        Sigma=tuple(_frozen(x) for x in Sig),
-        Sigma_pred=tuple(_frozen(x) for x in pred),
-        L=tuple(_frozen(x) for x in L),
+        Sigma=_frozen_in_place(Sig), Sigma_pred=_frozen_in_place(pred), L=_frozen_in_place(L)
     )
 
 

@@ -17,15 +17,18 @@ exactly: f is a minimum over controllers of functions linear in the
 covariances, hence concave, so h'(alpha) = sum_i <grad f(Z_k + alpha D_k)_i,
 D_i> is nonincreasing and h'(0) is the surrogate gap g_k.  The search tries
 alpha = 1 first and keeps it when h'(1) >= 0; otherwise it runs an Illinois
-regula falsi on h' over the bracket [0, 1] and accepts the first trial with
-0 <= h'(alpha) <= 0.1 h'(0); if the trials run out it takes the higher end
-of the last bracket.  Every trial costs one Kalman forward pass and one adjoint
-sweep, and the accepted trial's value and gradient are those of the next
-iterate, so they are not computed twice.  By concavity h(alpha) >= h(0)
-wherever h'(alpha) >= 0; a point that lowers f all the same (by roundoff)
-is refused and the iterate stays put (the solve then repeats that
-iteration until the cap), so f_k never decreases.  The surrogate-gap
-certificate does not depend on the step rule.
+regula falsi on h' over the bracket [0, 1] and accepts the first trial in
+the two-sided window |h'(alpha)| <= 0.1 h'(0) with h(alpha) >= h(0), so a
+trial just past the maximizer is as good as one just short of it; a trial
+outside the window replaces the bracket end on its side of the root, and if
+the trials run out the search takes the higher end of the last bracket.
+Every trial costs one Kalman forward pass and one adjoint sweep, and the
+accepted trial's value and gradient are those of the next iterate, so they
+are not computed twice.  By concavity h(alpha) >= h(0) wherever
+h'(alpha) >= 0; a point that lowers f all the same (by roundoff) is
+refused and the iterate stays put (the solve then repeats that iteration
+until the cap), so f_k never decreases.  The surrogate-gap certificate does
+not depend on the step rule.
 
 The returned controller pairs the solve's Riccati gains with the Kalman
 gains of the worst-case profile; by the separation structure it is a best
@@ -64,13 +67,14 @@ from .lqg import (
     kalman_forward,
     riccati_backward,
 )
-from .linalg import symmetrize
+from .linalg import _symmetrized
 from .stacked import _first_order_bound, build_stacked, output_to_purified, unroll_controller
 
 
 STEP_RULES = ("open-loop", "line")
-# The line search accepts a trial alpha once 0 <= h'(alpha) <= _LINE_CURVATURE
-# * h'(0), and gives up its bracket after _LINE_MAX_TRIALS trials.
+# The line search accepts a trial alpha once |h'(alpha)| <= _LINE_CURVATURE
+# * h'(0) and h(alpha) >= h(0), and gives up its bracket after
+# _LINE_MAX_TRIALS trials.
 _LINE_CURVATURE = 0.1
 _LINE_MAX_TRIALS = 20
 
@@ -133,7 +137,7 @@ def _evaluate(sys: TimeVaryingSystem, ric, blocks):
 
 
 def _move(refs, direction, alpha: float) -> list[np.ndarray]:
-    return [symmetrize(z + alpha * d) for z, d in zip(refs, direction)]
+    return [_symmetrized(z + alpha * d) for z, d in zip(refs, direction)]
 
 
 def _line_search(sys, ric, direction, current, slope0):
@@ -161,7 +165,7 @@ def _line_search(sys, ric, direction, current, slope0):
         for _ in range(_LINE_MAX_TRIALS - 1):
             alpha = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
             point, slope = trial(alpha)
-            if 0.0 <= slope <= _LINE_CURVATURE * slope0:
+            if abs(slope) <= _LINE_CURVATURE * slope0 and point[1] >= f_k:
                 break
             if slope > 0.0:
                 left, lo, h_lo = point, alpha, slope

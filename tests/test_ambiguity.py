@@ -104,6 +104,16 @@ def test_ball_checks_its_center_as_psd_eig_does():
             GelbrichBall(center=[[entry, 0.0], [0.0, 1.0]], radius=0.5)
 
 
+def test_ball_membership_rejects_non_finite_entries():
+    # LAPACK's eigvalsh gives finite eigenvalues for a NaN on the diagonal, so
+    # the floor test alone would answer False instead of raising
+    ball = GelbrichBall(center=np.eye(2), radius=0.5)
+    for entry in (math.nan, math.inf):
+        for z in ([[entry, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, entry]], [[1.0, entry], [entry, 1.0]]):
+            with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+                ball.contains(z)
+
+
 def test_spec_builds_its_balls_once():
     rng = np.random.default_rng(57)
     nominal = random_profile(rng, 3, 2, 2)

@@ -1,5 +1,6 @@
 """The batched oracle against the per-block scalar bisection it replaced."""
 
+import dataclasses
 import math
 import re
 
@@ -17,7 +18,7 @@ from drlqg import (
     sample_feasible,
     solve,
 )
-from drlqg import ambiguity
+from drlqg import ambiguity, solver
 from drlqg.ambiguity import OracleError
 from drlqg.linalg import NotPSDError, symmetrize
 
@@ -132,6 +133,76 @@ def test_zero_center_blocks_take_the_closed_form_in_a_mixed_batch():
             assert np.array_equal(res.maximizer, ref) and res.gap_contribution == 0.0
         checked += 1
     assert checked == len(zero_blocks)
+
+
+def _isotropic_blocks(rng, n, p):
+    """(ball, gradient, reference) triples whose gradient is c I with d >= 2."""
+    out = []
+    for d in (n, p, n):
+        ball = GelbrichBall(center=random_spd(rng, d), radius=rng.uniform(0.1, 1.5))
+        ref = ball.center if rng.uniform() < 0.5 else ball.center + 0.1 * random_psd(rng, d)
+        out.append((ball, rng.uniform(0.5, 5.0) * np.eye(d), ref))
+    # a reference at the maximizer along I is kept or rebuilt to within
+    # roundoff; one beyond it is kept, with gap 0
+    ball = GelbrichBall(center=random_spd(rng, p), radius=0.4)
+    top = oracle_maximize(ball, np.eye(p), ball.center).maximizer
+    out.append((ball, np.eye(p), top))
+    out.append((ball, np.eye(p), top + 0.01 * np.eye(p)))
+    return out
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.95])
+def test_isotropic_blocks_take_the_closed_form_in_a_mixed_batch(delta):
+    # Gamma = c I puts the dual root at the bracket's upper end, where the
+    # scalar bisection ends once its bracket collapses; the batch takes it
+    # with no bisection and must agree on everything but the count.
+    rng = np.random.default_rng(338)
+    n, p = 2, 4
+    iso = _isotropic_blocks(rng, n, p)
+    triples = _random_blocks(rng, n, p, 8) + _special_blocks(rng, n, p) + iso
+    order = rng.permutation(len(triples))
+    triples = [triples[i] for i in order]
+    balls, grads, refs = zip(*triples)
+    results = oracle_maximize_blocks(balls, grads, refs, delta=delta)
+    closed = 0
+    for (ball, grad, ref), res in zip(triples, results):
+        expect = reference_oracle(ball, grad, ref, delta)
+        if any(grad is g for _, g, _ in iso):
+            assert res.iterations == 0 and expect.iterations > 0
+            expect = dataclasses.replace(expect, iterations=0)
+            closed += 1
+        _assert_same(res, expect, ball, grad)
+    assert closed == len(iso)
+    beyond = results[list(order).index(len(triples) - 1)]
+    assert np.array_equal(beyond.maximizer, iso[-1][2]) and beyond.gap_contribution == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_solve_bisects_the_last_process_noise_block_only_when_scalar(monkeypatch, n):
+    # The gradient of W[T-1] is P_T = Q_T = I on every iterate of a generated
+    # instance: an n x n block takes the closed form, a 1 x 1 block keeps the
+    # one round in which its bracket collapses.
+    calls = []
+
+    def recording(balls, grads, refs, delta, labels):
+        results = oracle_maximize_blocks(balls, grads, refs, delta=delta, labels=labels)
+        calls.append((balls, grads, refs, delta, results))
+        return results
+
+    monkeypatch.setattr(solver, "oracle_maximize_blocks", recording)
+    T = 3
+    sys, amb, _ = generate_instance(n, n, n, T, seed=5, rho=0.5)
+    solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    assert len(calls) >= 2
+    for balls, grads, refs, delta, results in calls:
+        assert np.array_equal(grads[T], np.eye(n))
+        for i, (ball, grad, ref, res) in enumerate(zip(balls, grads, refs, results)):
+            expect = reference_oracle(ball, grad, ref, delta)
+            if i == T and n > 1:
+                assert res.iterations == 0 and expect.iterations > 0
+                expect = dataclasses.replace(expect, iterations=0)
+            _assert_same(res, expect, ball, grad)
+        assert (results[T].iterations == 0) == (n > 1)
 
 
 def test_bisection_cap_names_the_first_block_still_bisecting(monkeypatch):

@@ -235,6 +235,63 @@ def test_line_search_refuses_a_point_that_lowers_f(monkeypatch):
     assert len(calls) > 3
 
 
+def _scripted_line(monkeypatch, f_k):
+    """``_line_search`` on one 1 x 1 block with h(a) = f(a D) set by hand, and its trials.
+
+    h(a) = a - a^2 up to a = 0.5 and 0.25 - 0.1 (a - 0.5)^2 beyond: concave,
+    h'(0) = 1 and h'(1) = -0.1, so the first secant step lands at 1/1.1,
+    past the maximizer, where h' = -0.0818.
+    """
+    trials = []
+
+    def evaluate(sys, ric, blocks):
+        a = float(blocks[0][0, 0])
+        trials.append(a)
+        if a <= 0.5:
+            return a - a * a, [np.array([[1.0 - 2.0 * a]])]
+        return 0.25 - 0.1 * (a - 0.5) ** 2, [np.array([[-0.2 * (a - 0.5)]])]
+
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
+    current = ([np.zeros((1, 1))], f_k, [np.array([[1.0]])])
+    return solver._line_search(None, None, [np.ones((1, 1))], current, 1.0), current, trials
+
+
+def test_line_search_accepts_a_trial_just_past_the_maximizer(monkeypatch):
+    (blocks, f, _), _, trials = _scripted_line(monkeypatch, 0.0)
+    alpha = 1.0 / 1.1
+    assert trials == [1.0, alpha]
+    assert -0.1 <= -0.2 * (alpha - 0.5) < 0.0  # -0.1 h'(0) <= h'(alpha) < 0
+    assert blocks[0][0, 0] == alpha and f == 0.25 - 0.1 * (alpha - 0.5) ** 2
+
+
+def test_line_search_never_returns_a_window_trial_that_lowers_f(monkeypatch):
+    # every trial past a = 0.816 has h' in the window but h below 0.24
+    (blocks, f, _), current, trials = _scripted_line(monkeypatch, 0.24)
+    assert len(trials) > 2
+    assert any(a > 0.5 and 0.25 - 0.1 * (a - 0.5) ** 2 < 0.24 for a in trials)
+    assert f >= 0.24 and blocks[0][0, 0] in trials
+    # with f_k above the maximum of h no trial qualifies, and the iterate stays put
+    point, current, trials = _scripted_line(monkeypatch, 1.0)
+    assert point is current and len(trials) == solver._LINE_MAX_TRIALS
+
+
+def test_line_search_evaluations_of_a_seed_0_solve(monkeypatch):
+    # The two-sided window takes 17 evaluations here; accepting only
+    # 0 <= h'(alpha) <= 0.1 h'(0) took 21.
+    evaluate = solver._evaluate
+    calls = []
+
+    def counting(sys, ric, blocks):
+        calls.append(None)
+        return evaluate(sys, ric, blocks)
+
+    monkeypatch.setattr(solver, "_evaluate", counting)
+    sys, amb, _ = generate_instance(10, 10, 10, 10, seed=0, rho=2.0)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    assert sol.converged
+    assert len(calls) < 21
+
+
 def test_line_search_cap_returns_best_iterate_flagged():
     sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
     sol = solve(sys, amb, FWConfig(tol=1e-12, max_iter=2, step="line"))
