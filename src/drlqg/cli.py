@@ -91,6 +91,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # the bundle directory cannot be made over a file, so say so before solving
+    if os.path.lexists(args.out) and not os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} exists and is not a directory")
     system, amb, _ = io.read_instance(args.instance)
     # an exact line search, which needs far fewer iterations than the open-loop default
     cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter, step="line")

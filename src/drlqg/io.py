@@ -3,11 +3,14 @@
 Documents are JSON with matrices as row-major nested arrays of decimal
 literals; floats are emitted in shortest round-trip form (at most 17
 significant digits), so ``parse(serialize(x)) == x`` bit-for-bit.  They are
-written row by row by a streaming encoder whose output is byte-identical to
+written by a streaming encoder whose output is byte-identical to
 ``json.dump(doc, fh, indent=1)``: matrices stay numpy arrays until each row
-is formatted, so no document's text or nested float list is built.  The trace
-is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms``, exactly those
-four fields on every row, and floats printed with 17 significant digits.
+is formatted, so no document's text or nested float list is built.  A run of
+bitwise-equal sibling matrices in a list, such as the stages of a
+time-invariant plant, is formatted once and its text repeated; only the last
+matrix's text is kept.  The trace is CSV with header
+``iter,f_value,surrogate_gap,elapsed_ms``, exactly those four fields on every
+row, and floats printed with 17 significant digits.
 Every write goes to a new temporary file beside its target, which then takes
 the target's name.  A reader sees the old file or the new one, never a
 partial file; the name is absent only between two back-to-back renames, and a
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import stat
+from io import StringIO
 
 import numpy as np
 
@@ -231,10 +235,22 @@ def _encode(fh, obj, level: int = 0):
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
             _row(fh, obj, sep)
         else:
+            # in a list or tuple, a float64 array bitwise equal to the last one
+            # before it (same shape and bytes, so -0.0 is not 0.0) reuses its text
+            reuse = not isinstance(obj, np.ndarray)
+            key = text = None
             for i, item in enumerate(obj):
                 if i:
                     fh.write(sep)
-                _encode(fh, item, level + 1)
+                if reuse and isinstance(item, np.ndarray) and item.dtype == np.float64:
+                    bits = (item.shape, item.tobytes())
+                    if bits != key:
+                        buf = StringIO()
+                        _encode(buf, item, level + 1)
+                        key, text = bits, buf.getvalue()
+                    fh.write(text)
+                else:
+                    _encode(fh, item, level + 1)
         fh.write("\n" + " " * level + "]")
     else:
         fh.write(json.dumps(obj))

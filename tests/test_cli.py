@@ -391,6 +391,20 @@ def test_generate_onto_a_directory_leaves_it_alone(tmp_path, capsys):
     assert (out / "keep.txt").read_text() == "kept\n"
 
 
+def test_solve_out_onto_a_file_fails_before_solving(tmp_path, capsys, monkeypatch):
+    inst = _generate(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(drlqg.cli, "solve", never)
+    assert main(["solve", str(inst), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert f"error: --out {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
 def test_written_files_get_the_umask_mode(tmp_path):
     previous = os.umask(0o022)
     try:

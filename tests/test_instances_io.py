@@ -4,11 +4,20 @@ import os
 import numpy as np
 import pytest
 
-from drlqg import FWConfig, FWIteration, banded_system, generate_instance, solve
+from drlqg import (
+    AmbiguitySpec,
+    CovarianceProfile,
+    FWConfig,
+    FWIteration,
+    TimeVaryingSystem,
+    banded_system,
+    generate_instance,
+    solve,
+)
 from drlqg import io
 from drlqg.instances import RNG_NAME, random_covariance
 
-from helpers import scalar_ones
+from helpers import random_profile, random_system, scalar_ones
 
 
 # -------------------------------------------------------------- instances
@@ -83,6 +92,37 @@ def test_instance_file_round_trip(tmp_path):
         assert amb.rho_x0 == amb2.rho_x0
         assert amb.rho_w == amb2.rho_w
         assert meta2 == meta
+
+
+def test_time_varying_instance_with_a_repeated_stage_round_trips_bit_exact(tmp_path):
+    # stage 2 equals stage 0 but not stage 1, which differs from stage 0 by
+    # the sign of one zero in A
+    rng = np.random.default_rng(5)
+    base, nominal = random_system(rng, 2, 3, 2, 3), random_profile(rng, 2, 2, 3)
+
+    def repeat(stages):
+        return (stages[0], stages[1], stages[0].copy(), *stages[3:])
+
+    A0 = base.A[0].copy()
+    A0[0, 1] = 0.0
+    A1 = A0.copy()
+    A1[0, 1] = -0.0
+    sys = TimeVaryingSystem(
+        A=(A0, A1, A0.copy()),
+        **{k: repeat(getattr(base, k)) for k in ("B", "C", "Q", "R")},
+    )
+    cov = CovarianceProfile(X0=nominal.X0, W=repeat(nominal.W), V=repeat(nominal.V))
+    amb = AmbiguitySpec(nominal=cov, rho_x0=0.1, rho_w=(0.2,) * 3, rho_v=(0.3,) * 3)
+    path = tmp_path / "inst.json"
+    io.write_instance(str(path), sys, amb)
+    sys2, amb2, _ = io.read_instance(str(path))
+    pairs = [(getattr(sys, k), getattr(sys2, k)) for k in ("A", "B", "C", "Q", "R")]
+    pairs += [(cov.blocks, amb2.nominal.blocks)]
+    for before, after in pairs:
+        assert len(before) == len(after)
+        for a, b in zip(before, after):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.signbit(sys2.A[1][0, 1]) and not np.signbit(sys2.A[2][0, 1])
 
 
 def test_instance_file_reports_missing_fields(tmp_path):

@@ -80,6 +80,43 @@ def test_encoder_matches_json_on_edge_cases(obj):
     _assert_like_json(obj)
 
 
+_M = np.array([[1.5, -0.0], [0.1, 0.0]])
+
+# sibling arrays in a list or tuple: runs of bitwise-equal ones reuse the
+# text of the first, so every case pairs a repeat with a near miss
+SIBLINGS = {
+    "run": [_M, _M.copy(), _M.copy(), np.eye(2)],
+    "tuple run": (_M, _M, _M),
+    "signed zero": [np.zeros((2, 2)), -np.zeros((2, 2)), np.zeros((2, 2))],
+    "signed zero row": [np.array([0.0, 1.0]), np.array([-0.0, 1.0])],
+    "nan and inf": [
+        np.array([[math.nan, math.inf], [-math.inf, 0.0]]),
+        np.array([[math.nan, math.inf], [-math.inf, 0.0]]),
+        np.array([[math.nan, -math.inf], [math.inf, 0.0]]),
+    ],
+    "same bytes, other shape": [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((3, 2))],
+    "repeat after another": [_M, np.eye(2), _M, _M],
+    "rows": [np.array([0.5, 0.0]), np.array([0.5, 0.0]), np.array([0.0, 0.5])],
+    "between other items": [_M, 1.5, _M, None, [_M, _M], _M],
+    "empty": [np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((2, 0))],
+    "nested stages": {"A": [_M] * 3, "Q": [[_M, _M], [_M]]},
+}
+
+
+@pytest.mark.parametrize("doc", SIBLINGS.values(), ids=SIBLINGS)
+def test_encoder_matches_json_on_sibling_arrays(doc):
+    _assert_like_json(doc)
+
+
+def test_encoder_formats_a_run_of_equal_matrices_once(monkeypatch):
+    rows = []
+    real = io._row
+    monkeypatch.setattr(io, "_row", lambda fh, row, sep: rows.append(row) or real(fh, row, sep))
+    _encoded({"A": [_M, _M.copy(), _M.copy()], "B": [_M, -_M, _M]})
+    # A: the first matrix's two rows; B: each matrix differs from the one before
+    assert len(rows) == 2 + 3 * 2
+
+
 def test_encoder_rejects_non_string_keys():
     with pytest.raises(TypeError, match="keys must be str"):
         _encoded({1: 2.0})
@@ -108,6 +145,18 @@ _docs = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_docs)
 def test_encoder_matches_json_on_random_documents(doc):
+    _assert_like_json(doc)
+
+
+# runs of one to three equal arrays, each a copy, so only the bits are shared
+_runs = st.lists(st.tuples(_arrays, st.integers(1, 3)), max_size=5).map(
+    lambda runs: [a.copy() for a, k in runs for _ in range(k)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs)
+def test_encoder_matches_json_on_random_sibling_runs(doc):
     _assert_like_json(doc)
 
 
