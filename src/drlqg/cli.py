@@ -1,13 +1,16 @@
 """Command-line front end: generate / solve / evaluate / verify.
 
-Exit codes: 0 success (and solver converged), 2 solver stopped at the
-iteration cap, 3 invalid input (including unparsable arguments), 4
-verification or consistency failure.
+Exit codes: 0 success (and solver converged), 2 solver stopped unconverged
+(at the iteration cap, or on a refused line-search step), 3 invalid input
+(including unparsable arguments and an ``--out`` that cannot be made), 4
+verification or consistency failure (including a non-finite ``evaluate``
+estimate).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys as _sys
 
@@ -90,10 +93,23 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(out: str):
+    """Raise a ``ValueError`` naming ``--out`` when the bundle directory
+    ``out`` cannot be made: it is empty, or it or its nearest existing
+    ancestor is not a directory."""
+    if not out:
+        raise ValueError("--out must name a directory, got an empty path")
+    path = out
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        if path == out:
+            raise ValueError(f"--out {out} exists and is not a directory")
+        raise ValueError(f"--out {out} cannot be made: {path} is not a directory")
+
+
 def _cmd_solve(args) -> int:
-    # the bundle directory cannot be made over a file, so say so before solving
-    if os.path.lexists(args.out) and not os.path.isdir(args.out):
-        raise ValueError(f"--out {args.out} exists and is not a directory")
+    _check_out_dir(args.out)  # before the solve, whose bundle would have nowhere to go
     system, amb, _ = io.read_instance(args.instance)
     # an exact line search, which needs far fewer iterations than the open-loop default
     cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter, step="line")
@@ -128,21 +144,30 @@ def _read_stored(system, controller_path: str, covariance_path: str):
 def _cmd_evaluate(args) -> int:
     if args.rollouts < 2:
         raise ValueError(f"--rollouts must be at least 2, got {args.rollouts}")
-    system, _, _ = io.read_instance(args.instance)
-    ctrl, U_out, cov, _ = _read_stored(system, args.controller, args.covariance)
-    st = build_stacked(system)
-    out_ctrl = LinearOutputController(
-        U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
-    )
-    exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
-    try:
-        stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
-    except MemoryError as exc:  # the one cost per rollout does not fit
-        raise ValueError(
-            f"--rollouts {args.rollouts} needs more memory than is available ({exc})"
-        ) from exc
+    # finite but huge inputs may overflow on the way; the estimates are judged below
+    with np.errstate(over="ignore", invalid="ignore"):
+        system, _, _ = io.read_instance(args.instance)
+        ctrl, U_out, cov, _ = _read_stored(system, args.controller, args.covariance)
+        st = build_stacked(system)
+        out_ctrl = LinearOutputController(
+            U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
+        )
+        exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
+        try:
+            stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
+        except MemoryError as exc:  # the one cost per rollout does not fit
+            raise ValueError(
+                f"--rollouts {args.rollouts} needs more memory than is available ({exc})"
+            ) from exc
     print(f"exact cost      : {exact:.10g}")
     print(f"monte carlo mean: {stats.mean:.10g} +/- {stats.stderr:.4g} (n={stats.n_samples})")
+    estimates = {
+        "exact cost": exact, "monte carlo mean": stats.mean, "monte carlo SE": stats.stderr
+    }
+    bad = [f"{name} {value:.4g}" for name, value in estimates.items() if not math.isfinite(value)]
+    if bad:
+        print(f"NON-FINITE ESTIMATE: {', '.join(bad)}; the two costs cannot be compared")
+        return EXIT_VERIFY_FAILED
     dev = abs(stats.mean - exact)
     if dev > 3.0 * stats.stderr:
         print(f"DISAGREEMENT: |mean - exact| = {dev:.4g} exceeds 3 SE = {3 * stats.stderr:.4g}")

@@ -53,8 +53,9 @@ class GradientBlocks:
 
 def _grad_from_solutions(
     sys: TimeVaryingSystem, ric: RiccatiSolution, kal: KalmanSolution
-) -> GradientBlocks:
-    """Backward adjoint sweep given the two recursions.
+) -> tuple[np.ndarray, ...]:
+    """Backward adjoint sweep given the two recursions: the 2T+1 frozen
+    gradient blocks in ``CovarianceProfile.blocks`` order.
 
     f = sum_{t<T} tr((Q_t - P_t) Sigma_t) + sum_{t=0..T} tr(P_t S_t) with
     S_0 = X0 and S_{t+1} = A_t Sigma_t A_t' + W_t, so every predicted
@@ -72,8 +73,7 @@ def _grad_from_solutions(
         dV[t] = _symmetrized(gain.T @ lam @ gain)
         closed = np.eye(sys.n) - gain @ sys.C[t]
         s_adj = _symmetrized(ric.P[t] + closed.T @ lam @ closed)
-    s_adj.flags.writeable = False
-    return GradientBlocks(dX0=s_adj, dW=_frozen_in_place(dW), dV=_frozen_in_place(dV))
+    return _frozen_in_place([s_adj, *dW, *dV])
 
 
 def grad_f(
@@ -86,7 +86,7 @@ def grad_f(
     _check_dims(sys, cov)
     ric = riccati if riccati is not None else riccati_backward(sys)
     kal = kalman if kalman is not None else kalman_forward(sys, cov)
-    return _grad_from_solutions(sys, ric, kal)
+    return GradientBlocks(*_split(_grad_from_solutions(sys, ric, kal)))
 
 
 def _fd_block(eval_at, base: np.ndarray, step: float) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -93,10 +94,24 @@ def _numbers(doc, path: str) -> tuple:
 
 
 def _as_array(doc, path: str) -> np.ndarray:
+    """The field ``path`` as a float array.  Its leaves must be numbers as
+    ``_checked`` has them, which numpy's conversion of booleans and numeric
+    strings is not; their types are scanned in one pass over the flattened
+    rows, and the document is walked only to name a bad leaf."""
+    node = _get(doc, path)
     try:
-        arr = np.array(_get(doc, path), dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(node, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"field '{path}' is not a numeric array: {exc}") from None
+    leaves = [node]
+    for _ in range(arr.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        for index in np.ndindex(arr.shape):
+            leaf = node
+            for i in index:
+                leaf = leaf[i]
+            _checked(leaf, float, path + "".join(f"[{i}]" for i in index))
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"field '{path}' contains non-finite entries")
     return arr
@@ -185,10 +200,6 @@ def _atomic_write(path: str, write):
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
-
-
-def _atomic_write_text(path: str, text: str):
-    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _row(fh, row: np.ndarray, sep: str):
@@ -333,7 +344,7 @@ def write_trace_csv(path: str, trace):
         lines.append(
             f"{rec.k},{rec.f_value:.17g},{rec.surrogate_gap:.17g},{rec.wall_time * 1e3:.17g}"
         )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def read_trace_csv(path: str) -> tuple[FWIteration, ...]:

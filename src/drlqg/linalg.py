@@ -1,10 +1,10 @@
 """Dense symmetric/PSD matrix kernels with an explicit roundoff policy.
 
-Every routine symmetrizes its input up front, and ``psd_sqrt`` re-symmetrizes
-its result, so tiny asymmetries cannot accumulate through long matrix
-recursions.  The recursions themselves symmetrize what they build with the
-unchecked ``_symmetrized`` and solve with ``_spd_solve_symmetric``, which
-skips the re-symmetrization but keeps every other check of ``spd_solve``.
+Every public routine symmetrizes its input up front, and ``psd_sqrt``
+re-symmetrizes its result, so tiny asymmetries cannot accumulate through
+long matrix recursions.  The recursions themselves symmetrize what they
+build with the unchecked ``_symmetrized`` and solve with ``_spd_solve``, the
+one SPD solve, which takes its matrix as already symmetric.
 ``psd_eig`` is the one eigendecomposition: eigenvalues that are negative
 only at roundoff level -- within ``PSD_CLAMP_REL`` times the Frobenius norm
 of the matrix -- are clamped to zero; anything more negative raises
@@ -73,18 +73,14 @@ def psd_sqrt(s) -> np.ndarray:
     return symmetrize((v * np.sqrt(w)) @ v.T)
 
 
-def spd_solve(s, b) -> np.ndarray:
-    """Solve ``S X = B`` for symmetric positive definite ``S``.
+def _spd_solve(s: np.ndarray, b) -> np.ndarray:
+    """Solve ``S X = B`` for a symmetric positive definite float matrix ``S``.
 
-    A Cholesky factorization tests positive definiteness and raises
+    ``s`` is taken as symmetric, as the recursions build it.  A Cholesky
+    factorization tests positive definiteness and raises
     :class:`SingularMatrixError` when it fails, i.e. when ``S`` is singular
-    or indefinite; the solve itself is an LU solve of the symmetrized ``S``.
+    or indefinite; the solve itself is an LU solve of ``S``.
     """
-    return _spd_solve_symmetric(symmetrize(s), b)
-
-
-def _spd_solve_symmetric(s: np.ndarray, b) -> np.ndarray:
-    """``spd_solve`` of a float matrix ``s`` that is already symmetric, as built by the recursions."""
     b = np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
         raise ValueError("solve input contains non-finite entries")

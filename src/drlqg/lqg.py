@@ -30,7 +30,7 @@ import numpy as np
 from .linalg import (
     PSD_CLAMP_REL,
     SingularMatrixError,
-    _spd_solve_symmetric,
+    _spd_solve,
     _symmetrized,
     min_eigval,
     psd_sqrt,
@@ -228,25 +228,28 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
         PB = P[t + 1] @ sys.B[t]
         inner = _symmetrized(sys.R[t] + sys.B[t].T @ PB)
         lin = PB.T @ sys.A[t]  # B_t' P_{t+1} A_t
-        K[t] = -_spd_solve_symmetric(inner, lin)
+        K[t] = -_spd_solve(inner, lin)
         P[t] = _symmetrized(sys.A[t].T @ P[t + 1] @ sys.A[t] + sys.Q[t] + lin.T @ K[t])
     return RiccatiSolution(P=_frozen_in_place(P), K=_frozen_in_place(K))
 
 
 def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
-    """Forward recursion on the raw 2T+1 ``blocks``; the caller guarantees V_t PD."""
+    """Forward recursion on the raw 2T+1 ``blocks``, which start it as given.
+
+    The caller guarantees X0 bitwise symmetric and V_t PD.
+    """
     X0, W, V = _split(blocks)
     T = sys.T
     Sig = [None] * T
     L = [None] * T
     pred = [None] * (T + 1)
-    pred[0] = s = _symmetrized(X0)
+    pred[0] = s = X0
     for t in range(T):
         C = sys.C[t]
         cs = C @ s
         m_t = _symmetrized(cs @ C.T + V[t])
         # Sigma_{t|t-1} C' M^{-1}, which equals the filter gain Sigma_t C' V^{-1}
-        L[t] = _spd_solve_symmetric(m_t, cs).T
+        L[t] = _spd_solve(m_t, cs).T
         Sig[t] = _symmetrized(s - L[t] @ C @ s)
         s = _symmetrized(sys.A[t] @ Sig[t] @ sys.A[t].T + W[t])
         pred[t + 1] = s
@@ -286,7 +289,7 @@ def _value_from_solutions(
 
         f = sum_{t<T} tr((Q_t - P_t) Sigma_t) + sum_{t=0..T} tr(P_t Sigma_{t|t-1})
 
-    Sigma_{0|-1} is ``symmetrize(X0)``, which is X0 bit for bit when X0 is symmetric.
+    Sigma_{0|-1} is X0 itself.
     """
     T = sys.T
     f = float(np.trace(ric.P[0] @ kal.Sigma_pred[0]))

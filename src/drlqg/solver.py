@@ -26,9 +26,10 @@ Every trial costs one Kalman forward pass and one adjoint sweep, and the
 accepted trial's value and gradient are those of the next iterate, so they
 are not computed twice.  By concavity h(alpha) >= h(0) wherever
 h'(alpha) >= 0; a point that lowers f all the same (by roundoff) is
-refused and the iterate stays put (the solve then repeats that iteration
-until the cap), so f_k never decreases.  The surrogate-gap certificate does
-not depend on the step rule.
+refused and the current point returned, so f_k never decreases.  From the
+current point every later iteration would repeat this one, so the run ends
+there, not converged.  The surrogate-gap certificate does not depend on the
+step rule.
 
 The returned controller pairs the solve's Riccati gains with the Kalman
 gains of the worst-case profile; by the separation structure it is a best
@@ -133,7 +134,7 @@ def _price(grads: list[np.ndarray], blocks: list[np.ndarray]) -> float:
 def _evaluate(sys: TimeVaryingSystem, ric, blocks):
     """(f, gradient blocks) at the profile whose ``CovarianceProfile.blocks`` are ``blocks``."""
     kal = _kalman_forward_raw(sys, blocks)
-    return _value_from_solutions(sys, ric, kal), _grad_from_solutions(sys, ric, kal).flat()
+    return _value_from_solutions(sys, ric, kal), _grad_from_solutions(sys, ric, kal)
 
 
 def _move(refs, direction, alpha: float) -> list[np.ndarray]:
@@ -191,9 +192,10 @@ def solve(
     """Find the least-favorable noise profile and its optimal controller.
 
     Starts from the nominal profile.  When the gap tolerance is not reached
-    within ``max_iter`` iterations the iterate with the smallest recorded
-    gap is returned, flagged ``converged=False``.  ``on_iterate(k, cov, gap)``
-    is invoked once per iteration (used by audits and tests).
+    within ``max_iter`` iterations, or the line search refuses its step, the
+    iterate with the smallest recorded gap is returned, flagged
+    ``converged=False``.  ``on_iterate(k, cov, gap)`` is invoked once per
+    iteration (used by audits and tests).
     """
     cfg = config if config is not None else FWConfig()
     _check_dims(sys, amb.nominal)
@@ -223,9 +225,11 @@ def solve(
             break
         direction = [r.maximizer - z for z, r in zip(refs, results)]
         if cfg.step == "line":
-            stepped, f_next, grads_next = _line_search(
-                sys, ric, direction, (refs, f_k, grads), gap
-            )
+            current = (refs, f_k, grads)
+            point = _line_search(sys, ric, direction, current, gap)
+            if point is current:  # stays put: every later iteration would repeat this one
+                break
+            stepped, f_next, grads_next = point
             evaluated = (f_next, grads_next)
         else:
             stepped = _move(refs, direction, 2.0 / (2.0 + k))
@@ -363,7 +367,7 @@ def saddle_check(
             claim_violations.append(f"stored filter gain L[{t}] does not match recomputation")
 
     nature_violations = []
-    grads = _grad_from_solutions(sys, ric, kal).flat()
+    grads = _grad_from_solutions(sys, ric, kal)
     best_response = oracle_maximize_blocks(balls, grads, worst, delta=0.99, labels=labels)
     candidates = itertools.chain(
         [("best-response", [r.maximizer for r in best_response])],

@@ -84,7 +84,7 @@ def reference_solve(sys, amb, delta=0.95, tol=1e-3, max_iter=1000):
     for k in range(max_iter):
         kal = kalman_forward(sys, cov)
         f_k = _value_from_solutions(sys, ric, kal)
-        grads = _grad_from_solutions(sys, ric, kal).flat()
+        grads = _grad_from_solutions(sys, ric, kal)
         refs = [cov.X0, *cov.W, *cov.V]
         results = [reference_oracle(b, g, z, delta) for b, g, z in zip(balls, grads, refs)]
         gap = sum(r.gap_contribution for r in results)

@@ -252,6 +252,34 @@ def test_verify_names_the_block_and_sample_of_an_unresolved_radius(tmp_path, cap
     assert err.startswith("error: gradient block W[1] of nature sample 0: radius 1.000e+20 ")
 
 
+@pytest.mark.parametrize(
+    "name, path",
+    [("controller.json", ("K", 0, 0, 0)), ("worst_case.json", ("covariance", "X0", 0, 0))],
+    ids=["K", "X0"],
+)
+def test_evaluate_fails_on_a_non_finite_estimate(tmp_path, capsys, name, path):
+    # a finite 1e300 overflows the rollouts; no RuntimeWarning may escape
+    # (the suite runs with warnings as errors) and no agreement is claimed
+    inst, res = _solved(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    doc = json.loads((res / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1e300
+    (res / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(
+        [
+            "evaluate", str(inst), str(res / "controller.json"), str(res / "worst_case.json"),
+            "--rollouts", "50",
+        ]
+    )
+    assert rc == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "NON-FINITE ESTIMATE: " in out and "monte carlo" in out.splitlines()[-1]
+    assert "agreement" not in out
+
+
 def test_evaluate_rejects_fewer_than_two_rollouts(tmp_path, capsys):
     inst = _generate(tmp_path, n=1, m=1, p=1, T=1, seed=0, rho=0.1)
     res = tmp_path / "res"
@@ -391,6 +419,36 @@ def test_generate_onto_a_directory_leaves_it_alone(tmp_path, capsys):
     assert (out / "keep.txt").read_text() == "kept\n"
 
 
+def test_solve_rejects_a_boolean_matrix_entry(tmp_path, capsys):
+    # numpy would read true as 1.0 and solve another plant
+    inst = _generate(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    doc = json.loads(inst.read_text())
+    doc["system"]["A"][0][0][0] = True
+    inst.write_text(json.dumps(doc))
+    assert main(["solve", str(inst), "--out", str(tmp_path / "res")]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {inst}: field 'system.A[0][0][0]' must be a number, got true" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_solve_ends_on_a_refused_line_search_step(tmp_path, capsys):
+    # With radii of 1e6 the line search refuses its step at some iteration,
+    # and the iterate cannot move after that: the run ends there, not
+    # converged, with the minimum-gap iterate it would keep up to the cap.
+    inst = _generate(tmp_path, n=3, m=2, p=4, T=1, seed=1, rho=0.5)
+    doc = json.loads(inst.read_text())
+    doc["ambiguity"].update(rho_x0=1e6, rho_w=[1e6], rho_v=[1e6])
+    inst.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--out", str(res), "--tol", "1e-6"])
+    assert rc == EXIT_NOT_CONVERGED
+    assert "f=2.025333911e+12 gap=4.771e+06" in capsys.readouterr().out
+    rows = (res / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) < 1000
+    assert json.loads((res / "worst_case.json").read_text())["iterations"] == len(rows)
+
+
 def test_solve_out_onto_a_file_fails_before_solving(tmp_path, capsys, monkeypatch):
     inst = _generate(tmp_path)
     out = tmp_path / "taken"
@@ -403,6 +461,24 @@ def test_solve_out_onto_a_file_fails_before_solving(tmp_path, capsys, monkeypatc
     assert main(["solve", str(inst), "--out", str(out)]) == EXIT_BAD_INPUT
     assert f"error: --out {out} exists and is not a directory" in capsys.readouterr().err
     assert out.read_text() == "kept\n"
+
+
+def test_solve_out_under_a_file_fails_before_solving(tmp_path, capsys, monkeypatch):
+    inst = _generate(tmp_path)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(drlqg.cli, "solve", never)
+    out = blocker / "sub" / "deeper"
+    assert main(["solve", str(inst), "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"error: --out {out} cannot be made: {blocker} is not a directory" in err
+    assert blocker.read_text() == "kept\n"
+    assert main(["solve", str(inst), "--out", ""]) == EXIT_BAD_INPUT
+    assert "error: --out must name a directory" in capsys.readouterr().err
 
 
 def test_written_files_get_the_umask_mode(tmp_path):

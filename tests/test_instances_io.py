@@ -388,6 +388,43 @@ def _documents(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "value, shown", [(True, "true"), ("0.1", '"0.1"')], ids=["boolean", "numeric-string"]
+)
+@pytest.mark.parametrize(
+    "document, field, index",
+    [
+        (0, "system.A", (0, 0, 0)),
+        (0, "ambiguity.nominal.W", (1, 0, 0)),
+        (2, "K", (1, 0, 0)),
+        (2, "U_output", (1, 0)),
+    ],
+    ids=["system.A", "nominal.W", "K", "U_output"],
+)
+def test_matrix_leaves_must_be_numbers(tmp_path, value, shown, document, field, index):
+    # numpy would read true as 1.0 and "0.1" as 0.1
+    read, path = _documents(tmp_path)[document]
+    doc = json.loads(path.read_text())
+    node = io._get(doc, field)
+    for i in index[:-1]:
+        node = node[i]
+    node[index[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError) as info:
+        read(str(path))
+    leaf = field + "".join(f"[{i}]" for i in index)
+    assert str(info.value) == f"{path}: field '{leaf}' must be a number, got {shown}"
+
+
+def test_matrix_leaf_too_large_for_a_float_is_named(tmp_path):
+    read, path = _documents(tmp_path)[0]
+    doc = json.loads(path.read_text())
+    doc["system"]["A"][0][0][0] = 10**400  # an integer literal no float holds
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError, match="field 'system.A' is not a numeric array"):
+        read(str(path))
+
+
+@pytest.mark.parametrize(
     "version, message",
     [
         (99, "field 'version' must be 1, got 99"),

@@ -4,10 +4,10 @@ import pytest
 from drlqg.linalg import (
     NotPSDError,
     SingularMatrixError,
+    _spd_solve,
     min_eigval,
     psd_eig,
     psd_sqrt,
-    spd_solve,
     symmetrize,
 )
 
@@ -95,11 +95,11 @@ def test_psd_sqrt_commutes_with_input():
 
 def test_spd_solve_identity():
     b = np.arange(6.0).reshape(3, 2)
-    assert np.allclose(spd_solve(np.eye(3), b), b, atol=1e-14)
+    assert np.allclose(_spd_solve(np.eye(3), b), b, atol=1e-14)
 
 
 def test_spd_solve_diagonal():
-    out = spd_solve(np.diag([2.0, 4.0]), np.eye(2))
+    out = _spd_solve(np.diag([2.0, 4.0]), np.eye(2))
     assert np.allclose(out, np.diag([0.5, 0.25]), atol=1e-14)
 
 
@@ -108,7 +108,7 @@ def test_spd_solve_residual():
     for _ in range(20):
         s = random_spd(rng, 5)
         b = rng.standard_normal((5, 3))
-        x = spd_solve(s, b)
+        x = _spd_solve(s, b)
         assert np.linalg.norm(s @ x - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
 
 
@@ -116,16 +116,16 @@ def test_spd_solve_self_gives_identity():
     rng = np.random.default_rng(6)
     for _ in range(10):
         s = random_spd(rng, 4)
-        assert np.linalg.norm(spd_solve(s, s) - np.eye(4)) <= 1e-9
+        assert np.linalg.norm(_spd_solve(s, s) - np.eye(4)) <= 1e-9
 
 
 def test_spd_solve_rejects_singular_and_indefinite():
     with pytest.raises(SingularMatrixError):
-        spd_solve(np.zeros((2, 2)), np.eye(2))
+        _spd_solve(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(SingularMatrixError):
-        spd_solve(np.diag([1.0, -1.0]), np.eye(2))
+        _spd_solve(np.diag([1.0, -1.0]), np.eye(2))
 
 
 def test_spd_solve_rejects_nonfinite():
     with pytest.raises(ValueError):
-        spd_solve(np.eye(2), np.array([[np.nan], [0.0]]))
+        _spd_solve(np.eye(2), np.array([[np.nan], [0.0]]))

@@ -214,8 +214,8 @@ def test_line_search_falls_back_to_higher_bracket_end(monkeypatch):
 
 
 def test_line_search_refuses_a_point_that_lowers_f(monkeypatch):
-    # Trials valued below the current iterate are refused: the iterate stays
-    # put, so the solve repeats its first iteration until the cap.
+    # Trials valued below the current iterate are refused: the iterate would
+    # stay put, so the solve ends after its first iteration, not converged.
     evaluate = solver._evaluate
     calls = []
 
@@ -228,11 +228,9 @@ def test_line_search_refuses_a_point_that_lowers_f(monkeypatch):
     sys, amb, _ = generate_instance(3, 2, 1, 4, seed=11, rho=0.5)
     sol = solve(sys, amb, FWConfig(tol=1e-4, max_iter=3, step="line"))
     assert not sol.converged
-    first = (sol.trace[0].f_value, sol.trace[0].surrogate_gap)
-    assert [(r.k, r.f_value, r.surrogate_gap) for r in sol.trace] == [
-        (k, *first) for k in range(3)
-    ]
-    assert len(calls) > 3
+    assert [rec.k for rec in sol.trace] == [0]
+    assert (sol.f_value, sol.final_gap) == (sol.trace[0].f_value, sol.trace[0].surrogate_gap)
+    assert len(calls) >= 2  # the start and at least one refused trial
 
 
 def _scripted_line(monkeypatch, f_k):
