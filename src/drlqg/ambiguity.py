@@ -61,8 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PSD_CLAMP_REL, NotPSDError, min_eigval, psd_eig, psd_sqrt, symmetrize
-from .linalg import _check_psd, _symmetrized
+from .linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
+from .linalg import _checked_eig, _symmetrized
 from .lqg import CovarianceProfile, _block_labels, _frozen
 
 _MAX_BISECT = 200
@@ -99,8 +99,9 @@ def _by_shape(balls) -> dict[int, list[int]]:
 class GelbrichBall:
     """Floored Gelbrich ball {Z : G(Z, center) <= radius, Z >= floor * I}.
 
-    The floor, ``min_eigval`` of the center, is computed once on construction,
-    where the center also passes ``psd_eig``'s checks; it is not an argument.
+    The floor, the smallest eigenvalue of the center, is computed once on
+    construction, where the center also passes ``psd_eig``'s PSD rule; it is
+    not an argument.
     The oracle's optimality guarantee assumes a PD center or a zero one.
     """
 
@@ -110,8 +111,7 @@ class GelbrichBall:
 
     def __post_init__(self):
         center = symmetrize(self.center)
-        floor = min_eigval(center)
-        _check_psd(center, floor)  # raises if non-finite or genuinely indefinite
+        floor = float(_checked_eig(center, np.linalg.eigvalsh)[0])
         if not (self.radius >= 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
         object.__setattr__(self, "center", _frozen(center))
@@ -230,15 +230,9 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
         return maximizers, gammas, gaps, iterations
 
     grads = _symmetrized(np.asarray(gradients, dtype=float)[live])
-    for j in np.flatnonzero(~np.all(np.isfinite(grads), axis=(1, 2))):
-        raise ValueError(f"gradient block {name(live[j])} contains non-finite entries")
-    lam, vec = np.linalg.eigh(grads)  # ascending eigenvalues
-    floor = -PSD_CLAMP_REL * np.linalg.norm(grads, axis=(1, 2))
-    for j in np.flatnonzero(lam[:, 0] < floor):
-        raise NotPSDError(
-            f"gradient block {name(live[j])}: minimum eigenvalue {lam[j, 0]:.6e} "
-            f"is below the PSD tolerance {floor[j]:.6e}"
-        )
+    lam, vec = _checked_eig(  # ascending eigenvalues
+        grads, np.linalg.eigh, lambda j: f"gradient block {name(live[j])}"
+    )
     lam = np.clip(lam, 0.0, None)
     keep = lam[:, -1] > 0.0  # a zero gradient keeps the reference, gap 0
     live, lam, vec = live[keep], lam[keep], vec[keep]

@@ -204,6 +204,9 @@ def _cmd_verify(args) -> int:
             f"f + slack by {excess:.4g}"
         )
     for label, cost, shortfall in report.controller_violations:
+        if not math.isfinite(cost):
+            failures.append(f"controller-side violation ({label}): the certified bound overflows")
+            continue
         failures.append(
             f"controller-side violation ({label}): cost {cost:.10g} undercuts f by {shortfall:.4g}"
         )

@@ -32,6 +32,7 @@ from .lqg import (
     _frozen,
     _frozen_in_place,
     _kalman_forward_raw,
+    _overflow,
     _split,
     _value_from_solutions,
     kalman_forward,
@@ -51,6 +52,7 @@ class GradientBlocks:
         return [self.dX0, *self.dW, *self.dV]
 
 
+@np.errstate(over="raise", invalid="raise")
 def _grad_from_solutions(
     sys: TimeVaryingSystem, ric: RiccatiSolution, kal: KalmanSolution
 ) -> tuple[np.ndarray, ...]:
@@ -61,18 +63,22 @@ def _grad_from_solutions(
     S_0 = X0 and S_{t+1} = A_t Sigma_t A_t' + W_t, so every predicted
     covariance carries a direct adjoint P_t plus, for t < T, the filtered
     contribution propagated through the two differential identities above.
+    An overflow raises ``ValueError`` naming the stage.
     """
     T = sys.T
     dW = [None] * T
     dV = [None] * T
     s_adj = ric.P[T]  # adjoint of S_{t+1}, starting at t = T-1
-    for t in reversed(range(T)):
-        dW[t] = s_adj
-        lam = _symmetrized(sys.Q[t] - ric.P[t] + sys.A[t].T @ s_adj @ sys.A[t])
-        gain = kal.L[t]
-        dV[t] = _symmetrized(gain.T @ lam @ gain)
-        closed = np.eye(sys.n) - gain @ sys.C[t]
-        s_adj = _symmetrized(ric.P[t] + closed.T @ lam @ closed)
+    try:
+        for t in reversed(range(T)):
+            dW[t] = s_adj
+            lam = _symmetrized(sys.Q[t] - ric.P[t] + sys.A[t].T @ s_adj @ sys.A[t])
+            gain = kal.L[t]
+            dV[t] = _symmetrized(gain.T @ lam @ gain)
+            closed = np.eye(sys.n) - gain @ sys.C[t]
+            s_adj = _symmetrized(ric.P[t] + closed.T @ lam @ closed)
+    except FloatingPointError:
+        raise _overflow("adjoint", t) from None
     return _frozen_in_place([s_adj, *dW, *dV])
 
 

@@ -5,12 +5,16 @@ re-symmetrizes its result, so tiny asymmetries cannot accumulate through
 long matrix recursions.  The recursions themselves symmetrize what they
 build with the unchecked ``_symmetrized`` and solve with ``_spd_solve``, the
 one SPD solve, which takes its matrix as already symmetric.
-``psd_eig`` is the one eigendecomposition: eigenvalues that are negative
-only at roundoff level -- within ``PSD_CLAMP_REL`` times the Frobenius norm
-of the matrix -- are clamped to zero; anything more negative raises
-:class:`NotPSDError`.  Its eigenvectors carry no sign convention, because
-every consumer forms ``V diag(f(w)) V'``, in which negating a column cancels
-exactly.
+``_checked_eig`` holds the one PSD rule, which ``psd_eig``, the Gelbrich
+balls, the PSD blocks of systems and noise profiles and the oracle's
+gradients all go through: a matrix is PSD up to roundoff when its entries are
+finite and its smallest eigenvalue is at least ``-PSD_CLAMP_REL`` times its
+Frobenius norm, a norm computed so that the verdict is the same at every
+scale.  ``psd_eig`` is the one eigendecomposition: eigenvalues that are
+negative only at roundoff level are clamped to zero; anything more negative
+raises :class:`NotPSDError`.  Its eigenvectors carry no sign convention,
+because every consumer forms ``V diag(f(w)) V'``, in which negating a column
+cancels exactly.
 """
 
 from __future__ import annotations
@@ -50,21 +54,49 @@ def psd_eig(s) -> tuple[np.ndarray, np.ndarray]:
     ``[-PSD_CLAMP_REL * ||S||_F, 0)`` are set to zero.  A smaller eigenvalue
     means the matrix is genuinely indefinite and raises :class:`NotPSDError`.
     """
-    s = symmetrize(s)
-    w, v = np.linalg.eigh(s)
-    _check_psd(s, w[0])
+    w, v = _checked_eig(symmetrize(s), np.linalg.eigh)
     return np.clip(w, 0.0, None), v
 
 
-def _check_psd(s: np.ndarray, lowest: float):
-    """``psd_eig``'s checks of the symmetric ``s``, given its smallest eigenvalue."""
-    if not np.all(np.isfinite(s)):
-        raise ValueError("matrix contains non-finite entries")
-    floor = -PSD_CLAMP_REL * np.linalg.norm(s)
-    if lowest < floor:
+def _checked_eig(s: np.ndarray, eig, label=None):
+    """``eig(s)`` (``np.linalg.eigh`` or ``eigvalsh``) of a symmetric ``s``,
+    or of a (B, d, d) stack of them, that passes the one PSD rule.
+
+    Non-finite entries raise ``ValueError`` before the eigensolve, on which
+    LAPACK may fail to converge.  A smallest eigenvalue below
+    ``-PSD_CLAMP_REL * ||S||_F`` raises :class:`NotPSDError`.  ``label(j)``
+    names matrix j of a stack at the head of either message.
+    """
+    stack = s.reshape(-1, *s.shape[-2:])
+    name = label or (lambda j: None)
+    if not np.isfinite(stack).all():
+        j = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
+        raise ValueError(f"{name(j) or 'matrix'} contains non-finite entries")
+    out = eig(s)
+    w = out[0] if isinstance(out, tuple) else out
+    lowest = w.reshape(-1, w.shape[-1])[:, 0]
+    if lowest.min() >= 0.0:  # the floor is at most 0
+        return out
+    floor = _psd_floor(stack)
+    for j in np.flatnonzero(lowest < floor):
+        head = f"{name(j)}: " if name(j) else ""
         raise NotPSDError(
-            f"minimum eigenvalue {lowest:.6e} is below the PSD tolerance {floor:.6e}"
+            f"{head}minimum eigenvalue {lowest[j]:.6e} is below the PSD tolerance {floor[j]:.6e}"
         )
+    return out
+
+
+def _psd_floor(stack: np.ndarray) -> np.ndarray:
+    """``-PSD_CLAMP_REL * ||S||_F`` of each matrix of a (B, d, d) stack.
+
+    The norm is taken of S / max|S| and scaled back after the factor, as
+    LAPACK's ``dnrm2`` scales, so that it neither overflows nor underflows
+    for any finite S.
+    """
+    unit = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    unit[unit == 0.0] = 1.0
+    scaled = stack / unit[:, None, None]
+    return -PSD_CLAMP_REL * np.sqrt(np.einsum("bij,bij->b", scaled, scaled)) * unit
 
 
 def psd_sqrt(s) -> np.ndarray:

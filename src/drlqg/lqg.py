@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_CLAMP_REL,
+    NotPSDError,
     SingularMatrixError,
+    _checked_eig,
     _spd_solve,
     _symmetrized,
     min_eigval,
@@ -60,11 +61,13 @@ def _block(m, shape, label, psd=False, pd=False) -> np.ndarray:
         raise ValueError(f"{label} contains non-finite entries")
     if psd or pd:
         m = symmetrize(m)
-        lo = min_eigval(m)
-        if pd and lo <= 0.0:
-            raise ValueError(f"{label} must be positive definite (min eig {lo:.3e})")
-        if psd and lo < -PSD_CLAMP_REL * np.linalg.norm(m):
-            raise ValueError(f"{label} must be positive semidefinite (min eig {lo:.3e})")
+    if pd and (lo := min_eigval(m)) <= 0.0:
+        raise ValueError(f"{label} must be positive definite (min eig {lo:.3e})")
+    if psd:
+        try:
+            _checked_eig(m, np.linalg.eigvalsh)
+        except NotPSDError as exc:  # a plain ValueError that names the field
+            raise ValueError(f"{label} must be positive semidefinite ({exc})") from None
     return _frozen(m)
 
 
@@ -210,6 +213,16 @@ class KalmanSolution:
     L: tuple
 
 
+def _overflow(recursion: str, t: int) -> ValueError:
+    """The error of a recursion whose stage ``t`` overflowed (or made a NaN of an overflow).
+
+    Each recursion runs under one ``np.errstate(over="raise", invalid="raise")``
+    per call, so the first such value stops it at the stage that made it.
+    """
+    return ValueError(f"{recursion} recursion overflows at stage {t}")
+
+
+@np.errstate(over="raise", invalid="raise")
 def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
     """Backward Riccati recursion.
 
@@ -218,25 +231,31 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
         P_t = A_t' P_{t+1} A_t + Q_t - A_t' P_{t+1} B_t (R_t + B_t' P_{t+1} B_t)^{-1} B_t' P_{t+1} A_t
 
     The inner matrix R_t + B_t' P_{t+1} B_t is PD because R_t is PD and
-    P_{t+1} is PSD; a failed factorization raises ``SingularMatrixError``.
+    P_{t+1} is PSD; a failed factorization raises ``SingularMatrixError``,
+    and an overflow raises ``ValueError`` naming the stage.
     """
     T = sys.T
     P = [None] * (T + 1)
     K = [None] * T
     P[T] = sys.Q[T]
-    for t in reversed(range(T)):
-        PB = P[t + 1] @ sys.B[t]
-        inner = _symmetrized(sys.R[t] + sys.B[t].T @ PB)
-        lin = PB.T @ sys.A[t]  # B_t' P_{t+1} A_t
-        K[t] = -_spd_solve(inner, lin)
-        P[t] = _symmetrized(sys.A[t].T @ P[t + 1] @ sys.A[t] + sys.Q[t] + lin.T @ K[t])
+    try:
+        for t in reversed(range(T)):
+            PB = P[t + 1] @ sys.B[t]
+            inner = _symmetrized(sys.R[t] + sys.B[t].T @ PB)
+            lin = PB.T @ sys.A[t]  # B_t' P_{t+1} A_t
+            K[t] = -_spd_solve(inner, lin)
+            P[t] = _symmetrized(sys.A[t].T @ P[t + 1] @ sys.A[t] + sys.Q[t] + lin.T @ K[t])
+    except FloatingPointError:
+        raise _overflow("Riccati", t) from None
     return RiccatiSolution(P=_frozen_in_place(P), K=_frozen_in_place(K))
 
 
+@np.errstate(over="raise", invalid="raise")
 def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
     """Forward recursion on the raw 2T+1 ``blocks``, which start it as given.
 
-    The caller guarantees X0 bitwise symmetric and V_t PD.
+    The caller guarantees X0 bitwise symmetric and V_t PD.  An overflow
+    raises ``ValueError`` naming the stage.
     """
     X0, W, V = _split(blocks)
     T = sys.T
@@ -244,15 +263,18 @@ def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
     L = [None] * T
     pred = [None] * (T + 1)
     pred[0] = s = X0
-    for t in range(T):
-        C = sys.C[t]
-        cs = C @ s
-        m_t = _symmetrized(cs @ C.T + V[t])
-        # Sigma_{t|t-1} C' M^{-1}, which equals the filter gain Sigma_t C' V^{-1}
-        L[t] = _spd_solve(m_t, cs).T
-        Sig[t] = _symmetrized(s - L[t] @ C @ s)
-        s = _symmetrized(sys.A[t] @ Sig[t] @ sys.A[t].T + W[t])
-        pred[t + 1] = s
+    try:
+        for t in range(T):
+            C = sys.C[t]
+            cs = C @ s
+            m_t = _symmetrized(cs @ C.T + V[t])
+            # Sigma_{t|t-1} C' M^{-1}, which equals the filter gain Sigma_t C' V^{-1}
+            L[t] = _spd_solve(m_t, cs).T
+            Sig[t] = _symmetrized(s - L[t] @ C @ s)
+            s = _symmetrized(sys.A[t] @ Sig[t] @ sys.A[t].T + W[t])
+            pred[t + 1] = s
+    except FloatingPointError:
+        raise _overflow("Kalman", t) from None
     return KalmanSolution(
         Sigma=_frozen_in_place(Sig), Sigma_pred=_frozen_in_place(pred), L=_frozen_in_place(L)
     )

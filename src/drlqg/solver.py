@@ -261,8 +261,8 @@ class SaddleReport:
     feasible noise profiles that beat the claimed value by more than
     ``nature_slack``; ``controller_violations`` holds ("first-order", cost,
     shortfall) when the certified lower bound on a causal controller's cost
-    at the worst case undercuts it.  ``n_samples`` counts the random nature
-    samples.
+    at the worst case undercuts it, with a cost of -inf when the bound
+    overflows.  ``n_samples`` counts the random nature samples.
     """
 
     f_value: float

@@ -270,6 +270,8 @@ def controller_cost_trace(
     return float(val)
 
 
+# an overflow is no bound: it gives b = inf, which saddle_check reports as a finding
+@np.errstate(over="ignore", invalid="ignore")
 def _first_order_bound(
     st: StackedSystem, U: np.ndarray, cov: CovarianceProfile, exact: bool = False
 ) -> float:
@@ -282,7 +284,8 @@ def _first_order_bound(
     Since S >= Rs and Sigma_eta >= Vbig, the default divides by the smaller
     min_t lmin(R_t) * min_t lmin(V_t), which needs no eigensolve of size N;
     on a badly scaled stage that b can exceed the exact one by many orders
-    of magnitude.  ``exact=True`` computes lmin(S) and lmin(Sigma_eta).
+    of magnitude.  ``exact=True`` computes lmin(S) and lmin(Sigma_eta).  A
+    |g|_F^2 that overflows, or is NaN from an overflow, gives an infinite b.
     """
     W, V = _stage_stacks(cov)
     DW = _right(st.D, W)
@@ -293,6 +296,9 @@ def _first_order_bound(
     grad = 2.0 * (_left(st.R, USig) + st.H.T @ _left(st.Q, st.H @ USig + st.G @ DW.T))
     for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
+    norm2 = float(np.sum(grad**2))
+    if not np.isfinite(norm2):
+        return np.inf
     if exact:
         S = st.H.T @ _left(st.Q, st.H)
         for t in range(st.T):
@@ -300,7 +306,7 @@ def _first_order_bound(
         curvature = min_eigval(S) * min_eigval(sigma_eta)
     else:
         curvature = float(np.linalg.eigvalsh(st.R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
-    return float(np.sum(grad**2)) / (4.0 * curvature) if curvature > 0.0 else np.inf
+    return norm2 / (4.0 * curvature) if curvature > 0.0 else np.inf
 
 
 def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys as _sys
 import warnings
@@ -278,6 +279,53 @@ def test_evaluate_fails_on_a_non_finite_estimate(tmp_path, capsys, name, path):
     out = capsys.readouterr().out
     assert "NON-FINITE ESTIMATE: " in out and "monte carlo" in out.splitlines()[-1]
     assert "agreement" not in out
+
+
+def _no_non_finite_number(text):
+    return not re.search(r"\b(inf|nan)\b", text, re.IGNORECASE)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("A", "error: Riccati recursion overflows at stage 0\n"), ("Q", "error: gradient block X0: ")],
+    ids=["A", "Q"],
+)
+def test_an_overflowing_system_is_bad_input(tmp_path, capsys, field, message):
+    # 1e300 in A overflows the Riccati recursion; in Q it makes a gradient
+    # whose radius double precision cannot resolve; no warning escapes
+    inst, res = _solved(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    doc = json.loads(inst.read_text())
+    doc["system"][field][0][0][0] = 1e300
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    for args in (
+        ["solve", str(huge), "--out", str(tmp_path / "o")],
+        ["verify", str(huge), str(res), "--samples", "5"],
+    ):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert err.startswith(message)
+        assert _no_non_finite_number(out + err)
+
+
+def test_verify_reports_an_overflowing_bound_in_finite_terms(tmp_path, capsys):
+    # 1e300 in the worst-case X0 overflows the controller-side bound, which
+    # once printed "cost -inf undercuts f by inf" after two RuntimeWarnings
+    inst, res = _solved(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    path = res / "worst_case.json"
+    doc = json.loads(path.read_text())
+    doc["covariance"]["X0"][0][0] = 1e300
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "  - controller-side violation (first-order): the certified bound overflows\n" in out
+    assert _no_non_finite_number(out)
 
 
 def test_evaluate_rejects_fewer_than_two_rollouts(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drlqg import CovarianceProfile, GelbrichBall, TimeVaryingSystem, oracle_maximize
 from drlqg.linalg import (
     NotPSDError,
     SingularMatrixError,
@@ -53,6 +54,56 @@ def test_sym_eig_rejects_nonfinite():
         psd_eig([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         psd_eig([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_non_finite_input_is_named_before_the_eigensolve():
+    # LAPACK does not converge on an all-NaN 3x3, which once surfaced as a
+    # LinAlgError "Eigenvalues did not converge"
+    bad = np.full((3, 3), np.nan)
+    with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        psd_eig(bad)
+    with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        GelbrichBall(center=bad, radius=0.5)
+
+
+def _psd_verdicts(m):
+    """Whether each site that applies the PSD rule accepts ``m``."""
+    d = m.shape[0]
+    eye = np.eye(d)
+    sites = {
+        "psd_eig": lambda: psd_eig(m),
+        "GelbrichBall": lambda: GelbrichBall(center=m, radius=0.5),
+        "CovarianceProfile": lambda: CovarianceProfile(X0=m, W=[eye], V=[np.eye(1)]),
+        "TimeVaryingSystem": lambda: TimeVaryingSystem(
+            A=[eye], B=[np.ones((d, 1))], C=[np.ones((1, d))], Q=[m, eye], R=[np.eye(1)]
+        ),
+        "oracle_maximize": lambda: oracle_maximize(GelbrichBall(center=eye, radius=0.5), m, eye),
+    }
+    verdicts = {}
+    for name, site in sites.items():
+        try:
+            site()
+        except ValueError as exc:  # the oracle's radius-range error is another rule
+            verdicts[name] = not isinstance(exc, NotPSDError) and "semidefinite" not in str(exc)
+        else:
+            verdicts[name] = True
+    return verdicts
+
+
+_INDEFINITE = np.diag([1.0, -1.0])
+_FACTOR = np.random.default_rng(2201).standard_normal((4, 2))
+_RANK_TWO = _FACTOR @ _FACTOR.T
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300])
+@pytest.mark.parametrize("m", [_INDEFINITE, _RANK_TWO], ids=["indefinite", "rank-2-psd"])
+def test_psd_rule_gives_the_same_verdict_at_every_scale(m, c):
+    # the tolerance is relative to ||S||_F, whose unscaled sum of squares
+    # once overflowed above about 1e154 and underflowed below about 1e-154
+    at_one = _psd_verdicts(m)
+    assert set(at_one.values()) == {m is _RANK_TWO}
+    assert _psd_verdicts(c * m) == at_one
 
 
 def test_psd_sqrt_identity():

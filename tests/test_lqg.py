@@ -10,6 +10,7 @@ from drlqg import (
     LinearPurifiedController,
     TimeVaryingSystem,
     assemble_controller,
+    grad_f,
     kalman_forward,
     lqg_value,
     monte_carlo_cost,
@@ -112,6 +113,25 @@ def test_kalman_rejects_singular_v_naming_stage():
     bad = CovarianceProfile(X0=cov.X0, W=cov.W, V=(cov.V[0], np.zeros((2, 2)), cov.V[2]))
     with pytest.raises(SingularMatrixError, match=r"V\[1\]"):
         kalman_forward(sys, bad)
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_recursions_name_the_stage_that_overflows(t):
+    # one entry of 1e300 in A[t] overflows A' P A, A Sigma A' and the
+    # adjoint's A' S A at stage t of each recursion
+    rng = np.random.default_rng(2202)
+    sys = random_system(rng, 3, 2, 2, 3)
+    cov = random_profile(rng, 3, 2, 3)
+    A = [np.array(a) for a in sys.A]
+    A[t][0, 0] = 1e300
+    huge = dataclasses.replace(sys, A=A)
+    with pytest.raises(ValueError, match=rf"^Riccati recursion overflows at stage {t}$"):
+        riccati_backward(huge)
+    with pytest.raises(ValueError, match=rf"^Kalman recursion overflows at stage {t}$"):
+        kalman_forward(huge, cov)
+    ric, kal = riccati_backward(sys), kalman_forward(sys, cov)
+    with pytest.raises(ValueError, match=rf"^adjoint recursion overflows at stage {t}$"):
+        grad_f(huge, cov, riccati=ric, kalman=kal)
 
 
 def test_kalman_gain_matches_filtered_form():
