@@ -101,7 +101,8 @@ class GelbrichBall:
 
     The floor, the smallest eigenvalue of the center, is computed once on
     construction, where the center also passes ``psd_eig``'s PSD rule; it is
-    not an argument.
+    not an argument.  An ``AmbiguitySpec`` takes each floor from its nominal
+    profile's PSD check instead (``_of_block``).
     The oracle's optimality guarantee assumes a PD center or a zero one.
     """
 
@@ -117,16 +118,35 @@ class GelbrichBall:
         object.__setattr__(self, "center", _frozen(center))
         object.__setattr__(self, "floor", floor)
 
+    @classmethod
+    def _of_block(cls, center: np.ndarray, radius: float, floor: float) -> "GelbrichBall":
+        """The ball around a validated ``CovarianceProfile`` block, whose
+        smallest eigenvalue ``floor`` its PSD check computed, with a radius
+        the caller has checked.  The block is frozen and bitwise symmetric,
+        so public construction would eigensolve the same array to the same
+        floor; here it is not solved again.
+        """
+        out = object.__new__(cls)
+        for name, value in (("center", center), ("radius", radius), ("floor", floor)):
+            object.__setattr__(out, name, value)
+        return out
+
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
     def contains(self, z, tol: float = 1e-9) -> bool:
+        return self._contains(z, tol, None)
+
+    def _contains(self, z, tol: float, lowest) -> bool:
+        """``contains``, taking the smallest eigenvalue of ``z`` to be
+        ``lowest`` unless it is None: a validated ``CovarianceProfile``
+        block's, from its PSD check."""
         z = symmetrize(z)
         # LAPACK can report finite eigenvalues for a NaN on the diagonal
         if not np.all(np.isfinite(z)):
             raise ValueError("matrix contains non-finite entries")
-        if min_eigval(z) < self.floor - tol:
+        if (min_eigval(z) if lowest is None else lowest) < self.floor - tol:
             return False
         return gelbrich_distance(z, self.center) <= self.radius + tol
 
@@ -139,7 +159,9 @@ class AmbiguitySpec:
     finite and nonnegative; the nominal observation covariances must be PD so
     the filter stays well posed on the whole feasible set.  A nominal X0 or
     W_t with a positive radius must be PD or zero, the centers for which the
-    oracle's optimality guarantee holds.
+    oracle's optimality guarantee holds.  The balls share the nominal's
+    frozen blocks and take their floors from its PSD check; a nominal built
+    by ``CovarianceProfile._trusted`` gets balls that eigensolve their own.
     """
 
     nominal: CovarianceProfile
@@ -157,10 +179,13 @@ class AmbiguitySpec:
                 raise ValueError(f"{name}: expected {nom.T} radii, one per stage, got {len(radii)}")
         radii = (self.rho_x0, *rho_w, *rho_v)
         balls = []
-        for label, center, r in zip(_block_labels(nom.T), nom.blocks, radii):
+        for label, center, r, lowest in zip(_block_labels(nom.T), nom.blocks, radii, nom._lowest):
             if not (r >= 0.0 and math.isfinite(r)):  # rho_x0, rho_w[t] or rho_v[t]
                 raise ValueError(f"rho_{label.lower()} must be finite and nonnegative, got {r}")
-            ball = GelbrichBall(center, float(r))
+            if lowest is None:  # a profile that was not validated
+                ball = GelbrichBall(center, float(r))
+            else:
+                ball = GelbrichBall._of_block(center, float(r), lowest)
             if label.startswith("V") and ball.floor <= 0.0:
                 raise ValueError(f"nominal {label} must be positive definite")
             # the oracle's bisection is exact only for PD or zero centers: a

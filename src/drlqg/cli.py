@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (and solver converged), 2 solver stopped unconverged
 (at the iteration cap, or on a refused line-search step), 3 invalid input
-(including unparsable arguments and an ``--out`` that cannot be made), 4
-verification or consistency failure (including a non-finite ``evaluate``
-estimate).
+(including unparsable arguments, an ``--out`` that cannot be made and a
+block whose oracle bisection does not terminate), 4 verification or
+consistency failure (including a non-finite ``evaluate`` estimate).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys as _sys
 import numpy as np
 
 from . import io
+from .ambiguity import OracleError
 from .instances import generate_instance
 from .lqg import KalmanController, _check_dims, _check_gains, monte_carlo_cost
 from .solver import FWConfig, RobustSolution, saddle_check, solve
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
             return _cmd_evaluate(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (io.FormatError, ValueError, OSError) as exc:
+    except (io.FormatError, ValueError, OSError, OracleError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BAD_INPUT
     raise AssertionError("unreachable")

@@ -5,12 +5,15 @@ literals; floats are emitted in shortest round-trip form (at most 17
 significant digits), so ``parse(serialize(x)) == x`` bit-for-bit.  They are
 written by a streaming encoder whose output is byte-identical to
 ``json.dump(doc, fh, indent=1)``: matrices stay numpy arrays until each row
-is formatted, so no document's text or nested float list is built.  A run of
-bitwise-equal sibling matrices in a list, such as the stages of a
-time-invariant plant, is formatted once and its text repeated; only the last
-matrix's text is kept.  The trace is CSV with header
-``iter,f_value,surrogate_gap,elapsed_ms``, exactly those four fields on every
-row, and floats printed with 17 significant digits.
+is formatted, so no document's text or nested float list is built.  A square
+matrix that is finite and bitwise symmetric, as every covariance and cost
+block is, is formatted from one repr of its upper triangle, each entry once,
+and its rows are read off those strings.  A run of bitwise-equal sibling
+matrices in a list, such as the stages of a time-invariant plant, is
+formatted once and its text repeated; only the last matrix's text is kept.
+The trace is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms``,
+exactly those four fields on every row, and floats printed with 17
+significant digits.
 Every write goes to a new temporary file beside its target, which then takes
 the target's name.  A reader sees the old file or the new one, never a
 partial file; the name is absent only between two back-to-back renames, and a
@@ -202,23 +205,52 @@ def _atomic_write(path: str, write):
         raise
 
 
+def _reprs(values: np.ndarray) -> str:
+    """The shortest round-trip reprs of a 1-D float64 array's items, ", "
+    between them; a float repr never contains ", "."""
+    return repr(values.tolist())[1:-1]
+
+
 def _row(fh, row: np.ndarray, sep: str):
     """Write the items of a non-empty 1-D float64 array, ``sep`` between them.
 
-    A trailing run of +0.0 (not -0.0) is written without formatting, and a
-    float repr never contains ", ", so one ``replace`` separates the rest.
+    A trailing run of +0.0 (not -0.0) is written without formatting, and
+    one ``replace`` separates the rest.
     """
     end = len(row)
     if row[-1] == 0.0:
         nonzero = np.flatnonzero((row != 0.0) | np.signbit(row))
         end = int(nonzero[-1]) + 1 if nonzero.size else 0
-    text = repr(row[:end].tolist())
+    text = _reprs(row[:end])
     if "n" in text:  # nan or inf, which json spells NaN and Infinity
         fh.write(sep.join(map(json.dumps, row.tolist())))
         return
-    fh.write(text[1:-1].replace(", ", sep))
+    fh.write(text.replace(", ", sep))
     if end < len(row):
         fh.write((sep if end else "") + sep.join(["0.0"] * (len(row) - end)))
+
+
+def _symmetric(fh, a, level: int) -> bool:
+    """Write a square float64 matrix that is finite and bitwise equal to its
+    transpose (so -0.0 does not mirror 0.0) as ``_encode`` would, from one
+    repr of its upper triangle; return False, writing nothing, for anything
+    else.  Each row's items are those strings, read across the diagonal.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2):
+        return False
+    bits = a.view(np.int64)
+    if not (a.shape[0] == a.shape[1] and np.array_equal(bits, bits.T) and np.isfinite(a).all()):
+        return False
+    rows, cols = np.triu_indices(len(a))
+    items = np.array(_reprs(a[rows, cols]).split(", "), dtype=object)
+    index = np.empty(a.shape, dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(items))
+    pad = "\n" + " " * (level + 2)
+    close = "\n" + " " * (level + 1) + "]"
+    lines = ["[" + pad + ("," + pad).join(line) + close for line in items[index].tolist()]
+    fh.write("[\n" + " " * (level + 1) + (",\n" + " " * (level + 1)).join(lines))
+    fh.write("\n" + " " * level + "]")
+    return True
 
 
 def _encode(fh, obj, level: int = 0):
@@ -230,6 +262,8 @@ def _encode(fh, obj, level: int = 0):
     if isinstance(obj, (dict, list, tuple, np.ndarray)):
         if len(obj) == 0:
             fh.write("{}" if isinstance(obj, dict) else "[]")
+            return
+        if _symmetric(fh, obj, level):
             return
         pad = "\n" + " " * (level + 1)
         sep = "," + pad

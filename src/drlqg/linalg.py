@@ -34,11 +34,20 @@ class SingularMatrixError(ValueError):
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return ``(A + A^T) / 2`` as a float array."""
+    """Return ``(A + A^T) / 2`` as a float array.
+
+    A finite ``A`` whose sum ``A + A^T`` overflows (entries above about
+    9e307) is halved first, so its result is finite; every other input gets
+    the bits of ``0.5 * (A + A^T)``.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        out = 0.5 * (a + a.T)
+    if np.isinf(out).any() and np.isfinite(a).all():
+        out = 0.5 * a + 0.5 * a.T
+    return out
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ controller goes through ``simulate``'s causal policy path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,23 +52,37 @@ def _frozen_in_place(arrays) -> tuple:
     return tuple(arrays)
 
 
-def _block(m, shape, label, psd=False, pd=False) -> np.ndarray:
-    """``m`` as a frozen float array; a ``psd`` or ``pd`` one is symmetrized first."""
+def _shaped(m, shape, label) -> np.ndarray:
+    """``m`` as a float array of ``shape`` with finite entries; a ValueError names ``label``."""
     m = np.asarray(m, dtype=float)
     if m.shape != shape:
         raise ValueError(f"{label}: expected shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{label} contains non-finite entries")
-    if psd or pd:
-        m = symmetrize(m)
-    if pd and (lo := min_eigval(m)) <= 0.0:
-        raise ValueError(f"{label} must be positive definite (min eig {lo:.3e})")
+    return m
+
+
+def _block(m, shape, label, psd=False, pd=False) -> np.ndarray:
+    """``m`` as a frozen float array; a ``psd`` or ``pd`` one is symmetrized first."""
     if psd:
-        try:
-            _checked_eig(m, np.linalg.eigvalsh)
-        except NotPSDError as exc:  # a plain ValueError that names the field
-            raise ValueError(f"{label} must be positive semidefinite ({exc})") from None
+        return _psd_block(m, shape, label)[0]
+    m = _shaped(m, shape, label)
+    if pd:
+        m = symmetrize(m)
+        if (lo := min_eigval(m)) <= 0.0:
+            raise ValueError(f"{label} must be positive definite (min eig {lo:.3e})")
     return _frozen(m)
+
+
+def _psd_block(m, shape, label) -> tuple[np.ndarray, float]:
+    """``m`` symmetrized and frozen, with the smallest eigenvalue of the PSD
+    rule's check, which it must pass."""
+    m = symmetrize(_shaped(m, shape, label))
+    try:
+        lowest = float(_checked_eig(m, np.linalg.eigvalsh)[0])
+    except NotPSDError as exc:  # a plain ValueError that names the field
+        raise ValueError(f"{label} must be positive semidefinite ({exc})") from None
+    return _frozen(m), lowest
 
 
 def _stage_tuple(mats, count, shape, name, psd=False, pd=False) -> tuple[np.ndarray, ...]:
@@ -143,21 +157,29 @@ class CovarianceProfile:
     """A zero-mean Gaussian noise model: X0 plus per-stage W_t and V_t.
 
     All blocks are symmetrized on construction and must be PSD up to the
-    roundoff clamping tolerance.
+    roundoff clamping tolerance.  ``_lowest`` keeps the smallest eigenvalue
+    that check computed for each block, in ``blocks`` order, so that the
+    balls and audits built on the profile do not eigensolve a block again;
+    a profile built by ``_trusted`` holds None for each.
     """
 
     X0: np.ndarray
     W: tuple
     V: tuple
+    _lowest: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W, V = tuple(self.W), tuple(self.V)
         if not W or len(W) != len(V):
             raise ValueError("W and V must be non-empty and of equal length")
         n, p = (np.shape(a)[0] if np.ndim(a) else 0 for a in (self.X0, V[0]))
-        object.__setattr__(self, "X0", _block(self.X0, (n, n), "X0", psd=True))
-        object.__setattr__(self, "W", _stage_tuple(W, len(W), (n, n), "W", psd=True))
-        object.__setattr__(self, "V", _stage_tuple(V, len(V), (p, p), "V", psd=True))
+        T = len(W)
+        shapes = [(n, n)] * (T + 1) + [(p, p)] * T
+        checked = map(_psd_block, (self.X0, *W, *V), shapes, _block_labels(T))
+        blocks, lowest = zip(*checked)
+        for name, value in zip(("X0", "W", "V"), _split(blocks)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_lowest", lowest)
 
     @classmethod
     def _trusted(cls, blocks) -> "CovarianceProfile":
@@ -170,6 +192,7 @@ class CovarianceProfile:
         out = object.__new__(cls)
         for name, value in zip(("X0", "W", "V"), _split(_frozen_in_place(blocks))):
             object.__setattr__(out, name, value)
+        object.__setattr__(out, "_lowest", (None,) * len(blocks))
         return out
 
     @property
@@ -222,6 +245,13 @@ def _overflow(recursion: str, t: int) -> ValueError:
     return ValueError(f"{recursion} recursion overflows at stage {t}")
 
 
+def _not_pd(recursion: str, t: int, matrix: str) -> SingularMatrixError:
+    """The error of a recursion whose stage ``t`` factors a ``matrix`` that is not PD."""
+    return SingularMatrixError(
+        f"{recursion} recursion fails at stage {t}: {matrix} is not positive definite"
+    )
+
+
 @np.errstate(over="raise", invalid="raise")
 def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
     """Backward Riccati recursion.
@@ -231,8 +261,8 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
         P_t = A_t' P_{t+1} A_t + Q_t - A_t' P_{t+1} B_t (R_t + B_t' P_{t+1} B_t)^{-1} B_t' P_{t+1} A_t
 
     The inner matrix R_t + B_t' P_{t+1} B_t is PD because R_t is PD and
-    P_{t+1} is PSD; a failed factorization raises ``SingularMatrixError``,
-    and an overflow raises ``ValueError`` naming the stage.
+    P_{t+1} is PSD; a failed factorization raises ``SingularMatrixError``
+    and an overflow ``ValueError``, each naming the stage.
     """
     T = sys.T
     P = [None] * (T + 1)
@@ -247,6 +277,8 @@ def riccati_backward(sys: TimeVaryingSystem) -> RiccatiSolution:
             P[t] = _symmetrized(sys.A[t].T @ P[t + 1] @ sys.A[t] + sys.Q[t] + lin.T @ K[t])
     except FloatingPointError:
         raise _overflow("Riccati", t) from None
+    except SingularMatrixError:
+        raise _not_pd("Riccati", t, f"R[{t}] + B[{t}]' P[{t + 1}] B[{t}]") from None
     return RiccatiSolution(P=_frozen_in_place(P), K=_frozen_in_place(K))
 
 
@@ -255,7 +287,8 @@ def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
     """Forward recursion on the raw 2T+1 ``blocks``, which start it as given.
 
     The caller guarantees X0 bitwise symmetric and V_t PD.  An overflow
-    raises ``ValueError`` naming the stage.
+    raises ``ValueError`` and a failed factorization ``SingularMatrixError``,
+    each naming the stage.
     """
     X0, W, V = _split(blocks)
     T = sys.T
@@ -275,6 +308,8 @@ def _kalman_forward_raw(sys: TimeVaryingSystem, blocks) -> KalmanSolution:
             pred[t + 1] = s
     except FloatingPointError:
         raise _overflow("Kalman", t) from None
+    except SingularMatrixError:
+        raise _not_pd("Kalman", t, f"C[{t}] Sigma_pred[{t}] C[{t}]' + V[{t}]") from None
     return KalmanSolution(
         Sigma=_frozen_in_place(Sig), Sigma_pred=_frozen_in_place(pred), L=_frozen_in_place(L)
     )
@@ -289,8 +324,8 @@ def kalman_forward(sys: TimeVaryingSystem, cov: CovarianceProfile) -> KalmanSolu
         L_t = Sigma_t C_t' V_t^{-1}
     """
     _check_dims(sys, cov)
-    for t, v in enumerate(cov.V):
-        if min_eigval(v) <= 0.0:
+    for t, (v, lowest) in enumerate(zip(cov.V, cov._lowest[1 + cov.T :])):
+        if (min_eigval(v) if lowest is None else lowest) <= 0.0:
             raise SingularMatrixError(f"observation covariance V[{t}] is not positive definite")
     return _kalman_forward_raw(sys, cov.blocks)
 

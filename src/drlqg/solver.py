@@ -352,8 +352,8 @@ def saddle_check(
             )
     claim_violations.extend(
         f"worst-case block {label} is outside its ambiguity ball"
-        for label, ball, block in zip(labels, balls, worst)
-        if not ball.contains(block, tol=1e-7)
+        for label, ball, block, lowest in zip(labels, balls, worst, sol.worst_case._lowest)
+        if not ball._contains(block, 1e-7, lowest)
     )
     f_check = _value_from_solutions(sys, ric, kal)
     if abs(f_check - f_star) > 1e-8 * max(1.0, abs(f_check)):

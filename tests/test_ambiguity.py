@@ -128,6 +128,35 @@ def test_spec_builds_its_balls_once():
         assert ball.floor == min_eigval(ball.center)
 
 
+def test_spec_takes_each_floor_from_its_nominal_psd_check(monkeypatch):
+    # the nominal's PSD check eigensolves each block once; the balls reuse
+    # that eigenvalue, the bits of eigvalsh on the same array, and share the block
+    rng = np.random.default_rng(2305)
+    nominal = random_profile(rng, 4, 3, 3)
+    radii = dict(rho_x0=0.2, rho_w=(0.1, 0.0, 0.3), rho_v=(0.1, 0.2, 0.4))
+    solved = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: solved.append(None) or real(s))
+    spec = AmbiguitySpec(nominal=nominal, **radii)
+    assert solved == []
+    for ball, block in zip(spec.balls(), nominal.blocks):
+        assert ball.center is block
+        assert ball.floor == real(block)[0]
+        assert type(ball.floor) is float
+    # a nominal that was not validated gets balls that solve their own floors
+    trusted = CovarianceProfile._trusted([b.copy() for b in nominal.blocks])
+    again = AmbiguitySpec(nominal=trusted, **radii)
+    assert len(solved) == len(nominal.blocks)
+    assert [b.floor for b in again.balls()] == [b.floor for b in spec.balls()]
+
+
+def test_bare_ball_still_checks_its_own_center():
+    with pytest.raises(NotPSDError, match="below the PSD tolerance"):
+        GelbrichBall(center=np.diag([2.0, -1e-3]), radius=0.5)
+    ball = GelbrichBall(center=[[2.0, 1.0], [0.0, 2.0]], radius=0.5)
+    assert ball.floor == np.linalg.eigvalsh([[2.0, 0.5], [0.5, 2.0]])[0]
+
+
 def test_spec_validates_inputs():
     rng = np.random.default_rng(55)
     nominal = random_profile(rng, 2, 2, 3)

@@ -40,6 +40,44 @@ def test_trace_is_hashed_without_its_timing_column(tmp_path):
     assert answers._file_sha(a / "trace.csv") != answers._file_sha(b / "trace.csv")
 
 
+def test_diff_checks_each_moved_f_against_its_certified_bracket():
+    reference = {"tiny": {"0": {"f": 10.0, "gap": 0.5}, "1": {"f": 10.0, "gap": 0.5}}}
+    solved = {"f_value": 10.0, "final_gap": 0.25, "delta": 0.5}
+    old = {"instances": {f"tiny/{seed}": solved for seed in (0, 1, 2, 3)}}
+    new = {
+        "instances": {
+            "tiny/0": {**solved, "f_value": 10.75},  # width max(0.5, 0.25) / 0.5 = 1
+            "tiny/1": {**solved, "f_value": 8.25, "final_gap": 0.75},  # width 1.5
+            "tiny/2": {**solved, "f_value": 11.0},  # no reference entry
+            "tiny/3": solved,  # f did not move
+        }
+    }
+    assert answers.brackets(old, new, reference) == [
+        ("instances.tiny/0.f_value: 10.75 lies inside its bracket 10.0 +/- 1.000e+00", True),
+        ("instances.tiny/1.f_value: 8.25 lies OUTSIDE its bracket 10.0 +/- 1.500e+00", False),
+        ("instances.tiny/2.f_value: 11.0 has no certified bracket to lie in", None),
+    ]
+    assert answers.brackets(old, old, reference) == []
+
+
+def test_diff_exit_code_tells_an_f_outside_its_bracket(tmp_path, capsys):
+    # the benchmark's own reference: an f moved by 1 at solve-large seed 0
+    # lies far outside its bracket, one moved by 1e-6 inside it
+    ref = answers.json.loads(answers.REFERENCE.read_text())["solve-large"]["0"]
+    entry = {"f_value": ref["f"], "final_gap": ref["gap"], "delta": 0.95}
+    paths = []
+    for name, shift in (("old", 0.0), ("near", 1e-6), ("far", 1.0)):
+        path = tmp_path / f"{name}.json"
+        moved = {**entry, "f_value": ref["f"] + shift}
+        path.write_text(answers.json.dumps({"instances": {"solve-large/0": moved}}))
+        paths.append(str(path))
+    old, near, far = paths
+    assert answers.main(["diff", old, old]) == 0
+    assert answers.main(["diff", old, near]) == 1
+    assert answers.main(["diff", old, far]) == 2
+    assert "1 f value(s) outside their certified bracket" in capsys.readouterr().out
+
+
 def test_diff_lists_each_moved_entry():
     old = {"instances": {"tiny/0": {"f_value": 1.0, "solve": {"exit": 0}}}}
     new = {"instances": {"tiny/0": {"f_value": 1.5, "solve": {"exit": 2}}, "tiny/1": {}}}

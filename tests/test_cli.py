@@ -311,6 +311,48 @@ def test_an_overflowing_system_is_bad_input(tmp_path, capsys, field, message):
         assert _no_non_finite_number(out + err)
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # the oracle's bisection cannot close the bracket of a 1e300 center
+        (("ambiguity", "nominal", "V", 0, 0, 0), 1e300, "error: gradient block V[0]: bisection "),
+        # C S C' + V at stage 1 loses its definiteness to roundoff
+        (
+            ("ambiguity", "nominal", "W", 0, 0, 0),
+            1e300,
+            "error: Kalman recursion fails at stage 1: C[1] Sigma_pred[1] C[1]' + V[1] "
+            "is not positive definite\n",
+        ),
+        # A + A' of these overflows, so symmetrize halves them first
+        (
+            ("ambiguity", "nominal", "X0", 0, 0),
+            1.7e308,
+            "error: Kalman recursion overflows at stage 0\n",
+        ),
+        (("system", "Q", 0, 0, 0), 1.7e308, "error: Riccati recursion overflows at stage 0\n"),
+    ],
+    ids=["V 1e300", "W 1e300", "X0 1.7e308", "Q 1.7e308"],
+)
+def test_a_huge_finite_entry_is_bad_input_named_at_its_source(
+    tmp_path, capsys, path, value, message
+):
+    inst = _generate(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    doc = json.loads(inst.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(huge), "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert err.startswith(message)
+    assert out == ""
+
+
 def test_verify_reports_an_overflowing_bound_in_finite_terms(tmp_path, capsys):
     # 1e300 in the worst-case X0 overflows the controller-side bound, which
     # once printed "cost -inf undercuts f by inf" after two RuntimeWarnings

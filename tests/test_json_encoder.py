@@ -117,6 +117,86 @@ def test_encoder_formats_a_run_of_equal_matrices_once(monkeypatch):
     assert len(rows) == 2 + 3 * 2
 
 
+def _symmetric(d, seed=0):
+    a = np.random.default_rng(seed).standard_normal((d, d))
+    return a + a.T
+
+
+def _one_ulp_off(a):
+    out = a.copy()
+    out[0, -1] = np.nextafter(out[0, -1], math.inf)
+    return out
+
+
+def _with(a, i, j, value):
+    out = a.copy()
+    out[i, j] = value
+    return out
+
+
+_S = _symmetric(4)
+_Z = np.array([[1.0, 0.0, -0.0], [0.0, 2.0, 0.0], [-0.0, 0.0, 3.0]])
+
+# square matrices that are finite and bitwise symmetric are written from one
+# repr of their upper triangle; every near miss takes the row by row path
+SYMMETRIC = {
+    "1x1": np.array([[0.1]]),
+    "1x1 -0.0": np.array([[-0.0]]),
+    "d x d": _symmetric(5),
+    "20 x 20": _symmetric(20, seed=1),
+    "identity": np.eye(6),
+    "edge floats": sum(np.diag(EDGE_FLOATS[: len(EDGE_FLOATS) - abs(k)], k) for k in (-1, 0, 1)),
+    "one ulp off symmetric": _one_ulp_off(_S),
+    "signed zero mirror pairs": _Z,
+    "signed zero mismatch": _with(_Z, 0, 1, -0.0),
+    "nan on the diagonal": _with(_S, 1, 1, math.nan),
+    "inf on the diagonal": _with(_S, 2, 2, -math.inf),
+    "nan off the diagonal": _with(_with(_S, 0, 3, math.nan), 3, 0, math.nan),
+    "inf off the diagonal": _with(_with(_S, 1, 2, math.inf), 2, 1, math.inf),
+    "a column view": np.asfortranarray(_S),
+    "in a run of equal siblings": [_S, _S.copy(), _one_ulp_off(_S), _S, _Z, _Z.copy()],
+    "nested": {"X0": _S, "W": (_S, _S), "V": [[_Z]], "rect": np.ones((2, 3))},
+}
+
+
+@pytest.mark.parametrize("doc", SYMMETRIC.values(), ids=SYMMETRIC)
+def test_encoder_matches_json_on_symmetric_matrices(doc):
+    _assert_like_json(doc)
+
+
+def test_encoder_formats_each_upper_triangle_entry_once(monkeypatch):
+    formatted = []
+    real = io._reprs
+    monkeypatch.setattr(io, "_reprs", lambda values: formatted.append(values.size) or real(values))
+    for d in (1, 2, 5, 20):
+        formatted.clear()
+        _encoded([_symmetric(d), _symmetric(d)])  # the run reuses the first text
+        assert formatted == [d * (d + 1) // 2]
+    formatted.clear()
+    _encoded(_one_ulp_off(_S))  # not symmetric: one repr per row
+    assert formatted == [4, 4, 4, 4]
+
+
+# the upper triangle mirrored, bit for bit, then one entry maybe replaced
+_symmetric_arrays = st.integers(1, 5).flatmap(
+    lambda d: st.tuples(
+        hnp.arrays(np.float64, (d, d), elements=st.one_of(st.just(0.0), st.just(-0.0), _floats)),
+        st.none() | st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), _floats),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_arrays)
+def test_encoder_matches_json_on_random_symmetric_matrices(case):
+    a, change = case
+    a = np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+    if change is not None:
+        a[change[0], change[1]] = change[2]
+    _assert_like_json(a)
+    _assert_like_json([a, a.copy(), -a])
+
+
 def test_encoder_rejects_non_string_keys():
     with pytest.raises(TypeError, match="keys must be str"):
         _encoded({1: 2.0})

@@ -20,6 +20,25 @@ def test_symmetrize_averages():
     assert np.array_equal(out, [[1.0, 1.0], [1.0, 3.0]])
 
 
+def test_symmetrize_does_not_overflow_on_finite_entries():
+    # 0.5 * (A + A') overflowed above about 9e307 and leaked a RuntimeWarning
+    big = np.finfo(float).max
+    a = np.array([[1.7e308, -big], [-big, 1.0]])
+    with np.errstate(all="raise"):
+        out = symmetrize(a)
+    assert np.array_equal(out, a)
+    assert np.array_equal(symmetrize([[1.0, big], [0.0, 1.0]]), [[1.0, big / 2], [big / 2, 1.0]])
+    with np.errstate(invalid="ignore"):
+        assert np.isinf(symmetrize([[np.inf, 0.0], [0.0, 1.0]])[0, 0])
+
+
+def test_symmetrize_keeps_the_bits_of_the_plain_average():
+    rng = np.random.default_rng(2301)
+    for scale in (1.0, 1e-310, 1e300, 4e307):
+        a = scale * rng.standard_normal((5, 5))
+        assert symmetrize(a).tobytes() == (0.5 * (a + a.T)).tobytes()
+
+
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(ValueError):
         symmetrize(np.zeros((2, 3)))

@@ -134,6 +134,43 @@ def test_recursions_name_the_stage_that_overflows(t):
         grad_f(huge, cov, riccati=ric, kalman=kal)
 
 
+def test_kalman_recursion_names_the_stage_of_a_failed_factorization():
+    # 1e300 in W[0] makes C S C' + V at stage 1 lose its definiteness to
+    # roundoff; the factorization's error named neither block nor stage
+    rng = np.random.default_rng(2302)
+    sys = random_system(rng, 2, 1, 2, 2)
+    blocks = list(random_profile(rng, 2, 2, 2).blocks)
+    blocks[1] = blocks[1].copy()
+    blocks[1][0, 0] = 1e300
+    with pytest.raises(
+        SingularMatrixError,
+        match=r"^Kalman recursion fails at stage 1: C\[1\] Sigma_pred\[1\] C\[1\]' \+ V\[1\] "
+        r"is not positive definite$",
+    ):
+        lqg._kalman_forward_raw(sys, blocks)
+
+
+def test_riccati_recursion_names_the_stage_of_a_failed_factorization(monkeypatch):
+    rng = np.random.default_rng(2303)
+    sys = random_system(rng, 2, 1, 2, 3)
+    real = lqg._spd_solve
+    calls = []
+
+    def fail_at_the_second(s, b):  # the backward sweep's second stage is t = 1
+        calls.append(None)
+        if len(calls) == 2:
+            raise SingularMatrixError("matrix is not positive definite")
+        return real(s, b)
+
+    monkeypatch.setattr(lqg, "_spd_solve", fail_at_the_second)
+    with pytest.raises(
+        SingularMatrixError,
+        match=r"^Riccati recursion fails at stage 1: R\[1\] \+ B\[1\]' P\[2\] B\[1\] "
+        r"is not positive definite$",
+    ):
+        riccati_backward(sys)
+
+
 def test_kalman_gain_matches_filtered_form():
     # L_t is computed as Sigma_{t|t-1} C' M_t^{-1}; it must equal the
     # textbook Sigma_t C' V_t^{-1}.
@@ -244,6 +281,25 @@ def test_profile_blocks_follow_the_one_order():
     assert len(trusted.blocks) == 5
     assert all(np.array_equal(a, b) for a, b in zip(trusted.blocks, cov.blocks))
     assert (trusted.T, trusted.n, trusted.p) == (2, 3, 2)
+
+
+def test_profile_keeps_the_smallest_eigenvalue_of_its_psd_check(monkeypatch):
+    rng = np.random.default_rng(2304)
+    X0, W, V = (a @ a.T + 1e-3 * np.triu(a, 1) for a in rng.standard_normal((3, 3, 3)))
+    cov = CovarianceProfile(X0=X0, W=(W,), V=(V,))
+    assert cov._lowest == tuple(np.linalg.eigvalsh(b)[0] for b in cov.blocks)
+    assert all(type(low) is float for low in cov._lowest)
+    assert CovarianceProfile._trusted([b.copy() for b in cov.blocks])._lowest == (None,) * 3
+    # kalman_forward's check of V takes the kept value, and solves a trusted V
+    sys = random_system(rng, 3, 2, 3, 1)
+    solved = []
+    real = lqg.min_eigval
+    monkeypatch.setattr(lqg, "min_eigval", lambda s: solved.append(None) or real(s))
+    kal = kalman_forward(sys, cov)
+    assert solved == []
+    trusted = kalman_forward(sys, CovarianceProfile._trusted([b.copy() for b in cov.blocks]))
+    assert len(solved) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(kal.L, trusted.L))
 
 
 def test_profile_stores_symmetrized_frozen_blocks():

@@ -23,7 +23,7 @@ from drlqg import (
 )
 from drlqg import solver
 from drlqg.ambiguity import _sample_feasible, oracle_maximize_blocks
-from drlqg.lqg import TimeVaryingSystem, _block_labels
+from drlqg.lqg import TimeVaryingSystem, _block_labels, _split
 from drlqg.linalg import min_eigval
 from drlqg.stacked import _first_order_bound
 
@@ -359,6 +359,26 @@ def test_saddle_check_names_the_block_and_sample_of_an_unresolved_radius():
         ValueError, match=r"^gradient block W\[1\] of nature sample 0: radius 1\.000e\+20 is out"
     ):
         saddle_check(sys, amb, sol, n_samples=5)
+
+
+def test_saddle_check_takes_the_worst_case_eigenvalues_from_a_read_profile(monkeypatch):
+    # a validated worst case, as verify reads it, is not eigensolved again
+    # for the membership test; a trusted one, as solve returns it, is
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    read = dataclasses.replace(sol, worst_case=CovarianceProfile(*_split(sol.worst_case.blocks)))
+    reports, solved = [], []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: solved.append(None) or real(s))
+    for s in (sol, read):
+        solved.clear()
+        reports.append(saddle_check(sys, amb, s, n_samples=3, seed=0))
+        reports.append(len(solved))
+    trusted, calls_trusted, validated, calls_validated = reports
+    assert trusted == validated and validated.passed
+    blocks = 2 * sys.T + 1
+    # trusted: one per block in contains, and one per V in kalman_forward
+    assert calls_trusted - calls_validated == blocks + sys.T
 
 
 def test_saddle_check_zero_radii_trivially_passes():

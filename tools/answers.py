@@ -12,11 +12,15 @@ instances each, 24 in all -- and, with the ``drlqg`` in ``TREE/src``, runs
 a scratch directory.  The manifest (JSON, to ``--out`` or stdout) holds for
 each instance and command the exit code, the SHA-256 of stdout, of stderr
 and of every file the command wrote -- ``trace.csv`` without its wall-clock
-``elapsed_ms`` column -- and, in clear, f, the iteration count and the final
-gap of the solve.
+``elapsed_ms`` column -- and, in clear, f, the iteration count, the final
+gap and the oracle accuracy delta of the solve.
 
-``diff`` prints one line per entry that moved between two manifests and
-exits 1 when any did, 0 when they are the same.
+``diff`` prints one line per entry that moved between two manifests.  For
+each instance whose f moved it also prints whether the new f lies in the
+certified Frank-Wolfe bracket f_ref +/- max(g_ref, g)/delta around the
+instance's entry in ``perfbench/reference.json``, as the benchmark checks a
+solve.  It exits 0 when the manifests are the same, 2 when an f lies outside
+its bracket, and 1 when they differ otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from harness import INSTANCES, WORKLOADS, instance_seed, solve_args  # noqa: E402
+from harness import INSTANCES, REFERENCE, WORKLOADS, instance_seed, solve_args  # noqa: E402
 
 SEED = 0
 # the drlqg console script, with the sources of the tree under test first on the path
@@ -78,12 +82,13 @@ def _command(src: Path, workdir: Path, args: list[str], before: dict) -> tuple[d
 
 
 def _solution(bundle: Path) -> dict:
-    """f, the iteration count and the final gap of a solve, as written."""
+    """f, the iteration count, the final gap and delta of a solve, as written."""
     try:
         meta = json.loads((bundle / "worst_case.json").read_text())
     except (OSError, ValueError):
         return {}
-    return {key: meta.get(key) for key in ("f_value", "iterations", "final_gap")}
+    out = {key: meta.get(key) for key in ("f_value", "iterations", "final_gap")}
+    return {**out, "delta": meta.get("config", {}).get("delta")}
 
 
 def instance_answers(src: Path, workdir: Path, w, seed: int) -> dict:
@@ -139,6 +144,31 @@ def differences(old, new, path: str = "") -> list[str]:
     return [moved]
 
 
+def brackets(old, new, reference: dict) -> list[tuple[str, bool | None]]:
+    """For each instance whose f moved between manifests ``old`` and ``new``:
+    a line saying whether its new f lies in the certified bracket
+    f_ref +/- max(g_ref, g)/delta of ``reference`` (``reference.json``'s
+    workload -> seed -> {"f", "gap"}), and True or False; None when the
+    instance has no bracket or the new solve wrote no f."""
+    out = []
+    for key, entry in sorted(new["instances"].items()):
+        f = entry.get("f_value")
+        if f == old["instances"].get(key, {}).get("f_value"):
+            continue
+        where = f"instances.{key}.f_value"
+        workload, seed = key.rsplit("/", 1)
+        ref = reference.get(workload, {}).get(seed)
+        g, delta = entry.get("final_gap"), entry.get("delta")
+        if ref is None or not all(type(v) is float for v in (f, g, delta)):
+            out.append((f"{where}: {f!r} has no certified bracket to lie in", None))
+            continue
+        width = max(ref["gap"], g) / delta
+        inside = abs(f - ref["f"]) <= width
+        verdict = "lies inside" if inside else "lies OUTSIDE"
+        out.append((f"{where}: {f!r} {verdict} its bracket {ref['f']!r} +/- {width:.3e}", inside))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -156,11 +186,16 @@ def main(argv=None) -> int:
         else:
             args.out.write_text(text)
         return 0
-    moved = differences(*(json.loads(p.read_text()) for p in (args.old, args.new)))
-    for line in moved:
+    old, new = (json.loads(p.read_text()) for p in (args.old, args.new))
+    moved = differences(old, new)
+    checked = brackets(old, new, json.loads(REFERENCE.read_text()))
+    for line in moved + [line for line, _ in checked]:
         print(line)
     print(f"{len(moved)} difference(s) between {args.old} and {args.new}")
-    return 1 if moved else 0
+    outside = sum(inside is False for _, inside in checked)
+    if outside:
+        print(f"{outside} f value(s) outside their certified bracket")
+    return 2 if outside else 1 if moved else 0
 
 
 if __name__ == "__main__":
