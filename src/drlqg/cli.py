@@ -5,11 +5,16 @@ Exit codes: 0 success (and solver converged), 2 solver stopped unconverged
 (including unparsable arguments, an ``--out`` that cannot be made and a
 block whose oracle bisection does not terminate), 4 verification or
 consistency failure (including a non-finite ``evaluate`` estimate).
+An error goes to stderr as one line ``error: <message>``.  When a computation
+on input that was read without a fault fails (a recursion that overflows, a
+radius the oracle cannot resolve), a second line ``error: computed from
+<files>`` names the input files, which the first may not.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys as _sys
@@ -85,6 +90,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _ComputeError(ValueError):
+    """A computation on input that read without a fault failed; ``inputs``
+    names the files it was computed from, which its message may not."""
+
+    def __init__(self, message: str, inputs: tuple[str, ...]):
+        super().__init__(message)
+        self.inputs = inputs
+
+
+@contextlib.contextmanager
+def _computing_on(*inputs: str):
+    """Re-raise a ``ValueError`` or ``OracleError`` as a ``_ComputeError`` naming ``inputs``."""
+    try:
+        yield
+    except (ValueError, OracleError) as exc:
+        raise _ComputeError(str(exc), inputs) from exc
+
+
 def _cmd_generate(args) -> int:
     system, amb, meta = generate_instance(
         n=args.n, m=args.m, p=args.p, T=args.T, seed=args.seed, rho=args.rho
@@ -114,8 +137,9 @@ def _cmd_solve(args) -> int:
     system, amb, _ = io.read_instance(args.instance)
     # an exact line search, which needs far fewer iterations than the open-loop default
     cfg = FWConfig(delta=args.delta, tol=args.tol, max_iter=args.max_iter, step="line")
-    sol = solve(system, amb, cfg)
-    gain = unroll_controller(system, sol.controller)
+    with _computing_on(args.instance):
+        sol = solve(system, amb, cfg)
+        gain = unroll_controller(system, sol.controller)
     io.write_result_bundle(args.out, sol, gain.U)
     status = "converged" if sol.converged else "NOT converged"
     print(
@@ -149,11 +173,12 @@ def _cmd_evaluate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         system, _, _ = io.read_instance(args.instance)
         ctrl, U_out, cov, _ = _read_stored(system, args.controller, args.covariance)
-        st = build_stacked(system)
-        out_ctrl = LinearOutputController(
-            U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
-        )
-        exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
+        with _computing_on(args.instance, args.controller, args.covariance):
+            st = build_stacked(system)
+            out_ctrl = LinearOutputController(
+                U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
+            )
+            exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
         try:
             stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
         except MemoryError as exc:  # the one cost per rollout does not fit
@@ -195,9 +220,11 @@ def _cmd_verify(args) -> int:
         converged=meta["converged"],
         config=meta["config"],
     )
-    report = saddle_check(system, amb, sol, n_samples=args.samples, seed=args.seed)
+    with _computing_on(args.instance, args.result_dir):
+        report = saddle_check(system, amb, sol, n_samples=args.samples, seed=args.seed)
+        unrolled = unroll_controller(system, stored).U
     failures = list(report.claim_violations)
-    if np.max(np.abs(unroll_controller(system, stored).U - U_out)) > 1e-8:
+    if np.max(np.abs(unrolled - U_out)) > 1e-8:
         failures.append("stored unrolled gain does not match recomputation")
     for label, cost, excess in report.nature_violations:
         failures.append(
@@ -242,6 +269,8 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
     except (io.FormatError, ValueError, OSError, OracleError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        if isinstance(exc, _ComputeError):
+            print(f"error: computed from {', '.join(exc.inputs)}", file=_sys.stderr)
         return EXIT_BAD_INPUT
     raise AssertionError("unreachable")
 

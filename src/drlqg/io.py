@@ -5,11 +5,17 @@ literals; floats are emitted in shortest round-trip form (at most 17
 significant digits), so ``parse(serialize(x)) == x`` bit-for-bit.  They are
 written by a streaming encoder whose output is byte-identical to
 ``json.dump(doc, fh, indent=1)``: matrices stay numpy arrays until each row
-is formatted, so no document's text or nested float list is built.  A square
-matrix that is finite and bitwise symmetric, as every covariance and cost
-block is, is formatted from one repr of its upper triangle, each entry once,
-and its rows are read off those strings.  A run of bitwise-equal sibling
-matrices in a list, such as the stages of a time-invariant plant, is
+is formatted, so no document's text or nested float list is built.  The
+writer's time goes to the floats' ``repr`` (``_reprs``, the one place floats
+are formatted) and little else: each row's reprs are joined once with the
+row's separator, and one vectorised pass per matrix finds where each row's
+trailing run of +0.0 begins, a run written without formatting, and whether
+the matrix is finite; one that is not is written through ``json.dumps``,
+which spells NaN and Infinity.  A square matrix that is finite and bitwise
+symmetric, as every covariance and cost block is, is formatted from one repr
+of its upper triangle, each entry once, and its rows are read off those
+strings through an index cached per dimension.  A run of bitwise-equal
+sibling matrices in a list, such as the stages of a time-invariant plant, is
 formatted once and its text repeated; only the last matrix's text is kept.
 The trace is CSV with header ``iter,f_value,surrogate_gap,elapsed_ms``,
 exactly those four fields on every row, and floats printed with 17
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -205,29 +212,55 @@ def _atomic_write(path: str, write):
         raise
 
 
-def _reprs(values: np.ndarray) -> str:
-    """The shortest round-trip reprs of a 1-D float64 array's items, ", "
-    between them; a float repr never contains ", "."""
-    return repr(values.tolist())[1:-1]
+def _reprs(values: np.ndarray):
+    """The shortest round-trip reprs of a 1-D float64 array's items, as a lazy
+    iterator: the one place floats are formatted."""
+    return map(repr, values.tolist())
 
 
-def _row(fh, row: np.ndarray, sep: str):
-    """Write the items of a non-empty 1-D float64 array, ``sep`` between them.
+def _row(fh, values: np.ndarray, sep: str):
+    """Write the reprs of a 1-D float64 array of finite items, ``sep`` between them."""
+    fh.write(sep.join(_reprs(values)))
 
-    A trailing run of +0.0 (not -0.0) is written without formatting, and
-    one ``replace`` separates the rest.
+
+def _rows(fh, a: np.ndarray, level: int, between: str):
+    """Write each row of a 2-D float64 array with at least one column as
+    ``_encode`` writes a 1-D array at nesting depth ``level``, ``between``
+    between the rows.
+
+    One vectorised pass over the matrix finds where each row's trailing run
+    of +0.0 (not -0.0, whose bits are not all zero) begins; that run is
+    written without formatting.  A matrix with a NaN or an infinity is
+    written through ``json.dumps``, which spells them NaN and Infinity.
     """
-    end = len(row)
-    if row[-1] == 0.0:
-        nonzero = np.flatnonzero((row != 0.0) | np.signbit(row))
-        end = int(nonzero[-1]) + 1 if nonzero.size else 0
-    text = _reprs(row[:end])
-    if "n" in text:  # nan or inf, which json spells NaN and Infinity
-        fh.write(sep.join(map(json.dumps, row.tolist())))
+    pad = "\n" + " " * (level + 1)
+    sep = "," + pad
+    close = "\n" + " " * level + "]"
+    if not np.isfinite(a).all():
+        lines = ("[" + pad + sep.join(map(json.dumps, row)) + close for row in a.tolist())
+        fh.write(between.join(lines))
         return
-    fh.write(text.replace(", ", sep))
-    if end < len(row):
-        fh.write((sep if end else "") + sep.join(["0.0"] * (len(row) - end)))
+    width = a.shape[1]
+    # where each row's trailing run of all-zero bits begins; argmax finds no
+    # nonzero entry in a row of +0.0 alone, which is then formatted in full
+    ends = width - np.argmax(a.view(np.int64)[:, ::-1] != 0, axis=1)
+    zero = sep + "0.0"
+    for i, (row, end) in enumerate(zip(a, ends.tolist())):
+        fh.write((between if i else "") + "[" + pad)
+        _row(fh, row[:end], sep)
+        fh.write(zero * (width - end) + close)
+
+
+@functools.cache
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row and column indices of a d x d upper triangle, and the d x d
+    index of each entry in that triangle's order, read across the diagonal."""
+    rows, cols = np.triu_indices(d)
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    for a in (rows, cols, index):
+        a.flags.writeable = False
+    return rows, cols, index
 
 
 def _symmetric(fh, a, level: int) -> bool:
@@ -241,10 +274,8 @@ def _symmetric(fh, a, level: int) -> bool:
     bits = a.view(np.int64)
     if not (a.shape[0] == a.shape[1] and np.array_equal(bits, bits.T) and np.isfinite(a).all()):
         return False
-    rows, cols = np.triu_indices(len(a))
-    items = np.array(_reprs(a[rows, cols]).split(", "), dtype=object)
-    index = np.empty(a.shape, dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = np.arange(len(items))
+    rows, cols, index = _upper(len(a))
+    items = np.array(list(_reprs(a[rows, cols])), dtype=object)
     pad = "\n" + " " * (level + 2)
     close = "\n" + " " * (level + 1) + "]"
     lines = ["[" + pad + ("," + pad).join(line) + close for line in items[index].tolist()]
@@ -276,26 +307,32 @@ def _encode(fh, obj, level: int = 0):
                 _encode(fh, value, level + 1)
             fh.write("\n" + " " * level + "}")
             return
+        float_rows = isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim <= 2
+        if float_rows and obj.shape[-1]:  # a row, or a matrix of rows, with items
+            if obj.ndim == 1:
+                _rows(fh, obj[None], level, "")
+                return
+            fh.write("[" + pad)
+            _rows(fh, obj, level + 1, sep)
+            fh.write("\n" + " " * level + "]")
+            return
         fh.write("[" + pad)
-        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-            _row(fh, obj, sep)
-        else:
-            # in a list or tuple, a float64 array bitwise equal to the last one
-            # before it (same shape and bytes, so -0.0 is not 0.0) reuses its text
-            reuse = not isinstance(obj, np.ndarray)
-            key = text = None
-            for i, item in enumerate(obj):
-                if i:
-                    fh.write(sep)
-                if reuse and isinstance(item, np.ndarray) and item.dtype == np.float64:
-                    bits = (item.shape, item.tobytes())
-                    if bits != key:
-                        buf = StringIO()
-                        _encode(buf, item, level + 1)
-                        key, text = bits, buf.getvalue()
-                    fh.write(text)
-                else:
-                    _encode(fh, item, level + 1)
+        # in a list or tuple, a float64 array bitwise equal to the last one
+        # before it (same shape and bytes, so -0.0 is not 0.0) reuses its text
+        reuse = not isinstance(obj, np.ndarray)
+        key = text = None
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(sep)
+            if reuse and isinstance(item, np.ndarray) and item.dtype == np.float64:
+                bits = (item.shape, item.tobytes())
+                if bits != key:
+                    buf = StringIO()
+                    _encode(buf, item, level + 1)
+                    key, text = bits, buf.getvalue()
+                fh.write(text)
+            else:
+                _encode(fh, item, level + 1)
         fh.write("\n" + " " * level + "]")
     else:
         fh.write(json.dumps(obj))

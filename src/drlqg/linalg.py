@@ -34,19 +34,22 @@ class SingularMatrixError(ValueError):
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return ``(A + A^T) / 2`` as a float array.
+    """Return ``(A + A^T) / 2`` as a float array, of a square matrix or of
+    each matrix of a (B, d, d) stack.
 
-    A finite ``A`` whose sum ``A + A^T`` overflows (entries above about
-    9e307) is halved first, so its result is finite; every other input gets
+    A finite matrix whose sum ``A + A^T`` overflows (entries above about
+    9e307) is halved first, so its result is finite; every other matrix gets
     the bits of ``0.5 * (A + A^T)``.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     with np.errstate(over="ignore"):
-        out = 0.5 * (a + a.T)
-    if np.isinf(out).any() and np.isfinite(a).all():
-        out = 0.5 * a + 0.5 * a.T
+        out = _symmetrized(a)
+    if np.isinf(out).any():
+        outs, ins = out.reshape(-1, *a.shape[-2:]), a.reshape(-1, *a.shape[-2:])
+        redo = np.isinf(outs).any(axis=(1, 2)) & np.isfinite(ins).all(axis=(1, 2))
+        outs[redo] = 0.5 * ins[redo] + 0.5 * ins[redo].swapaxes(1, 2)
     return out
 
 

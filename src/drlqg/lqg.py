@@ -52,44 +52,58 @@ def _frozen_in_place(arrays) -> tuple:
     return tuple(arrays)
 
 
-def _shaped(m, shape, label) -> np.ndarray:
-    """``m`` as a float array of ``shape`` with finite entries; a ValueError names ``label``."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != shape:
-        raise ValueError(f"{label}: expected shape {shape}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+def _checked(stack: np.ndarray, shape: tuple, rule: str | None, label: str):
+    """A (B, *shape) float ``stack`` with finite entries, frozen in place, and
+    the smallest eigenvalue of each matrix under ``rule`` (None without one).
+
+    Under ``rule`` "psd" or "pd" the stack is symmetrized first, and one
+    eigensolve of the whole stack gives each matrix's eigenvalues: "psd"
+    holds each to the PSD rule of ``_checked_eig``, "pd" to a positive
+    smallest eigenvalue.  A misfit raises a ValueError that names ``label``.
+    """
+    if stack.shape[1:] != shape:
+        raise ValueError(f"{label}: expected shape {shape}, got {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
         raise ValueError(f"{label} contains non-finite entries")
-    return m
+    lowest = None
+    if rule is not None:
+        stack = symmetrize(stack)
+        if rule == "psd":
+            try:
+                lowest = _checked_eig(stack, np.linalg.eigvalsh)[:, 0]
+            except NotPSDError as exc:  # a plain ValueError that names the field
+                raise ValueError(f"{label} must be positive semidefinite ({exc})") from None
+        else:
+            lowest = np.linalg.eigvalsh(stack)[:, 0]
+            if lowest.min() <= 0.0:
+                raise ValueError(f"{label} must be positive definite (min eig {lowest.min():.3e})")
+    stack.flags.writeable = False
+    return stack, lowest
 
 
-def _block(m, shape, label, psd=False, pd=False) -> np.ndarray:
-    """``m`` as a frozen float array; a ``psd`` or ``pd`` one is symmetrized first."""
-    if psd:
-        return _psd_block(m, shape, label)[0]
-    m = _shaped(m, shape, label)
-    if pd:
-        m = symmetrize(m)
-        if (lo := min_eigval(m)) <= 0.0:
-            raise ValueError(f"{label} must be positive definite (min eig {lo:.3e})")
-    return _frozen(m)
+def _stack(mats, shape: tuple, labels, rule: str | None = None):
+    """The matrices ``mats``, copied into one new frozen (len(mats), *shape)
+    float array and checked in one call of ``_checked``, with their smallest
+    eigenvalues under ``rule``.
 
-
-def _psd_block(m, shape, label) -> tuple[np.ndarray, float]:
-    """``m`` symmetrized and frozen, with the smallest eigenvalue of the PSD
-    rule's check, which it must pass."""
-    m = symmetrize(_shaped(m, shape, label))
+    If the stack fails, its matrices are checked again one after another,
+    so that the ValueError names the first at fault (``labels[j]``) and says
+    what a check of matrix 0, then matrix 1, ... would say.
+    """
     try:
-        lowest = float(_checked_eig(m, np.linalg.eigvalsh)[0])
-    except NotPSDError as exc:  # a plain ValueError that names the field
-        raise ValueError(f"{label} must be positive semidefinite ({exc})") from None
-    return _frozen(m), lowest
+        return _checked(np.array(mats, dtype=float), shape, rule, "stack")
+    except (TypeError, ValueError):
+        for label, m in zip(labels, mats):
+            _checked(np.asarray(m, dtype=float)[None], shape, rule, label)
+        raise
 
 
-def _stage_tuple(mats, count, shape, name, psd=False, pd=False) -> tuple[np.ndarray, ...]:
+def _stages(mats, count: int, shape: tuple, name: str, rule: str | None = None) -> tuple:
+    """``count`` stage matrices ``name[0]``.. as read-only views of one checked stack."""
     mats = tuple(mats)
     if len(mats) != count:
         raise ValueError(f"{name}: expected {count} matrices, got {len(mats)}")
-    return tuple(_block(m, shape, f"{name}[{t}]", psd, pd) for t, m in enumerate(mats))
+    return tuple(_stack(mats, shape, [f"{name}[{t}]" for t in range(count)], rule)[0])
 
 
 @dataclass(frozen=True)
@@ -118,11 +132,11 @@ class TimeVaryingSystem:
             raise ValueError("B and C must be matrices")
         m, p = B[0].shape[1], C[0].shape[0]
         T = len(A)
-        object.__setattr__(self, "A", _stage_tuple(A, T, (n, n), "A"))
-        object.__setattr__(self, "B", _stage_tuple(B, T, (n, m), "B"))
-        object.__setattr__(self, "C", _stage_tuple(C, T, (p, n), "C"))
-        object.__setattr__(self, "Q", _stage_tuple(self.Q, T + 1, (n, n), "Q", psd=True))
-        object.__setattr__(self, "R", _stage_tuple(self.R, T, (m, m), "R", pd=True))
+        object.__setattr__(self, "A", _stages(A, T, (n, n), "A"))
+        object.__setattr__(self, "B", _stages(B, T, (n, m), "B"))
+        object.__setattr__(self, "C", _stages(C, T, (p, n), "C"))
+        object.__setattr__(self, "Q", _stages(self.Q, T + 1, (n, n), "Q", "psd"))
+        object.__setattr__(self, "R", _stages(self.R, T, (m, m), "R", "pd"))
 
     @property
     def T(self) -> int:
@@ -174,12 +188,16 @@ class CovarianceProfile:
             raise ValueError("W and V must be non-empty and of equal length")
         n, p = (np.shape(a)[0] if np.ndim(a) else 0 for a in (self.X0, V[0]))
         T = len(W)
-        shapes = [(n, n)] * (T + 1) + [(p, p)] * T
-        checked = map(_psd_block, (self.X0, *W, *V), shapes, _block_labels(T))
-        blocks, lowest = zip(*checked)
+        mats, labels = (self.X0, *W, *V), _block_labels(T)
+        # one stack per block shape: X0 and W, then V
+        stacks = [
+            _stack(mats[: T + 1], (n, n), labels[: T + 1], "psd"),
+            _stack(mats[T + 1 :], (p, p), labels[T + 1 :], "psd"),
+        ]
+        blocks = [block for stack, _ in stacks for block in stack]
         for name, value in zip(("X0", "W", "V"), _split(blocks)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_lowest", lowest)
+        object.__setattr__(self, "_lowest", tuple(np.concatenate([w for _, w in stacks]).tolist()))
 
     @classmethod
     def _trusted(cls, blocks) -> "CovarianceProfile":
@@ -396,8 +414,8 @@ class KalmanController:
 
 def _check_gains(sys: TimeVaryingSystem, K, L) -> tuple[tuple, tuple]:
     """K and L as frozen stage tuples; a ValueError names the misfit."""
-    K = _stage_tuple(K, sys.T, (sys.m, sys.n), "K")
-    return K, _stage_tuple(L, sys.T, (sys.n, sys.p), "L")
+    K = _stages(K, sys.T, (sys.m, sys.n), "K")
+    return K, _stages(L, sys.T, (sys.n, sys.p), "L")
 
 
 class _KalmanPolicy:

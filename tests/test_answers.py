@@ -18,7 +18,7 @@ def test_one_instance_gives_the_same_answers_twice(tmp_path):
     for k in range(2):
         work = tmp_path / str(k)
         work.mkdir()
-        runs.append(answers.instance_answers(ROOT / "src", work, TINY, 0))
+        runs.append(answers.instance_answers(ROOT / "src", work, TINY, 0, (2,) * 4))
     assert answers.differences(*runs) == []
     first = runs[0]
     assert [first[c]["exit"] for c in COMMANDS] == [0, 0, 0, 0]
@@ -28,6 +28,29 @@ def test_one_instance_gives_the_same_answers_twice(tmp_path):
     }
     assert first["verify"]["files"] == first["evaluate"]["files"] == {}
     assert first["iterations"] >= 1 and first["final_gap"] <= harness.TOL
+
+
+def test_the_manifest_holds_the_benchmark_and_the_rectangular_instances():
+    listed = list(answers.instances())
+    keys = [key for key, *_ in listed]
+    assert len(keys) == len(set(keys)) == 24 + 6
+    square = [(w.n,) * 4 == dims for key, w, _, dims in listed if not key.startswith("rect-")]
+    assert square == [True] * 24
+    rect = [(key, dims) for key, _, _, dims in listed if key.startswith("rect-")]
+    assert rect == [
+        ("rect-3x2x4x3/0", (3, 2, 4, 3)), ("rect-3x2x4x3/1", (3, 2, 4, 3)),
+        ("rect-4x3x2x1/0", (4, 3, 2, 1)), ("rect-4x3x2x1/1", (4, 3, 2, 1)),
+        ("rect-2x1x3x5/0", (2, 1, 3, 5)), ("rect-2x1x3x5/1", (2, 1, 3, 5)),
+    ]
+
+
+def test_a_rectangular_instance_is_generated_at_its_own_dims(tmp_path):
+    w = dict((key, w) for key, w, _, _ in answers.instances())["rect-4x3x2x1/1"]
+    got = answers.instance_answers(ROOT / "src", tmp_path, w, 1, (4, 3, 2, 1))
+    assert [got[c]["exit"] for c in COMMANDS] == [0, 0, 0, 0]
+    doc = answers.json.loads((tmp_path / "inst.json").read_text())
+    assert doc["dims"] == {"n": 4, "m": 3, "p": 2, "T": 1}
+    assert doc["ambiguity"]["rho_x0"] == 0.5
 
 
 def test_trace_is_hashed_without_its_timing_column(tmp_path):

@@ -197,6 +197,58 @@ def test_encoder_matches_json_on_random_symmetric_matrices(case):
     _assert_like_json([a, a.copy(), -a])
 
 
+_NAN, _INF = math.nan, math.inf
+
+# non-square, and square but not symmetric: the row by row path, whose
+# trailing +0.0 runs and finite verdict come from one pass per matrix
+MATRICES = {
+    "+0.0 runs": np.array([[1.5, 0.0, 0.0], [0.1, 2.0, 0.0]]),
+    "-0.0 runs": np.array([[1.5, -0.0, -0.0], [0.1, 2.0, -0.0]]),
+    "-0.0 before +0.0": np.array([[1.0, -0.0, 0.0, 0.0], [1.0, 0.0, -0.0, 0.0]]),
+    "all-zero rows": np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.0] * 3]),
+    "all zero": np.zeros((2, 5)),
+    "all -0.0": -np.zeros((3, 2)),
+    "square, all-zero rows": np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    "square lower triangle, -0.0 above": -np.tril(np.arange(1.0, 17.0).reshape(4, 4)),
+    "one column": np.array([[0.0], [1.5], [-0.0], [0.0]]),
+    "one column of -0.0": -np.zeros((3, 1)),
+    "one row": np.array([[0.25, 0.0, 0.0, 0.0]]),
+    "nan in a zero run": np.array([[1.0, 0.0, _NAN, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]]),
+    "inf in a zero run": np.array([[0.0, _INF, 0.0], [-_INF, 0.0, 0.0]]),
+    "nan ends a row": np.array([[0.0, 0.0, _NAN], [2.0, 0.0, 0.0]]),
+    "nan in one column": np.array([[0.0], [_NAN], [0.0]]),
+    "square, inf in a zero run": np.array([[1.0, 0.0, 0.0], [2.0, -_INF, 0.0], [3.0, 0.0, 0.0]]),
+    "causal gain": np.kron(np.tril(np.ones((3, 3))), np.arange(1.0, 7.0).reshape(2, 3)),
+}
+MATRICES["K and L"] = [MATRICES["+0.0 runs"], MATRICES["-0.0 runs"], MATRICES["-0.0 runs"].copy()]
+MATRICES["list with non-finite"] = [
+    MATRICES["nan in a zero run"], MATRICES["one column"], MATRICES["inf in a zero run"],
+]
+MATRICES["stages"] = {
+    "K": [MATRICES["one column"]] * 2, "L": [MATRICES["all-zero rows"], np.eye(2)]
+}
+
+
+@pytest.mark.parametrize("doc", MATRICES.values(), ids=MATRICES)
+def test_encoder_matches_json_on_matrices_written_row_by_row(doc):
+    _assert_like_json(doc)
+
+
+# mostly signed zeros, so zero runs, all-zero rows and -0.0 are common
+_zero_rich = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    elements=st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.5, -2.0, _NAN, _INF]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_zero_rich, min_size=1, max_size=3))
+def test_encoder_matches_json_on_random_zero_rich_matrices(mats):
+    _assert_like_json(mats[0])
+    _assert_like_json(mats)
+
+
 def test_encoder_rejects_non_string_keys():
     with pytest.raises(TypeError, match="keys must be str"):
         _encoded({1: 2.0})

@@ -6,21 +6,27 @@ Usage (from the repository root):
     python3 tools/answers.py diff OLD NEW
 
 ``run`` takes the workloads of ``perfbench/harness.py`` -- eight seed-0
-instances each, 24 in all -- and, with the ``drlqg`` in ``TREE/src``, runs
-``generate``, ``solve --tol 1e-4``, ``verify --samples`` and ``evaluate
---rollouts`` at each workload's values, every command in a fresh process in
-a scratch directory.  The manifest (JSON, to ``--out`` or stdout) holds for
-each instance and command the exit code, the SHA-256 of stdout, of stderr
-and of every file the command wrote -- ``trace.csv`` without its wall-clock
-``elapsed_ms`` column -- and, in clear, f, the iteration count, the final
-gap and the oracle accuracy delta of the solve.
+instances each, 24 in all -- and six rectangular instances, keyed
+``rect-<n>x<m>x<p>x<T>/<seed>``: (n, m, p, T) = (3, 2, 4, 3), (4, 3, 2, 1) and
+(2, 1, 3, 5) at seeds 0 and 1, with rho 0.5, ``--samples 10`` and
+``--rollouts 2000``.  The benchmark's instances are all square, so a mix-up
+of n, m and p, or of a one-stage horizon, would show only in these.  With
+the ``drlqg`` in ``TREE/src`` it runs ``generate``, ``solve --tol 1e-4``,
+``verify --samples`` and ``evaluate --rollouts`` at each instance's values,
+every command in a fresh process in a scratch directory.  The manifest
+(JSON, to ``--out`` or stdout) holds for each instance and command the exit
+code, the SHA-256 of stdout, of stderr and of every file the command wrote
+-- ``trace.csv`` without its wall-clock ``elapsed_ms`` column -- and, in
+clear, f, the iteration count, the final gap and the oracle accuracy delta
+of the solve.
 
 ``diff`` prints one line per entry that moved between two manifests.  For
 each instance whose f moved it also prints whether the new f lies in the
 certified Frank-Wolfe bracket f_ref +/- max(g_ref, g)/delta around the
 instance's entry in ``perfbench/reference.json``, as the benchmark checks a
-solve.  It exits 0 when the manifests are the same, 2 when an f lies outside
-its bracket, and 1 when they differ otherwise.
+solve; a rectangular instance has no entry there, and ``diff`` says so.
+It exits 0 when the manifests are the same, 2 when an f lies outside its
+bracket, and 1 when they differ otherwise.
 """
 
 from __future__ import annotations
@@ -37,9 +43,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from harness import INSTANCES, REFERENCE, WORKLOADS, instance_seed, solve_args  # noqa: E402
+from harness import (  # noqa: E402
+    INSTANCES, REFERENCE, WORKLOADS, Workload, instance_seed, solve_args,
+)
 
 SEED = 0
+RECTANGULAR = ((3, 2, 4, 3), (4, 3, 2, 1), (2, 1, 3, 5))  # (n, m, p, T)
+RECTANGULAR_SEEDS = (0, 1)
 # the drlqg console script, with the sources of the tree under test first on the path
 _MAIN = "import sys; sys.path.insert(0, sys.argv.pop(1)); from drlqg.cli import main; sys.exit(main())"
 
@@ -91,10 +101,11 @@ def _solution(bundle: Path) -> dict:
     return {**out, "delta": meta.get("config", {}).get("delta")}
 
 
-def instance_answers(src: Path, workdir: Path, w, seed: int) -> dict:
-    """The answers of one instance of workload ``w``, run in the empty ``workdir``."""
+def instance_answers(src: Path, workdir: Path, w, seed: int, dims: tuple) -> dict:
+    """The answers of one instance of workload ``w`` at ``dims`` = (n, m, p, T),
+    run in the empty ``workdir``."""
     inst, bundle = Path("inst.json"), Path("bundle")
-    size = [f"--{flag}={w.n}" for flag in ("n", "m", "p", "T")]
+    size = [f"--{flag}={d}" for flag, d in zip(("n", "m", "p", "T"), dims)]
     commands = {
         "generate": ["generate", *size, f"--seed={seed}", f"--rho={w.rho!r}", f"--out={inst}"],
         "solve": solve_args(w, inst, bundle),
@@ -110,16 +121,27 @@ def instance_answers(src: Path, workdir: Path, w, seed: int) -> dict:
     return {**_solution(workdir / bundle), **out}
 
 
+def instances():
+    """(key, workload, seed, dims) of every instance of a manifest, in its order."""
+    for w in WORKLOADS.values():
+        for i in range(INSTANCES):
+            seed = instance_seed(SEED, i)
+            yield f"{w.name}/{seed}", w, seed, (w.n,) * 4
+    for dims in RECTANGULAR:
+        name = "rect-" + "x".join(map(str, dims))
+        w = Workload(name, n=dims[0], rho=0.5, samples=10, rollouts=2000)
+        for seed in RECTANGULAR_SEEDS:
+            yield f"{name}/{seed}", w, seed, dims
+
+
 def manifest(tree: Path) -> dict:
     src = (tree / "src").resolve()
     if not (src / "drlqg").is_dir():
         raise SystemExit(f"{tree}: no drlqg sources under src/")
     answers = {}
-    for w in WORKLOADS.values():
-        for i in range(INSTANCES):
-            seed = instance_seed(SEED, i)
-            with tempfile.TemporaryDirectory() as tmp:
-                answers[f"{w.name}/{seed}"] = instance_answers(src, Path(tmp), w, seed)
+    for key, w, seed, dims in instances():
+        with tempfile.TemporaryDirectory() as tmp:
+            answers[key] = instance_answers(src, Path(tmp), w, seed, dims)
     return {"format": 1, "instances": answers}
 
 
