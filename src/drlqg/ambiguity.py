@@ -68,8 +68,13 @@ from .lqg import CovarianceProfile, _block_labels, _frozen
 _MAX_BISECT = 200
 
 
-class OracleError(RuntimeError):
-    """Bisection failed to terminate within the iteration cap."""
+class OracleError(ValueError):
+    """Bisection failed to terminate within the iteration cap.
+
+    A block whose bracket the bisection cannot close within ``_MAX_BISECT``
+    halvings is input out of the range double precision resolves, the fault
+    ``_unresolved`` reports for the same block; so it is a ``ValueError``.
+    """
 
 
 def gelbrich_distance(s1, s2) -> float:
@@ -101,8 +106,8 @@ class GelbrichBall:
 
     The floor, the smallest eigenvalue of the center, is computed once on
     construction, where the center also passes ``psd_eig``'s PSD rule; it is
-    not an argument.  An ``AmbiguitySpec`` takes each floor from its nominal
-    profile's PSD check instead (``_of_block``).
+    not an argument.  An ``AmbiguitySpec`` builds every ball with
+    ``_of_block`` instead, from its nominal profile's blocks.
     The oracle's optimality guarantee assumes a PD center or a zero one.
     """
 
@@ -120,11 +125,10 @@ class GelbrichBall:
 
     @classmethod
     def _of_block(cls, center: np.ndarray, radius: float, floor: float) -> "GelbrichBall":
-        """The ball around a validated ``CovarianceProfile`` block, whose
-        smallest eigenvalue ``floor`` its PSD check computed, with a radius
-        the caller has checked.  The block is frozen and bitwise symmetric,
-        so public construction would eigensolve the same array to the same
-        floor; here it is not solved again.
+        """The ball around a ``CovarianceProfile`` block, frozen, bitwise
+        symmetric and PSD, whose smallest eigenvalue is ``floor``, with a
+        radius the caller has checked.  Public construction would eigensolve
+        the same array to the same floor; here it is not solved again.
         """
         out = object.__new__(cls)
         for name, value in (("center", center), ("radius", radius), ("floor", floor)):
@@ -160,8 +164,9 @@ class AmbiguitySpec:
     the filter stays well posed on the whole feasible set.  A nominal X0 or
     W_t with a positive radius must be PD or zero, the centers for which the
     oracle's optimality guarantee holds.  The balls share the nominal's
-    frozen blocks and take their floors from its PSD check; a nominal built
-    by ``CovarianceProfile._trusted`` gets balls that eigensolve their own.
+    frozen blocks and take their floors from its PSD check; for a nominal
+    built by ``CovarianceProfile._trusted``, which made none, each floor is
+    the block's ``min_eigval``.
     """
 
     nominal: CovarianceProfile
@@ -182,10 +187,9 @@ class AmbiguitySpec:
         for label, center, r, lowest in zip(_block_labels(nom.T), nom.blocks, radii, nom._lowest):
             if not (r >= 0.0 and math.isfinite(r)):  # rho_x0, rho_w[t] or rho_v[t]
                 raise ValueError(f"rho_{label.lower()} must be finite and nonnegative, got {r}")
-            if lowest is None:  # a profile that was not validated
-                ball = GelbrichBall(center, float(r))
-            else:
-                ball = GelbrichBall._of_block(center, float(r), lowest)
+            # a profile built by _trusted kept no eigenvalue of its blocks
+            floor = min_eigval(center) if lowest is None else lowest
+            ball = GelbrichBall._of_block(center, float(r), floor)
             if label.startswith("V") and ball.floor <= 0.0:
                 raise ValueError(f"nominal {label} must be positive definite")
             # the oracle's bisection is exact only for PD or zero centers: a

@@ -1,8 +1,9 @@
 """Command-line front end: generate / solve / evaluate / verify.
 
 Exit codes: 0 success (and solver converged), 2 solver stopped unconverged
-(at the iteration cap, or on a refused line-search step), 3 invalid input
-(including unparsable arguments, an ``--out`` that cannot be made and a
+(at the iteration cap, or on a refused line-search step), 3 invalid input:
+unparsable arguments, and any ``ValueError`` or ``OSError`` a command raises
+(a file that cannot be read or parsed, an ``--out`` that cannot be made, a
 block whose oracle bisection does not terminate), 4 verification or
 consistency failure (including a non-finite ``evaluate`` estimate).
 An error goes to stderr as one line ``error: <message>``.  When a computation
@@ -22,7 +23,6 @@ import sys as _sys
 import numpy as np
 
 from . import io
-from .ambiguity import OracleError
 from .instances import generate_instance
 from .lqg import KalmanController, _check_dims, _check_gains, monte_carlo_cost
 from .solver import FWConfig, RobustSolution, saddle_check, solve
@@ -101,10 +101,10 @@ class _ComputeError(ValueError):
 
 @contextlib.contextmanager
 def _computing_on(*inputs: str):
-    """Re-raise a ``ValueError`` or ``OracleError`` as a ``_ComputeError`` naming ``inputs``."""
+    """Re-raise a ``ValueError`` as a ``_ComputeError`` naming ``inputs``."""
     try:
         yield
-    except (ValueError, OracleError) as exc:
+    except ValueError as exc:
         raise _ComputeError(str(exc), inputs) from exc
 
 
@@ -223,7 +223,13 @@ def _cmd_verify(args) -> int:
     with _computing_on(args.instance, args.result_dir):
         report = saddle_check(system, amb, sol, n_samples=args.samples, seed=args.seed)
         unrolled = unroll_controller(system, stored).U
-    failures = list(report.claim_violations)
+    failures = []
+    if meta["iterations"] != len(sol.trace):
+        failures.append(
+            f"worst_case.json iterations {meta['iterations']} disagrees with "
+            f"the {len(sol.trace)} rows of trace.csv"
+        )
+    failures.extend(report.claim_violations)
     if np.max(np.abs(unrolled - U_out)) > 1e-8:
         failures.append("stored unrolled gain does not match recomputation")
     for label, cost, excess in report.nature_violations:
@@ -267,7 +273,7 @@ def main(argv=None) -> int:
             return _cmd_evaluate(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (io.FormatError, ValueError, OSError, OracleError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         if isinstance(exc, _ComputeError):
             print(f"error: computed from {', '.join(exc.inputs)}", file=_sys.stderr)

@@ -492,6 +492,7 @@ def read_worst_case(path: str) -> tuple[CovarianceProfile, dict]:
             "f_value": _finite(doc, "f_value"),
             "final_gap": _finite(doc, "final_gap"),
             "converged": _scalar(doc, "converged", bool),
+            "iterations": _scalar(doc, "iterations", int),
             "config": config,
         }
     return cov, meta

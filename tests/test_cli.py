@@ -172,8 +172,9 @@ def test_verify_detects_tampered_gain(tmp_path):
             "converged=True disagrees with final gap 5.000e+00 against tol 1.000e-04",
         ),
         ({"converged": False}, "converged=False disagrees with final gap"),
+        ({"iterations": 99}, "worst_case.json iterations 99 disagrees with the "),
     ],
-    ids=["final-gap", "converged"],
+    ids=["final-gap", "converged", "iterations"],
 )
 def test_verify_checks_the_bundle_metadata(tmp_path, capsys, edit, finding):
     inst = _generate(tmp_path, n=3, m=3, p=3, T=3, seed=0, rho=0.5)
@@ -279,6 +280,27 @@ def test_evaluate_fails_on_a_non_finite_estimate(tmp_path, capsys, name, path):
     out = capsys.readouterr().out
     assert "NON-FINITE ESTIMATE: " in out and "monte carlo" in out.splitlines()[-1]
     assert "agreement" not in out
+
+
+def test_evaluate_reports_a_disagreement(tmp_path, capsys):
+    # a causal U_output that is not the Kalman controller's: the exact cost
+    # is that of U_output, the rollouts run the stored K and L
+    inst, res = _solved(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    path = res / "controller.json"
+    doc = json.loads(path.read_text())
+    doc["U_output"][0][0] += 5.0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(
+        [
+            "evaluate", str(inst), str(path), str(res / "worst_case.json"),
+            "--rollouts", "2000",
+        ]
+    )
+    assert rc == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "DISAGREEMENT: |mean - exact| = " in out
+    assert not any(line.startswith("agreement") for line in out.splitlines())
 
 
 def _no_non_finite_number(text):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drlqg.cli import EXIT_BAD_INPUT, EXIT_OK, main
+from drlqg.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 FILES = {
     "instance": "inst.json", "worst case": "b/worst_case.json", "controller": "b/controller.json"
@@ -117,6 +117,22 @@ def test_a_bad_leaf_keeps_the_input_contract(solved, target, leaf, value):
             if code == EXIT_BAD_INPUT:
                 assert str(work) in err, what
                 assert _FIELD_OR_BLOCK.search(err), what
+
+
+@pytest.mark.parametrize("field", ["f_value", "final_gap", "converged", "iterations"])
+def test_a_changed_run_record_never_verifies(tmp_path, solved, field):
+    # verify checks each of these against the trace or the recomputation,
+    # so any other value is bad input (exit 3) or a finding (exit 4)
+    root, docs = solved
+    doc = docs["worst case"][0]
+    for i, value in enumerate(VARIANTS):
+        if value is not DROP and json.dumps(value) == json.dumps(doc[field]):
+            continue
+        work = tmp_path / str(i)
+        shutil.copytree(root, work)
+        (work / FILES["worst case"]).write_text(json.dumps(_mutated(doc, (field,), value)))
+        code, out, err = _run(["verify", str(work / "inst.json"), str(work / "b"), "--samples=2"])
+        assert code in (EXIT_BAD_INPUT, EXIT_VERIFY_FAILED), f"{field} = {value!r}: {out}{err}"
 
 
 def test_a_failed_computation_names_its_input_files(tmp_path, solved):

@@ -304,6 +304,33 @@ def test_worst_case_with_bad_config_names_file_and_field(tmp_path, field, value,
     assert str(path) in str(info.value)
 
 
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x", "field 'iterations' must be an integer, got \"x\""),
+        (None, "field 'iterations' must be an integer, got null"),
+        (1e300, "field 'iterations' must be an integer, got 1e+300"),
+        (True, "field 'iterations' must be an integer, got true"),
+        (DROP, "missing field 'iterations'"),
+    ],
+    ids=["string", "null", "float", "boolean", "dropped"],
+)
+def test_worst_case_with_bad_iterations_names_file_and_field(tmp_path, value, message):
+    path, _ = _line_bundle(tmp_path)
+    doc = json.loads(path.read_text())
+    if value is DROP:
+        del doc["iterations"]
+    else:
+        doc["iterations"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError) as info:
+        io.read_worst_case(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
 def _set(doc, path, value):
     *parents, leaf = path.split(".")
     for part in parents:

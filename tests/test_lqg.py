@@ -255,11 +255,27 @@ _I1, _I2 = np.eye(1), np.eye(2)
         (-_I2, [_I2] * 3, [_I1] * 3, r"^X0 must be positive semidefinite"),
         (_I2, [_I2, -_I2, _I2], [_I1] * 3, r"^W\[1\] must be positive semidefinite"),
         (_I2, [_I2] * 3, [_I1, [[np.nan]], _I1], r"^V\[1\] contains non-finite"),
+        (_I2, [], [], r"^W and V must be non-empty and of equal length$"),
+        (_I2, [_I2] * 2, [_I1], r"^W and V must be non-empty and of equal length$"),
     ],
 )
 def test_profile_errors_name_the_block(X0, W, V, message):
     with pytest.raises(ValueError, match=message):
         CovarianceProfile(X0=X0, W=W, V=V)
+
+
+@pytest.mark.parametrize(
+    "stages, message",
+    [
+        (dict(A=[], B=[], C=[], Q=[_I1], R=[]), "horizon must contain at least one stage"),
+        (dict(A=[_I1], B=[[1.0]], C=[_I1], Q=[_I1] * 2, R=[_I1]), "B and C must be matrices"),
+        (dict(A=[_I1], B=[_I1], C=[[1.0]], Q=[_I1] * 2, R=[_I1]), "B and C must be matrices"),
+    ],
+    ids=["empty", "1-D B", "1-D C"],
+)
+def test_system_rejects_stages_it_cannot_size(stages, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimeVaryingSystem(**stages)
 
 
 def test_block_labels_are_the_profile_messages():

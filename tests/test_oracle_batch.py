@@ -232,6 +232,16 @@ def test_bisection_cap_names_the_first_block_still_bisecting(monkeypatch):
     assert np.linalg.eigvalsh(grads[first])[-1] < lo < hi < math.inf
 
 
+def test_bisection_cap_is_bad_input_like_an_unresolved_radius(monkeypatch):
+    # both mean a radius out of the range double precision resolves for its
+    # block, so a caller that catches ValueError catches either
+    rng = np.random.default_rng(337)
+    ball = GelbrichBall(center=random_spd(rng, 2), radius=0.5)
+    monkeypatch.setattr(ambiguity, "_MAX_BISECT", 0)
+    with pytest.raises(ValueError, match=r"^gradient block 0: bisection did not meet"):
+        oracle_maximize(ball, random_psd(rng, 2) + np.eye(2), ball.center)
+
+
 def test_indefinite_gradient_in_batch_names_the_block():
     rng = np.random.default_rng(311)
     balls = [GelbrichBall(center=random_spd(rng, d), radius=0.5) for d in (2, 3, 2, 3)]

@@ -396,6 +396,16 @@ def test_controller_classes_keep_their_fields_repr_and_messages(cls, name):
         cls(U=np.zeros((2, 4)), q=np.zeros(3), m=1, p=2, T=2)
 
 
+@pytest.mark.parametrize("cls", [LinearPurifiedController, LinearOutputController])
+def test_a_causal_policy_rejects_out_of_order_steps(cls):
+    rng = np.random.default_rng(35)
+    sys = random_system(rng, 2, 1, 2, 2)
+    policy = cls(U=random_causal_gain(rng, 1, 2, 2), q=np.zeros(2), m=1, p=2, T=2).make_policy(sys)
+    policy.step(0, np.ones(2))
+    with pytest.raises(ValueError, match=r"^policy stepped out of order: expected t=1, got 0$"):
+        policy.step(0, np.ones(2))
+
+
 def test_causality_error_names_the_first_block_in_row_major_order():
     # Element order would name (0,3): row 0 of block row 0 is nonzero only in
     # block 3, row 1 in block 2.
