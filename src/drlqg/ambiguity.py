@@ -36,12 +36,14 @@ gamma.
 
 Three kinds of block take a closed form instead of bisecting: a zero radius
 keeps the center, a zero gradient keeps the reference, and a zero center
-gives rho^2 p1 p1'.  A fourth is the isotropic gradient Gamma = c I of a
-block with d >= 2 (the last stage's process noise, whose gradient is Q_T):
-psi(gamma) = c^2 tr(Zhat) / (gamma - c)^2 has its root exactly at the
+gives s s' with s = rho p1.  A fourth is the isotropic gradient Gamma = c I
+of a block with d >= 2 (the last stage's process noise, whose gradient is
+Q_T): psi(gamma) = c^2 tr(Zhat) / (gamma - c)^2 has its root exactly at the
 bracket's upper end, so the bisection could only end by collapsing there,
 and gamma is taken at that end with no bisection, under the collapsed
-bracket's rules.
+bracket's rules.  Every branch returns a bitwise-symmetric maximizer, so
+their convex combinations with the symmetric centers, Frank-Wolfe iterates
+and nature samples, need no symmetry repair.
 
 All blocks of one shape are solved together: one batched eigendecomposition
 of the stacked gradients, then one lockstep bisection over all of them in
@@ -267,13 +269,14 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     live, lam, vec = live[keep], lam[keep], vec[keep]
     ref_ip = np.sum(lam * _diag_in_basis(vec, maximizers[live]), axis=1)
     # A zero center makes the ball {L >= 0 : tr L <= rho^2}, whose maximizer
-    # is rho^2 p1 p1' in closed form; the bracket would sit at lambda_max.
+    # is s s' with s = rho p1, bitwise symmetric; the bracket would sit at lambda_max.
     zero = ~centers[live].any(axis=(1, 2))
     if zero.any():
         gap = radii[live[zero]] ** 2 * lam[zero, -1] - ref_ip[zero]
         won = gap > 0.0  # else the reference is kept, with gap 0
         idx, top, gap = live[zero][won], vec[zero, :, -1][won], gap[won]
-        maximizers[idx] = (radii[idx] ** 2)[:, None, None] * top[:, :, None] * top[:, None, :]
+        s = radii[idx][:, None] * top
+        maximizers[idx] = s[:, :, None] * s[:, None, :]
         gaps[idx] = gap
         live, lam, vec, ref_ip = live[~zero], lam[~zero], vec[~zero], ref_ip[~zero]
 
@@ -361,7 +364,7 @@ def oracle_maximize_blocks(
     true maximum and never meaningfully negative.  Degenerate blocks
     short-circuit with NaN gamma and no bisection: a zero radius returns the
     center and a zero (clamped) gradient returns the reference, both with
-    zero gap, and a zero center returns the exact maximizer rho^2 p1 p1'
+    zero gap, and a zero center returns the exact maximizer s s', s = rho p1
     (p1 the gradient's top eigenvector), or the reference if that gains
     nothing.  An isotropic gradient c I of a block with d >= 2 takes gamma at
     the upper end of its dual bracket, where the bisection would collapse,
@@ -457,15 +460,13 @@ def _sample_feasible(
             extremes = _oracle_stack(
                 tiled,
                 np.tile(radii[d], size),
-                _symmetrized(a @ a.swapaxes(-1, -2)),
+                a @ a.swapaxes(-1, -2),
                 tiled,
                 0.9,
                 lambda j: f"{labels[idx[j % len(idx)]]} of nature sample "
                 f"{start + j // len(idx)}",
             )[0].reshape(normals[d].shape)
-            samples[d] = _symmetrized(
-                centers[d] + weights[d][:, :, None, None] * (extremes - centers[d])
-            )
+            samples[d] = centers[d] + weights[d][:, :, None, None] * (extremes - centers[d])
         for s in range(size):
             blocks = [ball.center for ball in balls]
             for d, idx in shapes.items():

@@ -204,7 +204,7 @@ class CovarianceProfile:
         """Wrap 2T+1 blocks, ordered as ``blocks``, that are already symmetric and PSD.
 
         Skips the checks of public construction; the caller hands over fresh
-        symmetrized arrays, which are frozen in place.  Used for iterates
+        bitwise-symmetric arrays, which are frozen in place.  Used for iterates
         the solver builds as convex combinations of feasible blocks.
         """
         out = object.__new__(cls)

@@ -9,7 +9,10 @@ g_k falls below the tolerance, and otherwise move from Z_k towards the
 oracle's maximizers L_k along D_k = L_k - Z_k with a step alpha in [0, 1].
 Blocks, balls and gradients follow ``CovarianceProfile.blocks``, and oracle
 errors name a block by its ``lqg._block_labels`` label.  Iterates are convex
-combinations of feasible blocks (so V_t stays PD), used without re-validation.
+combinations of feasible blocks (so V_t stays PD) and of the oracle's bitwise
+symmetric maximizers, used without re-validation or symmetry repair.  Each
+point is evaluated once (``_evaluate``): one Kalman forward pass and one
+adjoint sweep give its f, gradient blocks and Kalman solution.
 
 Two step rules are available (``FWConfig.step``).  "open-loop" is the
 paper's alpha_k = 2/(2+k).  "line" maximizes h(alpha) = f(Z_k + alpha D_k)
@@ -22,27 +25,26 @@ the two-sided window |h'(alpha)| <= 0.1 h'(0) with h(alpha) >= h(0), so a
 trial just past the maximizer is as good as one just short of it; a trial
 outside the window replaces the bracket end on its side of the root, and if
 the trials run out the search takes the higher end of the last bracket.
-Every trial costs one Kalman forward pass and one adjoint sweep, and the
-accepted trial's value and gradient are those of the next iterate, so they
-are not computed twice.  By concavity h(alpha) >= h(0) wherever
-h'(alpha) >= 0; a point that lowers f all the same (by roundoff) is
-refused and the current point returned, so f_k never decreases.  From the
-current point every later iteration would repeat this one, so the run ends
-there, not converged.  The surrogate-gap certificate does not depend on the
-step rule.
+Every trial is one evaluation, and the accepted trial is the next point.
+By concavity h(alpha) >= h(0) wherever h'(alpha) >= 0; a point that lowers
+f all the same (by roundoff) is refused, as is a search that ends on Z_k
+itself, so f_k never decreases.  From Z_k every later iteration would
+repeat this one, so the run ends there, not converged.  The surrogate-gap
+certificate does not depend on the step rule.
 
 The returned controller pairs the solve's Riccati gains with the Kalman
-gains of the worst-case profile; by the separation structure it is a best
-response, which makes the pair a saddle point.
+gains of the worst case's own evaluation; by the separation structure it
+is a best response, which makes the pair a saddle point.
 
 ``saddle_check`` audits everything a claimed solution states, from one
 Riccati and one Kalman sweep at its worst case.  The run's trace, flag and
 final gap must agree, every worst-case block must lie in its ball, and the
-claimed value and controller gains must equal the recomputed ones.  Both sides of the saddle point are then checked with exact
-certificates: no feasible noise profile (including an adversarially
-constructed best response) may beat the claimed value by more than the
-convergence slack, and a first-order bound shows that no causal controller
-does better against the worst case.
+claimed value and controller gains must equal the recomputed ones.  Both
+sides of the saddle point are then checked with exact certificates: no
+feasible noise profile (including an adversarially constructed best
+response) may beat the claimed value by more than the convergence slack,
+and a first-order bound shows that no causal controller does better
+against the worst case.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from .lqg import (
     kalman_forward,
     riccati_backward,
 )
-from .linalg import _symmetrized
 from .stacked import _first_order_bound, build_stacked, output_to_purified, unroll_controller
 
 
@@ -132,35 +133,34 @@ def _price(grads: list[np.ndarray], blocks: list[np.ndarray]) -> float:
 
 
 def _evaluate(sys: TimeVaryingSystem, ric, blocks):
-    """(f, gradient blocks) at the profile whose ``CovarianceProfile.blocks`` are ``blocks``."""
+    """The point at ``blocks``: (blocks, f, gradient blocks, Kalman solution)."""
     kal = _kalman_forward_raw(sys, blocks)
-    return _value_from_solutions(sys, ric, kal), _grad_from_solutions(sys, ric, kal)
+    return blocks, _value_from_solutions(sys, ric, kal), _grad_from_solutions(sys, ric, kal), kal
 
 
 def _move(refs, direction, alpha: float) -> list[np.ndarray]:
-    return [_symmetrized(z + alpha * d) for z, d in zip(refs, direction)]
+    return [z + alpha * d for z, d in zip(refs, direction)]
 
 
-def _line_search(sys, ric, direction, current, slope0):
+def _line_search(sys, ric, direction, base, slope0):
     """Maximize h(alpha) = f(Z + alpha D) on [0, 1]; see the module docstring.
 
-    ``current`` is (blocks, f, grads) at Z and ``slope0`` is h'(0), the
-    surrogate gap.  Returns (blocks, f, grads) of the first trial in the
+    ``base`` is the point at Z (see ``_evaluate``) and ``slope0`` is h'(0),
+    the surrogate gap.  Returns the point of the first trial in the
     acceptance window, else, once the trials run out, of the higher end of
     the last bracket (its left end has h' >= 0, so f >= f_k by concavity).
-    A point that lowers f all the same, by roundoff, is refused and
-    ``current`` is returned.
+    Returns None, a refusal, when that end is Z itself or, by roundoff,
+    lowers f all the same.
     """
-    refs, f_k, _ = current
+    refs, f_k = base[:2]
 
     def trial(alpha):
-        blocks = _move(refs, direction, alpha)
-        f, grads = _evaluate(sys, ric, blocks)
-        return (blocks, f, grads), _price(grads, direction)
+        trial_point = _evaluate(sys, ric, _move(refs, direction, alpha))
+        return trial_point, _price(trial_point[2], direction)
 
     point, slope = trial(1.0)
     if slope < 0.0:  # else h increases on all of [0, 1]
-        left, lo, h_lo = current, 0.0, slope0
+        left, lo, h_lo = None, 0.0, slope0  # None: the left end is Z
         right, hi, h_hi = point, 1.0, slope
         side = 0  # which end moved last: -1 lo, +1 hi
         for _ in range(_LINE_MAX_TRIALS - 1):
@@ -178,9 +178,9 @@ def _line_search(sys, ric, direction, current, slope0):
                 if side == 1:
                     h_lo *= 0.5
                 side = 1
-        else:  # the trials ran out: take the higher end of the last bracket
-            point = max(left, right, key=lambda end: end[1])
-    return point if point[1] >= f_k else current
+        else:  # the trials ran out: take the higher end of the last bracket, left on a tie
+            point = left if (f_k if left is None else left[1]) >= right[1] else right
+    return point if point is not None and point[1] >= f_k else None
 
 
 def solve(
@@ -203,14 +203,12 @@ def solve(
     labels = _block_labels(sys.T)
     ric = riccati_backward(sys)
     cov = amb.nominal
-    evaluated = None  # (f, grads) at cov when the line search produced them
+    point = _evaluate(sys, ric, cov.blocks)
     trace = []
-    best = None  # (gap, f, cov)
-    converged = False
+    best = None  # (gap, cov, point)
     start = time.perf_counter()
     for k in range(cfg.max_iter):
-        refs = cov.blocks
-        f_k, grads = evaluated if evaluated is not None else _evaluate(sys, ric, refs)
+        refs, f_k, grads, _ = point
         results = oracle_maximize_blocks(balls, grads, refs, delta=cfg.delta, labels=labels)
         gap = sum(r.gap_contribution for r in results)  # fixed block order
         trace.append(
@@ -219,23 +217,19 @@ def solve(
         if on_iterate is not None:
             on_iterate(k, cov, gap)
         if best is None or gap < best[0]:
-            best = (gap, f_k, cov)
-        if gap <= cfg.tol:
-            converged = True
+            best = (gap, cov, point)
+        converged = gap <= cfg.tol
+        if converged or k == cfg.max_iter - 1:  # no step that no iteration would record
             break
         direction = [r.maximizer - z for z, r in zip(refs, results)]
         if cfg.step == "line":
-            current = (refs, f_k, grads)
-            point = _line_search(sys, ric, direction, current, gap)
-            if point is current:  # stays put: every later iteration would repeat this one
+            point = _line_search(sys, ric, direction, point, gap)
+            if point is None:  # stays put: every later iteration would repeat this one
                 break
-            stepped, f_next, grads_next = point
-            evaluated = (f_next, grads_next)
         else:
-            stepped = _move(refs, direction, 2.0 / (2.0 + k))
-        cov = CovarianceProfile._trusted(stepped)
-    final_gap, f_value, worst = best
-    kal = _kalman_forward_raw(sys, worst.blocks)
+            point = _evaluate(sys, ric, _move(refs, direction, 2.0 / (2.0 + k)))
+        cov = CovarianceProfile._trusted(point[0])
+    final_gap, worst, (_, f_value, _, kal) = best
     return RobustSolution(
         worst_case=worst,
         controller=KalmanController(K=ric.K, L=kal.L),
@@ -287,13 +281,14 @@ def saddle_check(
 ) -> SaddleReport:
     """Audit a solution's claims and its saddle point, from one Riccati and one Kalman sweep.
 
-    Claims: ``sol.trace`` is non-empty and strictly increasing in k, with
-    no gap below -1e-9 * scale (scale = max(1, |f*|)); ``sol.converged``
-    equals ``sol.final_gap <= sol.config.tol``; ``(sol.final_gap,
-    sol.f_value)`` are those of the trace's first minimum-gap row, as
-    ``solve`` keeps them.  Every block of ``sol.worst_case`` lies in its
-    ball, and ``sol.f_value`` and the gains of ``sol.controller`` equal the
-    value and the gains the two recursions give at that worst case.
+    Claims: ``sol.trace`` holds n rows, 1 <= n <= ``sol.config.max_iter``,
+    numbered k = 0..n-1, with no gap below -1e-9 * scale (scale = max(1,
+    |f*|)); ``sol.converged`` equals ``sol.final_gap <= sol.config.tol``;
+    ``(sol.final_gap, sol.f_value)`` are those of the trace's first
+    minimum-gap row, as ``solve`` keeps them.  Every block of
+    ``sol.worst_case`` lies in its ball, and ``sol.f_value`` and the gains
+    of ``sol.controller`` equal the value and the gains the two recursions
+    give at that worst case.
 
     Nature side: the cost of the Kalman controller at the worst case Z* is
     linear in the covariances with weights grad f(Z*) (the envelope
@@ -332,8 +327,10 @@ def saddle_check(
     claim_violations = []
     if not sol.trace:
         claim_violations.append("the trace holds no iterations")
-    elif any(a.k >= b.k for a, b in itertools.pairwise(sol.trace)):
-        claim_violations.append("trace iteration indices are not strictly increasing")
+    elif [rec.k for rec in sol.trace] != list(range(len(sol.trace))):
+        claim_violations.append(f"trace rows are not numbered 0..{len(sol.trace) - 1}")
+    if len(sol.trace) > sol.config.max_iter:
+        claim_violations.append(f"{len(sol.trace)} trace rows exceed max_iter {sol.config.max_iter}")
     claim_violations.extend(
         f"negative surrogate gap {rec.surrogate_gap:.3e} at iter {rec.k}"
         for rec in sol.trace

@@ -193,6 +193,37 @@ def test_verify_checks_the_bundle_metadata(tmp_path, capsys, edit, finding):
     assert (trace_finding in out) == ("final_gap" in edit)
 
 
+def _renumbered(path, first):
+    lines = path.read_text().splitlines()
+    rows = [f"{first + i},{line.split(',', 1)[1]}" for i, line in enumerate(lines[1:])]
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+
+
+def _max_iter(path, value):
+    doc = json.loads(path.read_text())
+    doc["config"]["max_iter"] = value
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, edit, finding",
+    [
+        ("trace.csv", lambda path: _renumbered(path, 7), "trace rows are not numbered 0..2"),
+        ("worst_case.json", lambda path: _max_iter(path, 2), "3 trace rows exceed max_iter 2"),
+    ],
+    ids=["shifted-iter", "max-iter"],
+)
+def test_verify_checks_the_trace_against_the_run_record(tmp_path, capsys, name, edit, finding):
+    inst = _generate(tmp_path, n=2, m=1, p=2, T=2, seed=0, rho=0.5)
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res)]) == EXIT_OK
+    assert len((res / "trace.csv").read_text().splitlines()) == 4  # the header and 3 rows
+    edit(res / name)
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_VERIFY_FAILED
+    assert capsys.readouterr().out.endswith(f"(1 finding(s)):\n  - {finding}\n")
+
+
 def test_verify_checks_the_value_against_the_trace(tmp_path, capsys):
     inst = _generate(tmp_path, n=3, m=3, p=3, T=3, seed=0, rho=0.5)
     res = tmp_path / "res"
@@ -766,7 +797,7 @@ def test_verify_names_a_trace_without_iterations(tmp_path, capsys):
     assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
     assert "  - the trace holds no iterations\n" in out
-    assert "strictly increasing" not in out
+    assert "not numbered" not in out
 
 
 @pytest.mark.parametrize("field, value", [("f_value", "NaN"), ("final_gap", "Infinity")])

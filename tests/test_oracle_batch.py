@@ -440,18 +440,62 @@ def test_solve_trace_matches_per_block_reference_solver():
 
 def test_solver_iterates_are_frozen_symmetric_profiles():
     sys, amb, _ = generate_instance(3, 2, 2, 3, seed=9, rho=0.4)
-    seen = []
+    # zero nominal X0 and W[1] with positive radii: the oracle's zero-center branch
+    nom = amb.nominal
+    W = list(nom.W)
+    W[1] = np.zeros_like(W[1])
+    zero = AmbiguitySpec(
+        nominal=CovarianceProfile(X0=np.zeros_like(nom.X0), W=W, V=nom.V),
+        rho_x0=amb.rho_x0, rho_w=amb.rho_w, rho_v=amb.rho_v,
+    )
+    for spec in (amb, zero):
+        for step in ("open-loop", "line"):
+            seen = []
 
-    def on_iterate(k, cov, gap):
-        assert isinstance(cov, CovarianceProfile)
-        for block in [cov.X0, *cov.W, *cov.V]:
-            assert not block.flags.writeable
-            assert np.array_equal(block, block.T)
-        seen.append(k)
+            def on_iterate(k, cov, gap):
+                assert isinstance(cov, CovarianceProfile)
+                for block in cov.blocks:
+                    assert not block.flags.writeable
+                    assert np.array_equal(block, block.T)
+                seen.append(cov)
 
-    solve(sys, amb, FWConfig(max_iter=5), on_iterate=on_iterate)
-    assert len(seen) >= 2
+            solve(sys, spec, FWConfig(max_iter=5, step=step), on_iterate=on_iterate)
+            assert len(seen) >= 2
+            if spec is zero:  # nature leaves the zero centers
+                assert seen[-1].X0.any() and seen[-1].W[1].any()
     # public construction still validates every block
     bad = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(ValueError, match="X0"):
         CovarianceProfile(X0=bad, W=amb.nominal.W, V=amb.nominal.V)
+
+
+def _branch_blocks(rng, d):
+    """(branch, ball, gradient, reference) for every oracle branch, at block size d >= 2."""
+    center = symmetrize(random_spd(rng, d))
+    grad = random_psd(rng, d) * rng.uniform(0.5, 5.0)
+    zero = np.zeros((d, d))
+    scalar = [[center[0, 0]]]
+    return [
+        ("zero-radius", GelbrichBall(center=center, radius=0.0), grad, center),
+        ("zero-gradient", GelbrichBall(center=center, radius=0.5), zero, center),
+        ("zero-center", GelbrichBall(center=zero, radius=rng.uniform(0.1, 2.0)), grad, zero),
+        ("isotropic", GelbrichBall(center=center, radius=0.5), rng.uniform(0.5, 5.0) * np.eye(d),
+         center),
+        ("collapsed", GelbrichBall(center=scalar, radius=0.5), [[grad[0, 0]]], scalar),
+        ("bisected", GelbrichBall(center=center, radius=rng.uniform(0.05, 2.0)), grad, center),
+    ]
+
+
+def test_every_oracle_branch_returns_a_bitwise_symmetric_maximizer():
+    rng = np.random.default_rng(441)
+    cases = [case for _ in range(20) for d in (2, 3) for case in _branch_blocks(rng, d)]
+    branches, balls, grads, refs = zip(*cases)
+    for branch, res in zip(branches, oracle_maximize_blocks(balls, grads, refs)):
+        closed_form = branch.startswith("zero")
+        assert math.isnan(res.gamma) == closed_form, branch
+        assert (res.iterations == 0) == (closed_form or branch == "isotropic"), branch
+        assert np.array_equal(res.maximizer, res.maximizer.T), branch
+    # the nature samples of verify: convex combinations of centers and maximizers
+    sampled = [ball for _, ball, _, _ in cases[:12]]  # one draw at each block size
+    for blocks in ambiguity._sample_feasible(sampled, np.random.default_rng(442), 40):
+        assert all(np.array_equal(b, b.T) for b in blocks)

@@ -201,6 +201,34 @@ def test_line_search_solve(n, m, p, T, seed, rho):
     assert abs(sol.f_value - ref.f_value) <= width
 
 
+def test_solve_makes_one_kalman_pass_per_recorded_point(monkeypatch):
+    # the start and each accepted step are evaluated once; no step follows
+    # the last recorded iteration, and the controller's L is that of the
+    # best iterate's own pass
+    raw = solver._kalman_forward_raw
+    passes = []
+
+    def counted(sys, blocks):
+        passes.append(None)
+        return raw(sys, blocks)
+
+    monkeypatch.setattr(solver, "_kalman_forward_raw", counted)
+    sys, amb, _ = generate_instance(3, 2, 2, 4, seed=8, rho=0.5)
+    for cfg, iterations in [
+        (FWConfig(tol=1e-4), None),
+        (FWConfig(tol=1e-12, max_iter=5), 5),
+        (FWConfig(tol=1e-12, max_iter=1, step="line"), 1),
+    ]:
+        passes.clear()
+        sol = solve(sys, amb, cfg)
+        assert sol.converged == (iterations is None)
+        if iterations is not None:
+            assert len(sol.trace) == iterations
+        assert len(passes) == len(sol.trace)
+        fresh = raw(sys, sol.worst_case.blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(sol.controller.L, fresh.L))
+
+
 def test_line_search_falls_back_to_higher_bracket_end(monkeypatch):
     # With an empty acceptance window every search that leaves alpha = 1
     # runs out of trials and must take the higher end of its last bracket.
@@ -220,9 +248,9 @@ def test_line_search_refuses_a_point_that_lowers_f(monkeypatch):
     calls = []
 
     def lowered(sys, ric, blocks):
-        f, grads = evaluate(sys, ric, blocks)
+        blocks, f, grads, kal = evaluate(sys, ric, blocks)
         calls.append(None)
-        return (f if len(calls) == 1 else -np.inf), grads
+        return blocks, (f if len(calls) == 1 else -np.inf), grads, kal
 
     monkeypatch.setattr(solver, "_evaluate", lowered)
     sys, amb, _ = generate_instance(3, 2, 1, 4, seed=11, rho=0.5)
@@ -246,16 +274,16 @@ def _scripted_line(monkeypatch, f_k):
         a = float(blocks[0][0, 0])
         trials.append(a)
         if a <= 0.5:
-            return a - a * a, [np.array([[1.0 - 2.0 * a]])]
-        return 0.25 - 0.1 * (a - 0.5) ** 2, [np.array([[-0.2 * (a - 0.5)]])]
+            return blocks, a - a * a, [np.array([[1.0 - 2.0 * a]])], None
+        return blocks, 0.25 - 0.1 * (a - 0.5) ** 2, [np.array([[-0.2 * (a - 0.5)]])], None
 
     monkeypatch.setattr(solver, "_evaluate", evaluate)
-    current = ([np.zeros((1, 1))], f_k, [np.array([[1.0]])])
-    return solver._line_search(None, None, [np.ones((1, 1))], current, 1.0), current, trials
+    current = ([np.zeros((1, 1))], f_k, [np.array([[1.0]])], None)
+    return solver._line_search(None, None, [np.ones((1, 1))], current, 1.0), trials
 
 
 def test_line_search_accepts_a_trial_just_past_the_maximizer(monkeypatch):
-    (blocks, f, _), _, trials = _scripted_line(monkeypatch, 0.0)
+    (blocks, f, _, _), trials = _scripted_line(monkeypatch, 0.0)
     alpha = 1.0 / 1.1
     assert trials == [1.0, alpha]
     assert -0.1 <= -0.2 * (alpha - 0.5) < 0.0  # -0.1 h'(0) <= h'(alpha) < 0
@@ -264,13 +292,13 @@ def test_line_search_accepts_a_trial_just_past_the_maximizer(monkeypatch):
 
 def test_line_search_never_returns_a_window_trial_that_lowers_f(monkeypatch):
     # every trial past a = 0.816 has h' in the window but h below 0.24
-    (blocks, f, _), current, trials = _scripted_line(monkeypatch, 0.24)
+    (blocks, f, _, _), trials = _scripted_line(monkeypatch, 0.24)
     assert len(trials) > 2
     assert any(a > 0.5 and 0.25 - 0.1 * (a - 0.5) ** 2 < 0.24 for a in trials)
     assert f >= 0.24 and blocks[0][0, 0] in trials
-    # with f_k above the maximum of h no trial qualifies, and the iterate stays put
-    point, current, trials = _scripted_line(monkeypatch, 1.0)
-    assert point is current and len(trials) == solver._LINE_MAX_TRIALS
+    # with f_k above the maximum of h no trial qualifies, and the step is refused
+    point, trials = _scripted_line(monkeypatch, 1.0)
+    assert point is None and len(trials) == solver._LINE_MAX_TRIALS
 
 
 def test_line_search_evaluations_of_a_seed_0_solve(monkeypatch):
@@ -462,7 +490,19 @@ def _with_row(sol, k, **fields):
         (lambda sys, sol: dataclasses.replace(sol, trace=()), ["the trace holds no iterations"]),
         (
             lambda sys, sol: dataclasses.replace(sol, trace=sol.trace[::-1]),
-            ["trace iteration indices are not strictly increasing"],
+            ["trace rows are not numbered 0.."],
+        ),
+        (
+            lambda sys, sol: dataclasses.replace(
+                sol, trace=tuple(dataclasses.replace(r, k=r.k + 7) for r in sol.trace)
+            ),
+            ["trace rows are not numbered 0.."],
+        ),
+        (
+            lambda sys, sol: dataclasses.replace(
+                sol, config=dataclasses.replace(sol.config, max_iter=39)
+            ),
+            ["40 trace rows exceed max_iter 39"],
         ),
         (
             lambda sys, sol: _with_row(sol, 1, surrogate_gap=-1e-3),
@@ -476,7 +516,8 @@ def _with_row(sol, k, **fields):
     ],
     ids=[
         "zero-K", "L-entry", "value", "tripled-worst-case",
-        "final-gap", "empty-trace", "reversed-trace", "negative-gap", "value-off-best-row",
+        "final-gap", "empty-trace", "reversed-trace", "shifted-trace", "max-iter",
+        "negative-gap", "value-off-best-row",
     ],
 )
 def test_saddle_check_flags_what_the_solution_claims(tamper, flagged):
