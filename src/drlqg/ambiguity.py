@@ -53,6 +53,12 @@ would.  ``oracle_maximize_blocks`` packs the results of that per-shape
 path, ``_oracle_stack``, and ``oracle_maximize`` is its single-block call.
 The random feasible profiles of ``_sample_feasible`` take the same path
 with their directions drawn into per-shape stacks.
+
+Membership is batched the same way: ``_gelbrich_stack`` tests a stack of
+same-shape blocks against their floors and takes their distances with one
+eigensolve of the centers and one of the cross terms, ``_contains_blocks``
+calls it once per block shape, and ``GelbrichBall.contains`` and
+``gelbrich_distance`` are its one-block calls.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
+from .linalg import min_eigval, symmetrize
 from .linalg import _checked_eig, _symmetrized
 from .lqg import CovarianceProfile, _block_labels, _frozen
 
@@ -80,18 +86,84 @@ class OracleError(ValueError):
 
 
 def gelbrich_distance(s1, s2) -> float:
-    """Gelbrich distance between two PSD matrices."""
-    s1 = symmetrize(s1)
-    s2 = symmetrize(s2)
-    if np.array_equal(s1, s2):
-        # the trace expression cancels catastrophically near coincidence;
-        # the exact case is known
-        psd_eig(s1)
-        return 0.0
-    root2 = psd_sqrt(s2)
-    cross = psd_sqrt(root2 @ s1 @ root2)
-    arg = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    return math.sqrt(max(arg, 0.0))
+    """Gelbrich distance between two PSD matrices: ``_gelbrich_stack`` of one block."""
+    return float(_gelbrich_stack(np.asarray(s1, dtype=float)[None], symmetrize(s2)[None])[0])
+
+
+def _gelbrich_stack(blocks, centers, floors=None, lowest=None, name=lambda j: None):
+    """Gelbrich distance of each block of a (B,d,d) stack from its center.
+
+    ``centers`` is a (B,d,d) stack of symmetric matrices.  The blocks are
+    symmetrized once and must be finite, else ``ValueError`` "matrix contains
+    non-finite entries" (LAPACK can report finite eigenvalues for a NaN on
+    the diagonal).  With ``floors``, a block whose smallest eigenvalue lies
+    below its floor gets distance inf and is solved no further: the floor
+    test of a membership.  That eigenvalue is ``lowest[j]`` where it is not
+    NaN (a validated profile's, from its PSD check), and one stacked
+    ``eigvalsh`` gives the others.  A block bitwise equal to its center lies
+    at distance 0 exactly, since the trace expression cancels
+    catastrophically near coincidence.  One stacked ``eigh`` of the centers
+    gives their roots R, and one stacked ``eigvalsh`` of the cross terms
+    R Z R gives tr (R Z R)^{1/2} as the sum of the roots of its eigenvalues;
+    both pass ``_checked_eig``'s PSD rule (the centers all of them, so a
+    coinciding block is checked too), whose errors name block j as
+    ``name(j)``.
+    """
+    z = symmetrize(blocks)
+    if not np.isfinite(z).all():
+        raise ValueError("matrix contains non-finite entries")
+    dist = np.full(len(z), np.inf)
+    kept = np.arange(len(z))
+    if floors is not None:
+        low = np.array(lowest, dtype=float)
+        unknown = np.isnan(low)
+        if unknown.any():
+            low[unknown] = np.linalg.eigvalsh(z[unknown])[:, 0]
+        kept = np.flatnonzero(~(low < floors))
+    if kept.size == 0:
+        return dist
+    w, v = _checked_eig(centers[kept], np.linalg.eigh, lambda j: name(kept[j]))
+    same = (z[kept] == centers[kept]).all(axis=(1, 2))
+    dist[kept[same]] = 0.0
+    live, w, v = kept[~same], w[~same], v[~same]
+    if live.size == 0:
+        return dist
+    roots = _symmetrized((v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.swapaxes(-1, -2))
+    cross = _checked_eig(
+        _symmetrized(roots @ z[live] @ roots), np.linalg.eigvalsh, lambda j: name(live[j])
+    )
+    arg = (
+        np.trace(z[live], axis1=1, axis2=2)
+        + np.trace(centers[live], axis1=1, axis2=2)
+        - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
+    )
+    dist[live] = np.sqrt(np.maximum(arg, 0.0))
+    return dist
+
+
+def _contains_blocks(balls, blocks, tol: float, lowest, labels=None) -> list[bool]:
+    """Whether each block lies in its ball, within ``tol``: one
+    ``_gelbrich_stack`` call per block shape.
+
+    ``lowest[i]`` is block i's smallest eigenvalue, or None where it is not
+    known (see ``CovarianceProfile._lowest``).  A block is out when that
+    eigenvalue is below the ball's floor less ``tol``, and otherwise when
+    its distance from the center exceeds the radius plus ``tol``.  PSD
+    errors name block i by ``labels[i]``.
+    """
+    labels = (None,) * len(balls) if labels is None else labels
+    out = [None] * len(balls)
+    for idx in _by_shape(balls).values():
+        dist = _gelbrich_stack(
+            np.stack([blocks[i] for i in idx]),
+            np.stack([balls[i].center for i in idx]),
+            np.array([balls[i].floor for i in idx]) - tol,
+            [math.nan if lowest[i] is None else lowest[i] for i in idx],
+            lambda j: labels[idx[j]],
+        )
+        for j, i in enumerate(idx):
+            out[i] = bool(dist[j] <= balls[i].radius + tol)
+    return out
 
 
 def _by_shape(balls) -> dict[int, list[int]]:
@@ -142,19 +214,8 @@ class GelbrichBall:
         return self.center.shape[0]
 
     def contains(self, z, tol: float = 1e-9) -> bool:
-        return self._contains(z, tol, None)
-
-    def _contains(self, z, tol: float, lowest) -> bool:
-        """``contains``, taking the smallest eigenvalue of ``z`` to be
-        ``lowest`` unless it is None: a validated ``CovarianceProfile``
-        block's, from its PSD check."""
-        z = symmetrize(z)
-        # LAPACK can report finite eigenvalues for a NaN on the diagonal
-        if not np.all(np.isfinite(z)):
-            raise ValueError("matrix contains non-finite entries")
-        if (min_eigval(z) if lowest is None else lowest) < self.floor - tol:
-            return False
-        return gelbrich_distance(z, self.center) <= self.radius + tol
+        """Whether ``z`` lies in the ball within ``tol``: ``_contains_blocks`` of one block."""
+        return _contains_blocks((self,), (z,), tol, (None,))[0]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ taken as the elementwise sum of A * B; no block-diagonal factor is ever
 formed or multiplied as a dense matrix.  Both rely on the blocks being
 symmetric, which ``TimeVaryingSystem`` and ``CovarianceProfile`` guarantee:
 tr[Qs M Wbig M'] is the sum of (Qs M) * (M Wbig), for instance.
+``StackedSystem`` also keeps the plant's A_t and B_t, on which
+``_first_order_bound`` runs its stage recursions.
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ from .lqg import (
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Dense G, H and D, plus the stage stacks of Qs, Rs and Cs.
+    """Dense G, H and D, plus the stage stacks of the plant and of Qs, Rs and Cs.
 
     ``n``, ``m``, ``p`` and ``T`` are read off the stacks' shapes.
     """
 
+    A: np.ndarray  # (T, n, n): A_0..A_{T-1}
+    B: np.ndarray  # (T, n, m): B_0..B_{T-1}
     Q: np.ndarray  # (T+1, n, n): Q_0..Q_T
     R: np.ndarray  # (T, m, m): R_0..R_{T-1}
     C: np.ndarray  # (T, p, n): C_0..C_{T-1}
@@ -110,7 +114,16 @@ def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
         D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ G[t * n : (t + 1) * n, : (t + 1) * n]
     for a in (G, H, D):  # fresh arrays: frozen in place, not copied
         a.flags.writeable = False
-    return StackedSystem(Q=_frozen(sys.Q), R=_frozen(sys.R), C=_frozen(sys.C), G=G, H=H, D=D)
+    return StackedSystem(
+        A=_frozen(sys.A),
+        B=_frozen(sys.B),
+        Q=_frozen(sys.Q),
+        R=_frozen(sys.R),
+        C=_frozen(sys.C),
+        G=G,
+        H=H,
+        D=D,
+    )
 
 
 def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
@@ -281,22 +294,53 @@ def _first_order_bound(
     + q' S q, with S = Rs + H' Qs H, Sigma_eta = D Wbig D' + Vbig and g the
     causal part of 2 (S U Sigma_eta + H' Qs G Wbig D'), so
     b = |g|_F^2 / (4 lmin(S) lmin(Sigma_eta)) (infinite unless both are > 0).
+
+    g is taken by stage recursions, with no product of size N.  Write D_t for
+    block column t of D and Y_t = Cov(x_t, eta) for the state x = G w of the
+    plant without input, so that Y_0 = X0 D_0' and
+    Y_t = A_{t-1} Y_{t-1} + Wbig_t D_t'; block row t of Sigma_eta is
+    C_t Y_t + V_t in its diagonal block.  U Sigma_eta is formed from U's
+    causal blocks, and Z_t = Cov(x_t, eta) under u = U eta, block row t of
+    H U Sigma_eta + G Wbig D', follows Z_0 = Y_0 and
+    Z_t = A_{t-1} Z_{t-1} + B_{t-1} (U Sigma_eta)_{t-1} + Wbig_t D_t'.  Block
+    row t of H' Qs Z is B_t' mu_{t+1}, with mu_T = Q_T Z_T and
+    mu_r = Q_r Z_r + A_r' mu_{r+1}, and the backward sweep keeps only the
+    columns of eta_0..eta_{r-1} of mu_r, which are all the causal part of g
+    reads.
+
     Since S >= Rs and Sigma_eta >= Vbig, the default divides by the smaller
     min_t lmin(R_t) * min_t lmin(V_t), which needs no eigensolve of size N;
     on a badly scaled stage that b can exceed the exact one by many orders
-    of magnitude.  ``exact=True`` computes lmin(S) and lmin(Sigma_eta).  A
-    |g|_F^2 that overflows, or is NaN from an overflow, gives an infinite b.
+    of magnitude.  ``exact=True`` computes lmin(S), with S dense, and
+    lmin(Sigma_eta).  A |g|_F^2 that overflows, or is NaN from an overflow,
+    gives an infinite b.
     """
+    m, p, T = st.m, st.p, st.T
     W, V = _stage_stacks(cov)
-    DW = _right(st.D, W)
-    sigma_eta = DW @ st.D.T
-    for t in range(st.T):
-        sigma_eta[t * st.p : (t + 1) * st.p, t * st.p : (t + 1) * st.p] += V[t]
-    USig = U @ sigma_eta
-    grad = 2.0 * (_left(st.R, USig) + st.H.T @ _left(st.Q, st.H @ USig + st.G @ DW.T))
-    for t in range(st.T):  # keep the causal part: block row t sees eta_0..eta_t
-        grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
-    norm2 = float(np.sum(grad**2))
+    # Wbig_t D_t' for t = 0..T, each n x pT
+    WD = W @ st.D.reshape(p * T, T + 1, -1).transpose(1, 2, 0)
+    Y = np.empty_like(WD[:T])
+    Y[0] = WD[0]
+    for t in range(1, T):
+        Y[t] = st.A[t - 1] @ Y[t - 1] + WD[t]
+    sigma_eta = (st.C @ Y).reshape(p * T, p * T)
+    for t in range(T):
+        sigma_eta[t * p : (t + 1) * p, t * p : (t + 1) * p] += V[t]
+    USig = np.empty((m * T, p * T))
+    for t in range(T):  # block row t of U reads eta_0..eta_t
+        rows = slice(t * m, (t + 1) * m)
+        USig[rows] = U[rows, : (t + 1) * p] @ sigma_eta[: (t + 1) * p]
+    Z = np.empty_like(WD)
+    Z[0] = WD[0]
+    for t in range(1, T + 1):
+        Z[t] = st.A[t - 1] @ Z[t - 1] + st.B[t - 1] @ USig[(t - 1) * m : t * m] + WD[t]
+    norm2 = 0.0
+    mu = st.Q[T] @ Z[T]
+    for t in range(T - 1, -1, -1):  # block row t of g: the columns of eta_0..eta_t
+        cols = (t + 1) * p
+        grad = 2.0 * (st.R[t] @ USig[t * m : (t + 1) * m, :cols] + st.B[t].T @ mu)
+        norm2 += float(np.sum(grad**2))
+        mu = st.Q[t] @ Z[t, :, : t * p] + st.A[t].T @ mu[:, : t * p]
     if not np.isfinite(norm2):
         return np.inf
     if exact:
@@ -327,8 +371,11 @@ def _substitute(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
     """Solve (I + sign U Cs H) (U', q') = (U, q), sign = +-1.0, into a ``cls`` gain."""
     _check_fits(ctrl, st)
     n, m, p, T = st.n, st.m, st.p, st.T
-    CsH = st.C @ st.H[: n * T].reshape(T, n, m * T)
-    N = sign * (ctrl.U @ CsH.reshape(p * T, m * T))
+    CsH = (st.C @ st.H[: n * T].reshape(T, n, m * T)).reshape(p * T, m * T)
+    N = np.zeros((m * T, m * T))
+    for t in range(1, T):  # causal rows: U[t, :t+1] times CsH's blocks left of input t
+        rows = slice(t * m, (t + 1) * m)
+        N[rows, : t * m] = sign * (ctrl.U[rows, : (t + 1) * p] @ CsH[: (t + 1) * p, : t * m])
     U = _unit_lower_solve(N, ctrl.U, m, T)
     q = _unit_lower_solve(N, ctrl.q, m, T)
     return cls(U=U, q=q, m=m, p=p, T=T)

@@ -9,6 +9,11 @@ reproduce their iteration counts, accepted gammas and trajectories.
 
 ``reference_sample_feasible`` is the per-ball sampler loop the per-shape
 stacks of ``drlqg.ambiguity`` replaced; the stacked code must reproduce its bits.
+
+``reference_gelbrich_distance`` and ``reference_contains`` are the one-pair
+Gelbrich distance, with the trace of a formed square root of the cross term,
+and the one-ball membership test that the stacked membership replaced; the
+stacked code must reproduce their verdicts and, to roundoff, their distances.
 """
 
 import math
@@ -19,7 +24,7 @@ from drlqg import CovarianceProfile, OracleResult, oracle_maximize_blocks
 from drlqg import ambiguity
 from drlqg.ambiguity import OracleError
 from drlqg.gradient import _grad_from_solutions
-from drlqg.linalg import psd_eig, symmetrize
+from drlqg.linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
 from drlqg.lqg import _value_from_solutions, kalman_forward, riccati_backward
 
 MAX_BISECT = 200
@@ -123,3 +128,22 @@ def reference_sample_feasible(balls, rng, count):
             for i, (ball, res, u) in zip(moving, picks):
                 blocks[i] = symmetrize(ball.center + u * (res.maximizer - ball.center))
             yield blocks
+
+
+def reference_gelbrich_distance(s1, s2) -> float:
+    s1, s2 = symmetrize(s1), symmetrize(s2)
+    if np.array_equal(s1, s2):
+        psd_eig(s1)  # the PSD rule still applies
+        return 0.0
+    root2 = psd_sqrt(s2)
+    cross = psd_sqrt(root2 @ s1 @ root2)
+    return math.sqrt(max(float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross)), 0.0))
+
+
+def reference_contains(ball, z, tol, lowest=None) -> bool:
+    z = symmetrize(z)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("matrix contains non-finite entries")
+    if (min_eigval(z) if lowest is None else lowest) < ball.floor - tol:
+        return False
+    return reference_gelbrich_distance(z, ball.center) <= ball.radius + tol

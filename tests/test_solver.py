@@ -9,6 +9,7 @@ from drlqg import (
     AmbiguitySpec,
     CovarianceProfile,
     FWConfig,
+    KalmanController,
     LinearPurifiedController,
     assemble_controller,
     build_stacked,
@@ -404,9 +405,9 @@ def test_saddle_check_takes_the_worst_case_eigenvalues_from_a_read_profile(monke
         reports.append(len(solved))
     trusted, calls_trusted, validated, calls_validated = reports
     assert trusted == validated and validated.passed
-    blocks = 2 * sys.T + 1
-    # trusted: one per block in contains, and one per V in kalman_forward
-    assert calls_trusted - calls_validated == blocks + sys.T
+    # trusted: one stacked call per block shape in the membership test (n = p
+    # here, so one), and one per V in kalman_forward
+    assert calls_trusted - calls_validated == 1 + sys.T
 
 
 def test_saddle_check_zero_radii_trivially_passes():
@@ -532,6 +533,27 @@ def test_saddle_check_flags_what_the_solution_claims(tamper, flagged):
     assert len(report.claim_violations) == len(flagged)
 
 
+def test_saddle_check_names_stored_gains_by_stage_k_before_l():
+    # one stacked comparison per gain family, and the messages still come
+    # stage by stage, K[t] before L[t]
+    sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4))
+    K = [k.copy() for k in sol.controller.K]
+    L = [l.copy() for l in sol.controller.L]
+    for gains, stages in ((K, (1, 3)), (L, (0, 3))):
+        for t in stages:
+            gains[t][0, -1] -= 1e-6
+    report = saddle_check(
+        sys, amb, dataclasses.replace(sol, controller=KalmanController(K=K, L=L)), n_samples=0
+    )
+    assert report.claim_violations == (
+        "stored filter gain L[0] does not match recomputation",
+        "stored feedback gain K[1] does not match recomputation",
+        "stored feedback gain K[3] does not match recomputation",
+        "stored filter gain L[3] does not match recomputation",
+    )
+
+
 def test_saddle_check_names_a_controller_that_does_not_fit():
     sys, amb, _ = generate_instance(3, 3, 3, 4, seed=7, rho=0.5)
     sol = solve(sys, amb, FWConfig(tol=1e-4))
@@ -615,8 +637,9 @@ def test_first_order_bound_brackets_the_optimum():
             assert cost - bound <= best * (1.0 + 1e-12) and best <= cost
 
 
-def _dense_first_order_bound(sys, st, U, cov):
-    """Reference bound: dense S, Sigma_eta and gradient, exact lmin(S) * lmin(Sigma_eta)."""
+def _dense_first_order_bound(sys, st, U, cov, exact=True):
+    """Reference bound: dense S, Sigma_eta and gradient, over lmin(S) * lmin(Sigma_eta)
+    or, unless ``exact``, over the stage-wise min_t lmin(R_t) * min_t lmin(V_t)."""
     Qs, Rs, _ = dense_factors(sys)
     Wbig = block_diag(cov.X0, *cov.W)
     S = Rs + st.H.T @ Qs @ st.H
@@ -624,17 +647,21 @@ def _dense_first_order_bound(sys, st, U, cov):
     grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ Qs @ st.G @ Wbig @ st.D.T)
     for t in range(st.T):
         grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
-    curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
+    if exact:
+        curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
+    else:
+        curvature = 4.0 * min(map(min_eigval, sys.R)) * min(map(min_eigval, cov.V))
     return float(np.sum(grad**2)) / curvature if curvature > 0.0 else np.inf
 
 
 @pytest.mark.parametrize(
-    "n, m, p, T", [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1)) for T in (1, 2, 5)]
+    "n, m, p, T", [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1), (4, 1, 2)) for T in (1, 2, 5)]
 )
 def test_first_order_bound_against_the_dense_one(n, m, p, T):
-    # min_t lmin(R_t) * min_t lmin(V_t) bounds lmin(S) * lmin(Sigma_eta) from
-    # below, so the stage-wise bound can only grow, which keeps the
-    # certificate valid; the exact one is the dense one.
+    # The stage recursions give the dense gradient, so the default bound is
+    # the dense one over the stage-wise curvature; min_t lmin(R_t) *
+    # min_t lmin(V_t) bounds lmin(S) * lmin(Sigma_eta) from below, so it can
+    # only grow, which keeps the certificate valid; the exact one is the dense one.
     rng = np.random.default_rng(300 + 7 * n + T)
     sys = random_system(rng, n, m, p, T)
     st = build_stacked(sys)
@@ -642,9 +669,10 @@ def test_first_order_bound_against_the_dense_one(n, m, p, T):
         cov = random_profile(rng, n, p, T)
         U = random_causal_gain(rng, m, p, T, scale=0.5)
         dense = _dense_first_order_bound(sys, st, U, cov)
-        assert 0.0 < dense < np.inf
-        assert _first_order_bound(st, U, cov) >= dense * (1.0 - 1e-9)
-        assert abs(_first_order_bound(st, U, cov, exact=True) - dense) <= 1e-9 * dense
+        stagewise = _dense_first_order_bound(sys, st, U, cov, exact=False)
+        assert 0.0 < dense <= stagewise * (1.0 + 1e-12) < np.inf
+        assert abs(_first_order_bound(st, U, cov) - stagewise) <= 1e-12 * stagewise
+        assert abs(_first_order_bound(st, U, cov, exact=True) - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("r0, v_scale", [(1e-8, 1.0), (1e-12, 1e-8)])
