@@ -14,23 +14,22 @@ A *purified* observation is eta_t = y_t - yhat_t, where yhat comes from a
 noise-free twin of the plant driven by the same inputs.  The map from inputs
 to eta is control-independent (eta = D w + v), so causal policies u = U eta + q
 parameterize the closed loop linearly: the expected quadratic cost of such a
-policy is an explicit trace formula in the noise covariances, and the
-causal-in-y and causal-in-eta parameterizations are related by triangular
-changes of variables.  Under u = U eta + q the state is
+policy is an explicit trace formula in the noise covariances, and a gain
+over y and one over eta are converted into each other by running that twin
+on affine maps of the observations.  Under u = U eta + q the state is
 
     x = M w + H U v + H q,        M = G + H U D,
 
 so the cost and its gradient are traces of products with M, H U and U D.
-``StackedSystem`` holds G, H and D densely, but of Qs, Rs and Cs only their
-stage blocks Q_t, R_t and C_t.  These and the blocks of
+``_plant`` applies G and H to column stacks by the plant recursion itself,
+so neither is stored; ``StackedSystem`` holds D densely, the plant's A_t and
+B_t, and of Qs, Rs and Cs only their stage blocks.  These and the blocks of
 Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
 stage by stage, as batched per-block products, and a trace tr(A B') is
 taken as the elementwise sum of A * B; no block-diagonal factor is ever
 formed or multiplied as a dense matrix.  Both rely on the blocks being
 symmetric, which ``TimeVaryingSystem`` and ``CovarianceProfile`` guarantee:
 tr[Qs M Wbig M'] is the sum of (Qs M) * (M Wbig), for instance.
-``StackedSystem`` also keeps the plant's A_t and B_t, on which
-``_first_order_bound`` runs its stage recursions.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ from .lqg import (
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Dense G, H and D, plus the stage stacks of the plant and of Qs, Rs and Cs.
-
-    ``n``, ``m``, ``p`` and ``T`` are read off the stacks' shapes.
+    """Dense D, plus the stage stacks of the plant and of Qs, Rs and Cs; ``_plant``
+    applies G and H.  ``n``, ``m``, ``p`` and ``T`` are read off the stacks' shapes.
     """
 
     A: np.ndarray  # (T, n, n): A_0..A_{T-1}
@@ -63,8 +61,6 @@ class StackedSystem:
     Q: np.ndarray  # (T+1, n, n): Q_0..Q_T
     R: np.ndarray  # (T, m, m): R_0..R_{T-1}
     C: np.ndarray  # (T, p, n): C_0..C_{T-1}
-    G: np.ndarray  # n(T+1) x n(T+1)
-    H: np.ndarray  # n(T+1) x mT
     D: np.ndarray  # pT x n(T+1), equals Cs @ G
 
     @property
@@ -98,32 +94,48 @@ def _right(X: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
-    """Assemble the stacked matrices from per-stage data."""
-    n, m, p, T = sys.n, sys.m, sys.p, sys.T
-    N = n * (T + 1)
-    G = np.eye(N)
-    H = np.zeros((N, m * T))
-    for t in range(1, T + 1):
-        rows = slice(t * n, (t + 1) * n)
-        prev = slice((t - 1) * n, t * n)
-        G[rows, : t * n] = sys.A[t - 1] @ G[prev, : t * n]
-        H[rows, : (t - 1) * m] = sys.A[t - 1] @ H[prev, : (t - 1) * m]
-        H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
-    D = np.zeros((p * T, N))
+    """Assemble D and the stage stacks from per-stage data."""
+    n, p, T = sys.n, sys.p, sys.T
+    D = np.zeros((p * T, n * (T + 1)))
+    g = np.eye(n)  # block row t of G, its blocks G[t, :t+1] = (A_{t-1}..A_0, .., I)
     for t in range(T):
-        D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ G[t * n : (t + 1) * n, : (t + 1) * n]
-    for a in (G, H, D):  # fresh arrays: frozen in place, not copied
-        a.flags.writeable = False
+        if t > 0:
+            g = np.hstack((sys.A[t - 1] @ g, np.eye(n)))
+        D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ g
+    D.flags.writeable = False  # a fresh array: frozen in place, not copied
     return StackedSystem(
         A=_frozen(sys.A),
         B=_frozen(sys.B),
         Q=_frozen(sys.Q),
         R=_frozen(sys.R),
         C=_frozen(sys.C),
-        G=G,
-        H=H,
         D=D,
     )
+
+
+def _plant(st: StackedSystem, u=None, w=None, live: tuple[int, int] | None = None):
+    """G w + H u for column stacks u (mT x k) and w (n(T+1) x k); either may be None.
+
+    Runs x_0 = w_0, x_{t+1} = A_t x_t + B_t u_t + w_{t+1} on all k columns at
+    once, so G and H are applied without being formed.  ``live`` = (c0, c)
+    says that x_t vanishes beyond its first c0 + t c columns, and u_t and
+    w_{t+1} beyond c0 + (t+1) c; only those columns are computed.
+    """
+    T, k = st.T, (w if u is None else u).shape[1]
+    c0, c = live or (k, 0)  # by default every column is live
+    x = np.zeros((T + 1, st.n, k))
+    u = None if u is None else u.reshape(T, st.m, k)
+    if w is not None:
+        w = w.reshape(x.shape)
+        x[0] = w[0]
+    for t in range(T):
+        now, nxt = slice(c0 + t * c), slice(c0 + (t + 1) * c)
+        x[t + 1, :, now] = st.A[t] @ x[t, :, now]
+        if u is not None:
+            x[t + 1, :, nxt] += st.B[t] @ u[t, :, nxt]
+        if w is not None:
+            x[t + 1, :, nxt] += w[t + 1, :, nxt]
+    return x.reshape(-1, k)
 
 
 def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
@@ -158,8 +170,10 @@ class _CausalGain:
         object.__setattr__(self, "q", _frozen(q))
 
 
-def _check_fits(ctrl: _CausalGain, sys):
-    """The one check of a causal gain against a system (or a ``StackedSystem``)."""
+def _check_fits(ctrl: _CausalGain, sys, form: type):
+    """The one check of a causal gain used as a ``form`` against a system (or its stacked form)."""
+    if not isinstance(ctrl, form):
+        raise ValueError(f"expected a {form.__name__}, got a {type(ctrl).__name__}")
     if (ctrl.m, ctrl.p, ctrl.T) != (sys.m, sys.p, sys.T):
         raise ValueError(
             f"{ctrl._name} (m={ctrl.m}, p={ctrl.p}, T={ctrl.T}) does not match "
@@ -174,7 +188,7 @@ class LinearPurifiedController(_CausalGain):
     _name = "purified gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
-        _check_fits(self, sys)
+        _check_fits(self, sys, LinearPurifiedController)
         return _PurifiedPolicy(sys, self)
 
 
@@ -185,7 +199,7 @@ class LinearOutputController(_CausalGain):
     _name = "output gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
-        _check_fits(self, sys)
+        _check_fits(self, sys, LinearOutputController)
         return _OutputPolicy(self)
 
 
@@ -264,17 +278,17 @@ def controller_cost_trace(
                   + tr[Rs (U D) Wbig (U D)'] + tr[Rs U Vbig U']
                   + q'Rs q + (H q)'Qs (H q)
 
-    The block-diagonal Qs, Rs, Wbig and Vbig are applied stage by stage, so
-    the only dense products are U D, H (U D) and H U.
+    The block-diagonal Qs, Rs, Wbig and Vbig are applied stage by stage, and
+    G and H by the plant recursion, so the only dense product is U D.
     """
     _check_dims(st, cov)
-    _check_fits(ctrl, st)
+    _check_fits(ctrl, st, LinearPurifiedController)
     W, V = _stage_stacks(cov)
     U, q = ctrl.U, ctrl.q
     UD = U @ st.D
-    M = st.G + st.H @ UD
-    HU = st.H @ U
-    Hq = st.H @ q
+    N = st.n * (st.T + 1)  # M = G I + H UD, HU and Hq in one sweep
+    X = _plant(st, np.hstack((UD, U, q[:, None])), np.eye(N, N + U.shape[1] + 1))
+    M, HU, Hq = X[:, :N], X[:, N:-1], X[:, -1]
     val = np.vdot(_left(st.Q, M), _right(M, W))  # tr(A B') as the sum of A * B
     val += np.vdot(_left(st.Q, HU), _right(HU, V))
     val += np.vdot(_left(st.R, UD), _right(UD, W))
@@ -296,12 +310,12 @@ def _first_order_bound(
     b = |g|_F^2 / (4 lmin(S) lmin(Sigma_eta)) (infinite unless both are > 0).
 
     g is taken by stage recursions, with no product of size N.  Write D_t for
-    block column t of D and Y_t = Cov(x_t, eta) for the state x = G w of the
-    plant without input, so that Y_0 = X0 D_0' and
-    Y_t = A_{t-1} Y_{t-1} + Wbig_t D_t'; block row t of Sigma_eta is
-    C_t Y_t + V_t in its diagonal block.  U Sigma_eta is formed from U's
-    causal blocks, and Z_t = Cov(x_t, eta) under u = U eta, block row t of
-    H U Sigma_eta + G Wbig D', follows Z_0 = Y_0 and
+    block column t of D and Y = G Wbig D', whose block row t is
+    Cov(x_t, eta) for the state x = G w of the plant without input, so that
+    block row t of Sigma_eta is C_t Y_t + V_t in its diagonal block.
+    U Sigma_eta is formed from U's causal blocks, and Z = H U Sigma_eta +
+    G Wbig D', whose block row Z_t is Cov(x_t, eta) under u = U eta.  Both
+    are ``_plant`` sweeps over the columns of eta, Y_0 = Z_0 = X0 D_0' and
     Z_t = A_{t-1} Z_{t-1} + B_{t-1} (U Sigma_eta)_{t-1} + Wbig_t D_t'.  Block
     row t of H' Qs Z is B_t' mu_{t+1}, with mu_T = Q_T Z_T and
     mu_r = Q_r Z_r + A_r' mu_{r+1}, and the backward sweep keeps only the
@@ -311,29 +325,23 @@ def _first_order_bound(
     Since S >= Rs and Sigma_eta >= Vbig, the default divides by the smaller
     min_t lmin(R_t) * min_t lmin(V_t), which needs no eigensolve of size N;
     on a badly scaled stage that b can exceed the exact one by many orders
-    of magnitude.  ``exact=True`` computes lmin(S), with S dense, and
-    lmin(Sigma_eta).  A |g|_F^2 that overflows, or is NaN from an overflow,
-    gives an infinite b.
+    of magnitude.  ``exact=True`` computes lmin(S), with H formed by
+    ``_plant`` and S dense, and lmin(Sigma_eta).  A |g|_F^2 that overflows,
+    or is NaN from an overflow, gives an infinite b.
     """
     m, p, T = st.m, st.p, st.T
     W, V = _stage_stacks(cov)
-    # Wbig_t D_t' for t = 0..T, each n x pT
-    WD = W @ st.D.reshape(p * T, T + 1, -1).transpose(1, 2, 0)
-    Y = np.empty_like(WD[:T])
-    Y[0] = WD[0]
-    for t in range(1, T):
-        Y[t] = st.A[t - 1] @ Y[t - 1] + WD[t]
-    sigma_eta = (st.C @ Y).reshape(p * T, p * T)
+    # Wbig_t D_t' for t = 0..T, stacked as n(T+1) x pT
+    WD = (W @ st.D.reshape(p * T, T + 1, -1).transpose(1, 2, 0)).reshape(-1, p * T)
+    Y = _plant(st, w=WD).reshape(T + 1, -1, p * T)
+    sigma_eta = (st.C @ Y[:T]).reshape(p * T, p * T)
     for t in range(T):
         sigma_eta[t * p : (t + 1) * p, t * p : (t + 1) * p] += V[t]
     USig = np.empty((m * T, p * T))
     for t in range(T):  # block row t of U reads eta_0..eta_t
         rows = slice(t * m, (t + 1) * m)
         USig[rows] = U[rows, : (t + 1) * p] @ sigma_eta[: (t + 1) * p]
-    Z = np.empty_like(WD)
-    Z[0] = WD[0]
-    for t in range(1, T + 1):
-        Z[t] = st.A[t - 1] @ Z[t - 1] + st.B[t - 1] @ USig[(t - 1) * m : t * m] + WD[t]
+    Z = _plant(st, USig, WD).reshape(T + 1, -1, p * T)
     norm2 = 0.0
     mu = st.Q[T] @ Z[T]
     for t in range(T - 1, -1, -1):  # block row t of g: the columns of eta_0..eta_t
@@ -344,60 +352,51 @@ def _first_order_bound(
     if not np.isfinite(norm2):
         return np.inf
     if exact:
-        S = st.H.T @ _left(st.Q, st.H)
-        for t in range(st.T):
-            S[t * st.m : (t + 1) * st.m, t * st.m : (t + 1) * st.m] += st.R[t]
+        H = _plant(st, np.eye(m * T), live=(0, m))
+        S = H.T @ _left(st.Q, H)
+        for t in range(T):
+            S[t * m : (t + 1) * m, t * m : (t + 1) * m] += st.R[t]
         curvature = min_eigval(S) * min_eigval(sigma_eta)
     else:
         curvature = float(np.linalg.eigvalsh(st.R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
     return norm2 / (4.0 * curvature) if curvature > 0.0 else np.inf
 
 
-def _unit_lower_solve(N: np.ndarray, B: np.ndarray, m: int, T: int) -> np.ndarray:
-    """Solve (I + N) X = B for strictly block lower-triangular N (m x m blocks).
+def _twin(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
+    """``ctrl`` as a ``cls`` gain over the other observations (sign -1.0: eta to y, +1.0: back).
 
-    Block forward substitution: block row t of X is B_t minus N's blocks
-    left of the diagonal times the rows already solved.  Only those blocks
-    are read, so exact zeros of B above the block diagonal stay exact.
+    The noise-free twin of ``_PurifiedPolicy``, run on affine maps of the new
+    observations x, as columns (1, x_0, x_1, ..): the gain reads
+    z_s = x_s + sign C_s xbar_s, with xbar_0 = 0 and xbar_{s+1} = A_s xbar_s + B_s u_s.
+    xbar_t reads only (1, x_0..x_{t-1}), so zeros above the block diagonal stay exact.
     """
-    X = np.array(B, dtype=float)
-    for t in range(1, T):
-        rows = slice(t * m, (t + 1) * m)
-        X[rows] -= N[rows, : t * m] @ X[: t * m]
-    return X
-
-
-def _substitute(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
-    """Solve (I + sign U Cs H) (U', q') = (U, q), sign = +-1.0, into a ``cls`` gain."""
-    _check_fits(ctrl, st)
-    n, m, p, T = st.n, st.m, st.p, st.T
-    CsH = (st.C @ st.H[: n * T].reshape(T, n, m * T)).reshape(p * T, m * T)
-    N = np.zeros((m * T, m * T))
-    for t in range(1, T):  # causal rows: U[t, :t+1] times CsH's blocks left of input t
-        rows = slice(t * m, (t + 1) * m)
-        N[rows, : t * m] = sign * (ctrl.U[rows, : (t + 1) * p] @ CsH[: (t + 1) * p, : t * m])
-    U = _unit_lower_solve(N, ctrl.U, m, T)
-    q = _unit_lower_solve(N, ctrl.q, m, T)
-    return cls(U=U, q=q, m=m, p=p, T=T)
+    m, p, T = st.m, st.p, st.T
+    new = np.hstack((ctrl.q[:, None], ctrl.U))  # block row t: u_t as a map of (1, x_0..x_t)
+    sC, cx = sign * st.C, np.zeros((p * T, 1 + p * T))  # block row s of cx: sign C_s xbar_s
+    xbar = np.zeros((st.n, 1 + p * T))
+    for t in range(T):
+        rows, done = slice(t * m, (t + 1) * m), 1 + t * p  # the live columns of xbar_t
+        cx[t * p : (t + 1) * p, :done] = sC[t] @ xbar[:, :done]
+        new[rows, :done] += ctrl.U[rows, : (t + 1) * p] @ cx[: (t + 1) * p, :done]
+        xbar[:, : done + p] = st.A[t] @ xbar[:, : done + p] + st.B[t] @ new[rows, : done + p]
+    return cls(U=new[:, 1:], q=new[:, 0], m=m, p=p, T=T)
 
 
 def purified_to_output(
     ctrl: LinearPurifiedController, st: StackedSystem
 ) -> LinearOutputController:
-    """Convert u = U eta + q into the equivalent u = U' y + q'.
-
-    Substituting eta = y - Cs H u gives (I + U Cs H) u = U y + q; U Cs H is
-    strictly block lower-triangular, so the conversion is a forward
-    substitution that preserves exact zeros above the block diagonal.
-    """
-    return _substitute(ctrl, st, 1.0, LinearOutputController)
+    """Convert u = U eta + q into the equivalent u = U' y + q', by eta = y - C xbar
+    with xbar the noise-free twin driven by u."""
+    _check_fits(ctrl, st, LinearPurifiedController)
+    return _twin(ctrl, st, -1.0, LinearOutputController)
 
 
 def output_to_purified(
     ctrl: LinearOutputController, st: StackedSystem
 ) -> LinearPurifiedController:
-    """Invert :func:`purified_to_output`: solve (I - U' Cs H) U = U'."""
-    return _substitute(ctrl, st, -1.0, LinearPurifiedController)
+    """Invert :func:`purified_to_output`: substitute y = eta + C xbar."""
+    _check_fits(ctrl, st, LinearOutputController)
+    return _twin(ctrl, st, 1.0, LinearPurifiedController)
 
 
 def unroll_controller(sys: TimeVaryingSystem, ctrl: KalmanController) -> LinearOutputController:

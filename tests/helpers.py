@@ -70,3 +70,22 @@ def dense_factors(sys):
     """Reference Qs, Rs and Cs = [diag(C_0..C_{T-1}), 0], assembled from ``sys``'s stages."""
     Cs = np.hstack([block_diag(*sys.C), np.zeros((sys.p * sys.T, sys.n))])
     return block_diag(*sys.Q), block_diag(*sys.R), Cs
+
+
+def dense_stacked(sys):
+    """Reference G, H and D: every block of G and H on its own, D = Cs @ G densely."""
+    n, m, T = sys.n, sys.m, sys.T
+    N = n * (T + 1)
+    G = np.zeros((N, N))
+    H = np.zeros((N, m * T))
+    for t in range(T + 1):
+        G[t * n : (t + 1) * n, t * n : (t + 1) * n] = np.eye(n)
+    for t in range(1, T + 1):
+        rows = slice(t * n, (t + 1) * n)
+        prev = slice((t - 1) * n, t * n)
+        for s in range(t):
+            G[rows, s * n : (s + 1) * n] = sys.A[t - 1] @ G[prev, s * n : (s + 1) * n]
+        H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
+        for s in range(t - 1):
+            H[rows, s * m : (s + 1) * m] = sys.A[t - 1] @ H[prev, s * m : (s + 1) * m]
+    return G, H, dense_factors(sys)[2] @ G

@@ -27,6 +27,8 @@ def test_one_instance_gives_the_same_answers_twice(tmp_path):
         "bundle/controller.json", "bundle/trace.csv", "bundle/worst_case.json"
     }
     assert first["verify"]["files"] == first["evaluate"]["files"] == {}
+    assert first["solve"]["stdout"][-1] == "result bundle written to bundle\n"
+    assert first["verify"]["stderr"] == []
     assert first["iterations"] >= 1 and first["final_gap"] <= harness.TOL
 
 
@@ -110,3 +112,13 @@ def test_diff_lists_each_moved_entry():
         "instances.tiny/1: only in the new manifest",
     ]
     assert answers.differences(old, old) == []
+
+
+def test_diff_prints_each_printed_line_that_moved():
+    # stdout is kept as its lines, so a moved digit shows in the line that holds it
+    old = {"instances": {"tiny/0": {"verify": {"stdout": ["a\n", "f=1.25\n"], "stderr": []}}}}
+    new = {"instances": {"tiny/0": {"verify": {"stdout": ["a\n", "f=1.26\n", "b\n"], "stderr": []}}}}
+    assert answers.differences(old, new) == [
+        "instances.tiny/0.verify.stdout.1: 'f=1.25\\n' -> 'f=1.26\\n'",
+        "instances.tiny/0.verify.stdout.2: only in the new manifest",
+    ]

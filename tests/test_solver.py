@@ -31,6 +31,7 @@ from drlqg.stacked import _first_order_bound
 from helpers import (
     block_diag,
     dense_factors,
+    dense_stacked,
     random_causal_gain,
     random_profile,
     random_system,
@@ -637,16 +638,17 @@ def test_first_order_bound_brackets_the_optimum():
             assert cost - bound <= best * (1.0 + 1e-12) and best <= cost
 
 
-def _dense_first_order_bound(sys, st, U, cov, exact=True):
+def _dense_first_order_bound(sys, U, cov, exact=True):
     """Reference bound: dense S, Sigma_eta and gradient, over lmin(S) * lmin(Sigma_eta)
     or, unless ``exact``, over the stage-wise min_t lmin(R_t) * min_t lmin(V_t)."""
     Qs, Rs, _ = dense_factors(sys)
+    G, H, D = dense_stacked(sys)
     Wbig = block_diag(cov.X0, *cov.W)
-    S = Rs + st.H.T @ Qs @ st.H
-    sigma_eta = st.D @ Wbig @ st.D.T + block_diag(*cov.V)
-    grad = 2.0 * (S @ U @ sigma_eta + st.H.T @ Qs @ st.G @ Wbig @ st.D.T)
-    for t in range(st.T):
-        grad[t * st.m : (t + 1) * st.m, (t + 1) * st.p :] = 0.0
+    S = Rs + H.T @ Qs @ H
+    sigma_eta = D @ Wbig @ D.T + block_diag(*cov.V)
+    grad = 2.0 * (S @ U @ sigma_eta + H.T @ Qs @ G @ Wbig @ D.T)
+    for t in range(sys.T):
+        grad[t * sys.m : (t + 1) * sys.m, (t + 1) * sys.p :] = 0.0
     if exact:
         curvature = 4.0 * min_eigval(S) * min_eigval(sigma_eta)
     else:
@@ -668,8 +670,8 @@ def test_first_order_bound_against_the_dense_one(n, m, p, T):
     for _ in range(3):
         cov = random_profile(rng, n, p, T)
         U = random_causal_gain(rng, m, p, T, scale=0.5)
-        dense = _dense_first_order_bound(sys, st, U, cov)
-        stagewise = _dense_first_order_bound(sys, st, U, cov, exact=False)
+        dense = _dense_first_order_bound(sys, U, cov)
+        stagewise = _dense_first_order_bound(sys, U, cov, exact=False)
         assert 0.0 < dense <= stagewise * (1.0 + 1e-12) < np.inf
         assert abs(_first_order_bound(st, U, cov) - stagewise) <= 1e-12 * stagewise
         assert abs(_first_order_bound(st, U, cov, exact=True) - dense) <= 1e-12 * dense

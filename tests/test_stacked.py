@@ -22,10 +22,13 @@ from drlqg import (
     unroll_controller,
     unroll_kalman,
 )
+from drlqg.instances import generate_instance
+from drlqg.stacked import _plant
 
 from helpers import (
     block_diag,
     dense_factors,
+    dense_stacked,
     random_causal_gain,
     random_dims,
     random_profile,
@@ -43,33 +46,15 @@ def _stack_noise(x0, w):
 RECTANGULAR = [(n, m, p, T) for n, m, p in ((3, 2, 4), (2, 3, 1)) for T in (1, 2, 5)]
 
 
-def _dense_stacked(sys):
-    """Reference G, H and D: every block of G and H on its own, D = Cs @ G densely."""
-    n, m, T = sys.n, sys.m, sys.T
-    N = n * (T + 1)
-    G = np.zeros((N, N))
-    H = np.zeros((N, m * T))
-    for t in range(T + 1):
-        G[t * n : (t + 1) * n, t * n : (t + 1) * n] = np.eye(n)
-    for t in range(1, T + 1):
-        rows = slice(t * n, (t + 1) * n)
-        prev = slice((t - 1) * n, t * n)
-        for s in range(t):
-            G[rows, s * n : (s + 1) * n] = sys.A[t - 1] @ G[prev, s * n : (s + 1) * n]
-        H[rows, (t - 1) * m : t * m] = sys.B[t - 1]
-        for s in range(t - 1):
-            H[rows, s * m : (s + 1) * m] = sys.A[t - 1] @ H[prev, s * m : (s + 1) * m]
-    return G, H, dense_factors(sys)[2] @ G
-
-
-def _dense_cost_trace(sys, st, ctrl, cov):
+def _dense_cost_trace(sys, ctrl, cov):
     """Reference cost: the trace formula with S = Rs + H'Qs H and dense Qs, Rs, Wbig, Vbig."""
     Qs, Rs, _ = dense_factors(sys)
+    G, H, D = dense_stacked(sys)
     Wbig = block_diag(cov.X0, *cov.W)
     Vbig = block_diag(*cov.V)
-    S = Rs + st.H.T @ Qs @ st.H
-    UD = ctrl.U @ st.D
-    w_term = UD.T @ S @ UD + 2.0 * st.G.T @ (Qs @ (st.H @ UD)) + st.G.T @ Qs @ st.G
+    S = Rs + H.T @ Qs @ H
+    UD = ctrl.U @ D
+    w_term = UD.T @ S @ UD + 2.0 * G.T @ (Qs @ (H @ UD)) + G.T @ Qs @ G
     val = float(np.trace(w_term @ Wbig))
     val += float(np.trace((ctrl.U.T @ S @ ctrl.U) @ Vbig))
     return val + float(ctrl.q @ S @ ctrl.q)
@@ -82,12 +67,13 @@ def test_build_stacked_single_stage_blocks():
     rng = np.random.default_rng(20)
     sys = random_system(rng, 2, 1, 2, 1)
     st = build_stacked(sys)
-    assert np.array_equal(st.G[:2, :2], np.eye(2))
-    assert np.array_equal(st.G[2:, :2], sys.A[0])
-    assert np.array_equal(st.G[2:, 2:], np.eye(2))
-    assert np.array_equal(st.H[:2, :], np.zeros((2, 1)))
-    assert np.array_equal(st.H[2:, :], sys.B[0])
-    assert np.array_equal(st.D, np.hstack([sys.C[0], np.zeros((2, 2))]) @ st.G)
+    G, H = _plant(st, w=np.eye(4)), _plant(st, np.eye(1))
+    assert np.array_equal(G[:2, :2], np.eye(2))
+    assert np.array_equal(G[2:, :2], sys.A[0])
+    assert np.array_equal(G[2:, 2:], np.eye(2))
+    assert np.array_equal(H[:2, :], np.zeros((2, 1)))
+    assert np.array_equal(H[2:, :], sys.B[0])
+    assert np.array_equal(st.D, np.hstack([sys.C[0], np.zeros((2, 2))]) @ G)
     for stack, blocks in ((st.Q, sys.Q), (st.R, sys.R), (st.C, sys.C)):
         assert np.array_equal(stack, np.stack(blocks))
 
@@ -97,7 +83,29 @@ def test_build_stacked_matches_dense_reference(n, m, p, T):
     sys = random_system(np.random.default_rng(100 + 7 * n + T), n, m, p, T)
     st = build_stacked(sys)
     assert (st.n, st.m, st.p, st.T) == (n, m, p, T)
-    for got, ref in zip((st.G, st.H, st.D), _dense_stacked(sys)):
+    ref = dense_stacked(sys)[2]
+    assert st.D.shape == ref.shape
+    assert np.max(np.abs(st.D - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    assert [f.name for f in dataclasses.fields(st)] == ["A", "B", "Q", "R", "C", "D"]
+
+
+@pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
+def test_plant_applies_g_and_h(n, m, p, T):
+    rng = np.random.default_rng(150 + 7 * n + T)
+    sys = random_system(rng, n, m, p, T)
+    st = build_stacked(sys)
+    G, H, _ = dense_stacked(sys)
+    u = rng.standard_normal((m * T, 3))
+    w = rng.standard_normal((n * (T + 1), 3))
+    U = random_causal_gain(rng, m, p, T)
+    for got, ref in (
+        (_plant(st, u, w), G @ w + H @ u),
+        (_plant(st, u), H @ u),
+        (_plant(st, w=w), G @ w),
+        # zero beyond the live columns: H itself, and H U for a causal U
+        (_plant(st, np.eye(m * T), live=(0, m)), H),
+        (_plant(st, U, live=(0, p)), H @ U),
+    ):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
@@ -109,12 +117,12 @@ def test_build_stacked_zero_dynamics_gives_identity():
         A=[np.zeros((2, 2))] * 3, B=sys.B, C=sys.C, Q=sys.Q, R=sys.R
     )
     st = build_stacked(frozen)
-    assert np.array_equal(st.G, np.eye(8))
+    assert np.array_equal(_plant(st, w=np.eye(8)), np.eye(8))
 
 
-def test_build_stacked_allocates_little_beyond_g_h_and_d():
-    # Here G, H and D take 4.1 MB and the stage stacks of Qs, Rs and Cs 0.2 MB;
-    # a dense Qs, Rs or Cs, or a copy of G, H or D, would add about a third.
+def test_build_stacked_allocates_little_beyond_d_and_the_stage_stacks():
+    # Here D takes 1.34 MB and the stage stacks 0.33 MB, and the peak is 1.73 MB;
+    # a stored G or H, a dense Qs, Rs or Cs, or a copy of D would add 1.28 MB or more.
     sys = random_system(np.random.default_rng(23), 20, 20, 20, 20)
     tracemalloc.start()
     try:
@@ -122,7 +130,7 @@ def test_build_stacked_allocates_little_beyond_g_h_and_d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * (st.G.nbytes + st.H.nbytes + st.D.nbytes)
+    assert peak < 1.25 * sum(a.nbytes for a in (st.D, st.A, st.B, st.Q, st.R, st.C))
 
 
 def test_stacked_reproduces_simulated_trajectory():
@@ -135,8 +143,10 @@ def test_stacked_reproduces_simulated_trajectory():
         w = rng.standard_normal((sys.T, sys.n))
         v = rng.standard_normal((sys.T, sys.p))
         res = simulate(sys, assemble_controller(sys, cov), x0, w, v)
-        stacked_x = st.G @ _stack_noise(x0, w) + st.H @ res.u.ravel()
-        assert np.max(np.abs(stacked_x - res.x.ravel())) <= 1e-12
+        G, H, _ = dense_stacked(sys)
+        noise, u = _stack_noise(x0, w), res.u.ravel()
+        for stacked_x in (G @ noise + H @ u, _plant(st, u[:, None], noise[:, None])[:, 0]):
+            assert np.max(np.abs(stacked_x - res.x.ravel())) <= 1e-12
 
 
 # ------------------------------------------------------------ purification
@@ -214,7 +224,8 @@ def test_cost_trace_zero_controller_open_loop():
     st = build_stacked(sys)
     ctrl = LinearPurifiedController(U=np.zeros((3, 6)), q=np.zeros(3), m=1, p=2, T=3)
     wbig = block_diag(cov.X0, *cov.W)
-    expect = float(np.trace(st.G.T @ block_diag(*sys.Q) @ st.G @ wbig))
+    G = dense_stacked(sys)[0]
+    expect = float(np.trace(G.T @ block_diag(*sys.Q) @ G @ wbig))
     assert abs(controller_cost_trace(st, ctrl, cov) - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -232,7 +243,7 @@ def test_cost_trace_matches_dense_reference(n, m, p, T):
             p=p,
             T=T,
         )
-        ref = _dense_cost_trace(sys, st, ctrl, cov)
+        ref = _dense_cost_trace(sys, ctrl, cov)
         assert abs(controller_cost_trace(st, ctrl, cov) - ref) <= 1e-12 * abs(ref)
 
 
@@ -346,10 +357,61 @@ def test_conversions_solve_their_defining_equations(T):
         (output_to_purified, LinearOutputController, -1.0),
     ):
         got = convert(cls(U=U, q=q, m=m, p=p, T=T), st)
-        M = np.eye(m * T) + sign * U @ dense_factors(sys)[2] @ st.H
+        M = np.eye(m * T) + sign * U @ dense_factors(sys)[2] @ dense_stacked(sys)[1]
         for x, b in ((got.U, U), (got.q, q)):
             assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert np.all(got.U[upper] == 0.0)
+
+
+def _triangular_conversion(sys, U, q, sign):
+    """Reference conversion: (U', q') solving (I + sign U Cs H) (U', q') = (U, q) by
+    block forward substitution, which reads only the blocks left of the diagonal."""
+    m = sys.m
+    N = sign * U @ dense_factors(sys)[2] @ dense_stacked(sys)[1]
+    X = np.hstack([q[:, None], U])
+    for t in range(1, sys.T):
+        rows = slice(t * m, (t + 1) * m)
+        X[rows] -= N[rows, : t * m] @ X[: t * m]
+    return X[:, 1:], X[:, 0]
+
+
+@pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
+def test_conversions_match_the_triangular_solve(n, m, p, T):
+    rng = np.random.default_rng(250 + 7 * n + T)
+    sys = random_system(rng, n, m, p, T)
+    st = build_stacked(sys)
+    U = random_causal_gain(rng, m, p, T)
+    q = rng.standard_normal(m * T)
+    for convert, cls, sign in (
+        (purified_to_output, LinearPurifiedController, 1.0),
+        (output_to_purified, LinearOutputController, -1.0),
+    ):
+        got = convert(cls(U=U, q=q, m=m, p=p, T=T), st)
+        ref_U, ref_q = _triangular_conversion(sys, U, q, sign)
+        assert np.array_equal(got.U == 0.0, ref_U == 0.0)
+        for x, ref in ((got.U, ref_U), (got.q, ref_q)):
+            assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "call, given, expected",
+    [
+        (lambda st, g, cov: controller_cost_trace(st, g, cov), "Output", "Purified"),
+        (lambda st, g, cov: purified_to_output(g, st), "Output", "Purified"),
+        (lambda st, g, cov: output_to_purified(g, st), "Purified", "Output"),
+    ],
+    ids=["controller_cost_trace", "purified_to_output", "output_to_purified"],
+)
+def test_a_gain_of_the_other_form_is_rejected(call, given, expected):
+    # An output gain priced as a purified one once gave 18.669341626 here,
+    # against the Kalman cost 18.669312692 of the purified gain.
+    sys, amb, _ = generate_instance(3, 2, 4, 3, 0, 0.5)
+    st = build_stacked(sys)
+    gain = unroll_kalman(sys, amb.nominal)
+    gain = {"Output": gain, "Purified": output_to_purified(gain, st)}[given]
+    message = rf"^expected a Linear{expected}Controller, got a Linear{given}Controller$"
+    with pytest.raises(ValueError, match=message):
+        call(st, gain, amb.nominal)
 
 
 def test_conversion_preserves_exact_causal_zeros():

@@ -15,12 +15,13 @@ the ``drlqg`` in ``TREE/src`` it runs ``generate``, ``solve --tol 1e-4``,
 ``verify --samples`` and ``evaluate --rollouts`` at each instance's values,
 every command in a fresh process in a scratch directory.  The manifest
 (JSON, to ``--out`` or stdout) holds for each instance and command the exit
-code, the SHA-256 of stdout, of stderr and of every file the command wrote
--- ``trace.csv`` without its wall-clock ``elapsed_ms`` column -- and, in
-clear, f, the iteration count, the final gap and the oracle accuracy delta
-of the solve.
+code, the lines of stdout and of stderr as text, the SHA-256 of every file
+the command wrote -- ``trace.csv`` without its wall-clock ``elapsed_ms``
+column -- and, in clear, f, the iteration count, the final gap and the
+oracle accuracy delta of the solve.
 
-``diff`` prints one line per entry that moved between two manifests.  For
+``diff`` prints one line per entry that moved between two manifests: a
+printed line that moved shows as ``old -> new``, keyed by its index.  For
 each instance whose f moved it also prints whether the new f lies in the
 certified Frank-Wolfe bracket f_ref +/- max(g_ref, g)/delta around the
 instance's entry in ``perfbench/reference.json``, as the benchmark checks a
@@ -54,10 +55,6 @@ RECTANGULAR_SEEDS = (0, 1)
 _MAIN = "import sys; sys.path.insert(0, sys.argv.pop(1)); from drlqg.cli import main; sys.exit(main())"
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _file_sha(path: Path) -> str:
     """SHA-256 of a written file; a trace is hashed without its timing column."""
     data = path.read_bytes()
@@ -65,7 +62,7 @@ def _file_sha(path: Path) -> str:
         rows = list(csv.reader(io.StringIO(data.decode())))
         keep = [i for i, name in enumerate(rows[0]) if name != "elapsed_ms"] if rows else []
         data = "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
-    return _sha(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _files(workdir: Path) -> dict[str, str]:
@@ -84,8 +81,8 @@ def _command(src: Path, workdir: Path, args: list[str], before: dict) -> tuple[d
     after = _files(workdir)
     record = {
         "exit": proc.returncode,
-        "stdout": _sha(proc.stdout),
-        "stderr": _sha(proc.stderr),
+        "stdout": proc.stdout.decode().splitlines(keepends=True),
+        "stderr": proc.stderr.decode().splitlines(keepends=True),
         "files": {name: sha for name, sha in after.items() if before.get(name) != sha},
     }
     return record, after
@@ -142,11 +139,14 @@ def manifest(tree: Path) -> dict:
     for key, w, seed, dims in instances():
         with tempfile.TemporaryDirectory() as tmp:
             answers[key] = instance_answers(src, Path(tmp), w, seed, dims)
-    return {"format": 1, "instances": answers}
+    return {"format": 2, "instances": answers}
 
 
 def differences(old, new, path: str = "") -> list[str]:
-    """One line per leaf that differs between two manifests (or is in one only)."""
+    """One line per leaf that differs between two manifests (or is in one only);
+    a list, such as the lines of a command's stdout, is compared item by item."""
+    if isinstance(old, list) and isinstance(new, list):
+        old, new = dict(enumerate(old)), dict(enumerate(new))
     if isinstance(old, dict) and isinstance(new, dict):
         lines = []
         for key in sorted(old.keys() | new.keys()):
