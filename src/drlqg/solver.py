@@ -75,7 +75,7 @@ from .lqg import (
     kalman_forward,
     riccati_backward,
 )
-from .stacked import _first_order_bound, build_stacked, output_to_purified, unroll_controller
+from .stacked import _first_order_bound, _kalman_purified, build_stacked
 
 
 STEP_RULES = ("open-loop", "line")
@@ -246,6 +246,13 @@ def solve(
     )
 
 
+def _gains_off(recomputed: np.ndarray, stored: np.ndarray) -> np.ndarray:
+    """Per stage, whether a stored gain misses the recomputed one by more than
+    1e-8 * max|recomputed| over the whole family (exactly, when that is 0)."""
+    tol = 1e-8 * np.abs(recomputed).max()
+    return np.abs(recomputed - stored).max(axis=tuple(range(1, stored.ndim))) > tol
+
+
 @dataclass(frozen=True)
 class SaddleReport:
     """Outcome of the saddle audit of everything a ``RobustSolution`` claims.
@@ -256,8 +263,9 @@ class SaddleReport:
     do not confirm: a block outside its ball (tol 1e-7), a
     ``f_value`` off the recomputed value (1e-8 relative), or a gain K[t] or
     L[t] of ``controller`` off the recomputed Riccati or Kalman gain (1e-8
-    absolute).  ``nature_violations`` lists (label, cost, excess) for
-    feasible noise profiles that beat the claimed value by more than
+    times the largest entry of that recomputed family, exactly when it is
+    0).  ``nature_violations`` lists (label, cost, excess) for feasible
+    noise profiles that beat the claimed value by more than
     ``nature_slack``; ``controller_violations`` holds ("first-order", cost,
     shortfall) when the certified lower bound on a causal controller's cost
     at the worst case undercuts it, with a cost of -inf when the bound
@@ -293,7 +301,8 @@ def saddle_check(
     minimum-gap row, as ``solve`` keeps them.  Every block of
     ``sol.worst_case`` lies in its ball, and ``sol.f_value`` and the gains
     of ``sol.controller`` equal the value and the gains the two recursions
-    give at that worst case.
+    give at that worst case (each gain family to 1e-8 times its largest
+    recomputed entry, see ``_gains_off``).
 
     Nature side: the cost of the Kalman controller at the worst case Z* is
     linear in the covariances with weights grad f(Z*) (the envelope
@@ -310,7 +319,8 @@ def saddle_check(
 
     Controller side: no causal policy may cost less than f* - 1e-9 * scale
     at Z*, as certified by ``drlqg.stacked._first_order_bound`` at the
-    purified Kalman gain recomputed at Z* -- the best response is an exact
+    purified Kalman gain recomputed at Z* (built directly from the gains by
+    ``drlqg.stacked._kalman_purified``) -- the best response is an exact
     minimizer, so only numerics may move it.  The bound's cheap stage-wise
     curvature is replaced by the exact one before a violation is reported.
     """
@@ -363,8 +373,8 @@ def saddle_check(
         claim_violations.append(
             f"claimed value {f_star:.12g} does not match recomputation {f_check:.12g}"
         )
-    k_off = np.abs(np.stack(ric.K) - np.stack(K)).max(axis=(1, 2)) > 1e-8
-    l_off = np.abs(np.stack(kal.L) - np.stack(L)).max(axis=(1, 2)) > 1e-8
+    k_off = _gains_off(np.stack(ric.K), np.stack(K))
+    l_off = _gains_off(np.stack(kal.L), np.stack(L))
     for t in range(sys.T):
         if k_off[t]:
             claim_violations.append(f"stored feedback gain K[{t}] does not match recomputation")
@@ -387,12 +397,12 @@ def saddle_check(
             nature_violations.append((label, cost, cost - f_star - nature_slack))
 
     st = build_stacked(sys)
-    upur = output_to_purified(unroll_controller(sys, KalmanController(K=ric.K, L=kal.L)), st)
+    upur = _kalman_purified(st, ric.K, kal.L)
     # J(U*) = sum_i <grad f(Z*)_i, Z*_i> = f(Z*) by Euler's identity, since f
     # is positively homogeneous of degree 1 in the covariances
-    lowest = f_check - _first_order_bound(st, upur.U, sol.worst_case)
+    lowest = f_check - _first_order_bound(st, upur, sol.worst_case)
     if lowest < f_star - controller_slack:  # only the exact curvature may fail a solution
-        lowest = f_check - _first_order_bound(st, upur.U, sol.worst_case, exact=True)
+        lowest = f_check - _first_order_bound(st, upur, sol.worst_case, exact=True)
     controller_violations = []
     if lowest < f_star - controller_slack:
         controller_violations.append(("first-order", lowest, f_star - lowest))

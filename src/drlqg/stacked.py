@@ -21,15 +21,19 @@ on affine maps of the observations.  Under u = U eta + q the state is
     x = M w + H U v + H q,        M = G + H U D,
 
 so the cost and its gradient are traces of products with M, H U and U D.
-``_plant`` applies G and H to column stacks by the plant recursion itself,
-so neither is stored; ``StackedSystem`` holds D densely, the plant's A_t and
-B_t, and of Qs, Rs and Cs only their stage blocks.  These and the blocks of
+``_plant`` is the plant recursion itself: a generator that yields block row
+x_t of G w + H u, for column stacks given stage by stage, as the recursion
+makes it.  Neither G nor H is stored, and nothing N = n(T+1) columns wide
+is held across stages: the cost keeps one block row per stage, and the
+first-order bound the pT-wide Z, Sigma_eta and U Sigma_eta.
+``StackedSystem`` holds D densely, the plant's A_t and B_t, and of Qs, Rs
+and Cs only their stage blocks.  These and the blocks of
 Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
 stage by stage, as batched per-block products, and a trace tr(A B') is
 taken as the elementwise sum of A * B; no block-diagonal factor is ever
 formed or multiplied as a dense matrix.  Both rely on the blocks being
 symmetric, which ``TimeVaryingSystem`` and ``CovarianceProfile`` guarantee:
-tr[Qs M Wbig M'] is the sum of (Qs M) * (M Wbig), for instance.
+tr[Q_t M_t Wbig M_t'] is the sum of (Q_t M_t) * (M_t Wbig), for instance.
 """
 
 from __future__ import annotations
@@ -113,29 +117,35 @@ def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
     )
 
 
-def _plant(st: StackedSystem, u=None, w=None, live: tuple[int, int] | None = None):
-    """G w + H u for column stacks u (mT x k) and w (n(T+1) x k); either may be None.
+def _plant(st: StackedSystem, k: int, u=None, w=None, live: tuple[int, int] | None = None):
+    """Yield x_0..x_T, the block rows of G w + H u, for k columns at once.
 
-    Runs x_0 = w_0, x_{t+1} = A_t x_t + B_t u_t + w_{t+1} on all k columns at
-    once, so G and H are applied without being formed.  ``live`` = (c0, c)
-    says that x_t vanishes beyond its first c0 + t c columns, and u_t and
-    w_{t+1} beyond c0 + (t+1) c; only those columns are computed.
+    ``u`` gives the T stage blocks u_t (m x k) and ``w`` the T+1 blocks w_t
+    (n x k), each as any iterable (a (T, m, k) or (T+1, n, k) stack, or a
+    generator that makes them on demand); either may be None.  Runs
+    x_0 = w_0, x_{t+1} = A_t x_t + B_t u_t + w_{t+1}, so G and H are applied
+    without being formed, and each x_t is a new array the caller may keep.
+    ``live`` = (c0, c) says that x_t vanishes beyond its first c0 + t c
+    columns, and u_t and w_{t+1} beyond c0 + (t+1) c; only those columns are
+    computed.
     """
-    T, k = st.T, (w if u is None else u).shape[1]
     c0, c = live or (k, 0)  # by default every column is live
-    x = np.zeros((T + 1, st.n, k))
-    u = None if u is None else u.reshape(T, st.m, k)
+    u = None if u is None else iter(u)
+    w = None if w is None else iter(w)
+    x = np.zeros((st.n, k))
     if w is not None:
-        w = w.reshape(x.shape)
-        x[0] = w[0]
-    for t in range(T):
+        x[:] = next(w)
+    yield x
+    for t in range(st.T):
         now, nxt = slice(c0 + t * c), slice(c0 + (t + 1) * c)
-        x[t + 1, :, now] = st.A[t] @ x[t, :, now]
+        x_next = np.zeros((st.n, k))
+        x_next[:, now] = st.A[t] @ x[:, now]
         if u is not None:
-            x[t + 1, :, nxt] += st.B[t] @ u[t, :, nxt]
+            x_next[:, nxt] += st.B[t] @ next(u)[:, nxt]
         if w is not None:
-            x[t + 1, :, nxt] += w[t + 1, :, nxt]
-    return x.reshape(-1, k)
+            x_next[:, nxt] += next(w)[:, nxt]
+        x = x_next
+        yield x
 
 
 def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
@@ -278,22 +288,54 @@ def controller_cost_trace(
                   + tr[Rs (U D) Wbig (U D)'] + tr[Rs U Vbig U']
                   + q'Rs q + (H q)'Qs (H q)
 
-    The block-diagonal Qs, Rs, Wbig and Vbig are applied stage by stage, and
-    G and H by the plant recursion, so the only dense product is U D.
+    Every term is added stage by stage.  As maps of (w, v, 1), block row t
+    of x = M w + H U v + H q is x_t = [M_t | (H U)_t | (H q)_t], and that of
+    u = U D w + U v + q is u_t = [(U D)_t | U_t | q_t], so with
+    Sigma = diag(Wbig, Vbig, 1)
+
+        J(U, q) = sum_t tr[Q_t x_t Sigma x_t'] + sum_t tr[R_t u_t Sigma u_t'].
+
+    (U D)_t is U's block row t times D on its causal columns, and ``_plant``
+    makes x_{t+1} from x_t, u_t and w_{t+1}, block column t+1 of the
+    identity; memory is one block row per stage.
     """
     _check_dims(st, cov)
     _check_fits(ctrl, st, LinearPurifiedController)
     W, V = _stage_stacks(cov)
     U, q = ctrl.U, ctrl.q
-    UD = U @ st.D
-    N = st.n * (st.T + 1)  # M = G I + H UD, HU and Hq in one sweep
-    X = _plant(st, np.hstack((UD, U, q[:, None])), np.eye(N, N + U.shape[1] + 1))
-    M, HU, Hq = X[:, :N], X[:, N:-1], X[:, -1]
-    val = np.vdot(_left(st.Q, M), _right(M, W))  # tr(A B') as the sum of A * B
-    val += np.vdot(_left(st.Q, HU), _right(HU, V))
-    val += np.vdot(_left(st.R, UD), _right(UD, W))
-    val += np.vdot(_left(st.R, U), _right(U, V))
-    val += q @ _left(st.R, q) + Hq @ _left(st.Q, Hq)
+    n, m, p, T = st.n, st.m, st.p, st.T
+    N = n * (T + 1)
+    k = N + p * T + 1  # the columns of (w, v, 1)
+
+    def priced(F, z):  # tr[F z Sigma z'] as the sum of (F z) * (z Sigma)
+        Fz = F @ z
+        return (
+            np.vdot(Fz[:, :N], _right(z[:, :N], W))
+            + np.vdot(Fz[:, N:-1], _right(z[:, N:-1], V))
+            + np.vdot(Fz[:, -1], z[:, -1])
+        )
+
+    val = 0.0
+
+    def inputs():  # u_0..u_{T-1}, each priced as it is made
+        nonlocal val
+        for t in range(T):
+            rows, seen = slice(t * m, (t + 1) * m), (t + 1) * p
+            u = np.zeros((m, k))
+            u[:, : (t + 1) * n] = U[rows, :seen] @ st.D[:seen, : (t + 1) * n]
+            u[:, N:-1] = U[rows]
+            u[:, -1] = q[rows]
+            val += priced(st.R[t], u)
+            yield u
+
+    def noise():  # w_0..w_T: block column t of the identity on the columns of w
+        for t in range(T + 1):
+            e = np.zeros((n, k))
+            e[:, t * n : (t + 1) * n] = np.eye(n)
+            yield e
+
+    for t, x in enumerate(_plant(st, k, inputs(), noise())):
+        val += priced(st.Q[t], x)
     return float(val)
 
 
@@ -312,36 +354,42 @@ def _first_order_bound(
     g is taken by stage recursions, with no product of size N.  Write D_t for
     block column t of D and Y = G Wbig D', whose block row t is
     Cov(x_t, eta) for the state x = G w of the plant without input, so that
-    block row t of Sigma_eta is C_t Y_t + V_t in its diagonal block.
-    U Sigma_eta is formed from U's causal blocks, and Z = H U Sigma_eta +
-    G Wbig D', whose block row Z_t is Cov(x_t, eta) under u = U eta.  Both
-    are ``_plant`` sweeps over the columns of eta, Y_0 = Z_0 = X0 D_0' and
-    Z_t = A_{t-1} Z_{t-1} + B_{t-1} (U Sigma_eta)_{t-1} + Wbig_t D_t'.  Block
-    row t of H' Qs Z is B_t' mu_{t+1}, with mu_T = Q_T Z_T and
-    mu_r = Q_r Z_r + A_r' mu_{r+1}, and the backward sweep keeps only the
-    columns of eta_0..eta_{r-1} of mu_r, which are all the causal part of g
-    reads.
+    block row t of Sigma_eta is C_t Y_t + V_t in its diagonal block.  One
+    ``_plant`` sweep over the columns of eta makes Y_t from Y_0 = X0 D_0',
+    takes block row t of Sigma_eta from it and, with it, block row t of
+    U Sigma_eta from U's causal blocks; Y is never stored.  A second sweep
+    makes Z = H U Sigma_eta + G Wbig D', whose block row Z_t is
+    Cov(x_t, eta) under u = U eta: Z_0 = X0 D_0' and
+    Z_t = A_{t-1} Z_{t-1} + B_{t-1} (U Sigma_eta)_{t-1} + Wbig_t D_t'.  Both
+    make Wbig_t D_t' as they need it.  Block row t of H' Qs Z is
+    B_t' mu_{t+1}, with mu_T = Q_T Z_T and mu_r = Q_r Z_r + A_r' mu_{r+1},
+    and the backward sweep keeps only the columns of eta_0..eta_{r-1} of
+    mu_r, which are all the causal part of g reads.
 
     Since S >= Rs and Sigma_eta >= Vbig, the default divides by the smaller
     min_t lmin(R_t) * min_t lmin(V_t), which needs no eigensolve of size N;
     on a badly scaled stage that b can exceed the exact one by many orders
-    of magnitude.  ``exact=True`` computes lmin(S), with H formed by
-    ``_plant`` and S dense, and lmin(Sigma_eta).  A |g|_F^2 that overflows,
-    or is NaN from an overflow, gives an infinite b.
+    of magnitude.  ``exact=True`` computes lmin(S), with H stacked from
+    ``_plant``'s rows and S dense, and lmin(Sigma_eta).  A |g|_F^2 that
+    overflows, or is NaN from an overflow, gives an infinite b.
     """
-    m, p, T = st.m, st.p, st.T
+    n, m, p, T = st.n, st.m, st.p, st.T
     W, V = _stage_stacks(cov)
-    # Wbig_t D_t' for t = 0..T, stacked as n(T+1) x pT
-    WD = (W @ st.D.reshape(p * T, T + 1, -1).transpose(1, 2, 0)).reshape(-1, p * T)
-    Y = _plant(st, w=WD).reshape(T + 1, -1, p * T)
-    sigma_eta = (st.C @ Y[:T]).reshape(p * T, p * T)
-    for t in range(T):
-        sigma_eta[t * p : (t + 1) * p, t * p : (t + 1) * p] += V[t]
+
+    def noise():  # Wbig_t D_t' for t = 0..T
+        for t in range(T + 1):
+            yield W[t] @ st.D[:, t * n : (t + 1) * n].T
+
+    sigma_eta = np.empty((p * T, p * T))
     USig = np.empty((m * T, p * T))
-    for t in range(T):  # block row t of U reads eta_0..eta_t
-        rows = slice(t * m, (t + 1) * m)
-        USig[rows] = U[rows, : (t + 1) * p] @ sigma_eta[: (t + 1) * p]
-    Z = _plant(st, USig, WD).reshape(T + 1, -1, p * T)
+    for t, y in zip(range(T), _plant(st, p * T, w=noise())):  # y = Y_t; Y_T is not needed
+        rows, eta_t = slice(t * m, (t + 1) * m), slice(t * p, (t + 1) * p)
+        sigma_eta[eta_t] = st.C[t] @ y
+        sigma_eta[eta_t, eta_t] += V[t]
+        USig[rows] = U[rows, : (t + 1) * p] @ sigma_eta[: (t + 1) * p]  # U reads eta_0..eta_t
+    Z = np.empty((T + 1, n, p * T))
+    for t, z in enumerate(_plant(st, p * T, USig.reshape(T, m, -1), noise())):
+        Z[t] = z
     norm2 = 0.0
     mu = st.Q[T] @ Z[T]
     for t in range(T - 1, -1, -1):  # block row t of g: the columns of eta_0..eta_t
@@ -352,7 +400,7 @@ def _first_order_bound(
     if not np.isfinite(norm2):
         return np.inf
     if exact:
-        H = _plant(st, np.eye(m * T), live=(0, m))
+        H = np.vstack(list(_plant(st, m * T, np.eye(m * T).reshape(T, m, -1), live=(0, m))))
         S = H.T @ _left(st.Q, H)
         for t in range(T):
             S[t * m : (t + 1) * m, t * m : (t + 1) * m] += st.R[t]
@@ -360,6 +408,34 @@ def _first_order_bound(
     else:
         curvature = float(np.linalg.eigvalsh(st.R)[:, 0].min() * np.linalg.eigvalsh(V)[:, 0].min())
     return norm2 / (4.0 * curvature) if curvature > 0.0 else np.inf
+
+
+def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
+    """The purified gain U of the Kalman controller (K, L), built directly.
+
+    Its estimate splits as xhat_t = xbar_t + d_t, xbar the noise-free twin
+    (xbar_0 = 0, xbar_{t+1} = A_t xbar_t + B_t u_t) and d the filter of the
+    noise-driven part, which reads eta alone: d_0 = L_0 eta_0 and
+    d_{t+1} = (I - L_{t+1} C_{t+1}) A_t d_t + L_{t+1} eta_{t+1}.  As maps of
+    eta, block row t of U is K_t (xbar_t + d_t), and both run on the live
+    columns eta_0..eta_t only, so the zeros above the block diagonal are exact.
+    Equals ``output_to_purified(unroll_controller(sys, (K, L)), st).U`` up to
+    roundoff.
+    """
+    n, m, p, T = st.n, st.m, st.p, st.T
+    U = np.zeros((m * T, p * T))
+    xbar, d = np.zeros((n, p * T)), np.zeros((n, p * T))
+    d[:, :p] = L[0]
+    for t in range(T):
+        live = slice((t + 1) * p)
+        if t > 0:
+            prev, u_prev = slice(t * p), U[(t - 1) * m : t * m, : t * p]
+            xbar[:, prev] = st.A[t - 1] @ xbar[:, prev] + st.B[t - 1] @ u_prev
+            ad = st.A[t - 1] @ d[:, prev]
+            d[:, prev] = ad - L[t] @ (st.C[t] @ ad)
+            d[:, t * p : (t + 1) * p] = L[t]
+        U[t * m : (t + 1) * m, live] = K[t] @ (xbar[:, live] + d[:, live])
+    return U
 
 
 def _twin(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):

@@ -164,6 +164,28 @@ def test_verify_detects_tampered_gain(tmp_path):
     assert main(["verify", str(inst), str(res), "--samples", "5"]) == EXIT_VERIFY_FAILED
 
 
+def test_verify_compares_gains_at_their_own_scale(tmp_path, capsys):
+    # With every A[t] scaled by 1e-9, max|K| is about 5e-11: zeroed K and
+    # U_output lie within an absolute 1e-8 of the recomputed gains, but not
+    # within 1e-8 of their largest entry.
+    inst = _generate(tmp_path, n=3, m=2, p=3, T=4, seed=2, rho=0.5)
+    doc = json.loads(inst.read_text())
+    doc["system"]["A"] = [[[1e-9 * x for x in row] for row in A] for A in doc["system"]["A"]]
+    inst.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    assert main(["solve", str(inst), "--out", str(res), "--tol", "1e-6"]) == EXIT_OK
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_OK
+    ctrl_path = res / "controller.json"
+    ctrl = json.loads(ctrl_path.read_text())
+    assert 0.0 < np.max(np.abs(ctrl["K"])) < 1e-9
+    ctrl["K"] = np.zeros_like(ctrl["K"]).tolist()
+    ctrl["U_output"] = np.zeros_like(ctrl["U_output"]).tolist()
+    ctrl_path.write_text(json.dumps(ctrl))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(res), "--samples", "0"]) == EXIT_VERIFY_FAILED
+    assert "stored feedback gain K[0] does not match recomputation" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "edit, finding",
     [

@@ -580,6 +580,22 @@ def test_saddle_check_memory_does_not_grow_with_samples():
     assert peaks[400] - peaks[100] <= 2 * 2**20
 
 
+def test_saddle_check_holds_no_n_wide_intermediate():
+    # Here U takes 1.28 MB, D and the stage stacks 1.67 MB, and the peak is
+    # 8.2 MB; unrolling the output gain and converting it (two frozen copies
+    # of U), or a first-order bound that stored Y or Wbig D', would add 1.3 MB
+    # or more.
+    sys, amb, _ = generate_instance(20, 20, 20, 20, seed=0, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4, step="line"))
+    tracemalloc.start()
+    try:
+        saddle_check(sys, amb, sol, n_samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * (20 * 20) ** 2 * 8  # 7 U.nbytes
+
+
 # ------------------------------------------------- exact saddle certificates
 
 
@@ -675,6 +691,23 @@ def test_first_order_bound_against_the_dense_one(n, m, p, T):
         assert 0.0 < dense <= stagewise * (1.0 + 1e-12) < np.inf
         assert abs(_first_order_bound(st, U, cov) - stagewise) <= 1e-12 * stagewise
         assert abs(_first_order_bound(st, U, cov, exact=True) - dense) <= 1e-12 * dense
+
+
+def test_first_order_bound_keeps_only_sigma_eta_u_sigma_eta_and_z():
+    # Here U takes 1.28 MB, and Sigma_eta, U Sigma_eta and Z 3.9 MB together;
+    # the peak is 4.5 MB.  A stored Y or Wbig D' would add 1.3 MB or more.
+    n = 20
+    rng = np.random.default_rng(43)
+    st = build_stacked(random_system(rng, n, n, n, n))
+    cov = random_profile(rng, n, n, n)
+    U = random_causal_gain(rng, n, n, n)
+    tracemalloc.start()
+    try:
+        _first_order_bound(st, U, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * U.nbytes
 
 
 @pytest.mark.parametrize("r0, v_scale", [(1e-8, 1.0), (1e-12, 1e-8)])

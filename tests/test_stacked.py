@@ -23,7 +23,7 @@ from drlqg import (
     unroll_kalman,
 )
 from drlqg.instances import generate_instance
-from drlqg.stacked import _plant
+from drlqg.stacked import _kalman_purified, _plant
 
 from helpers import (
     block_diag,
@@ -39,6 +39,14 @@ from helpers import (
 
 def _stack_noise(x0, w):
     return np.concatenate([x0, w.ravel()])
+
+
+def _stacked_plant(st, u=None, w=None, live=None):
+    """G w + H u for column stacks u (mT x k) and w (n(T+1) x k): ``_plant``'s rows, stacked."""
+    k = (w if u is None else u).shape[1]
+    u = None if u is None else u.reshape(st.T, st.m, k)
+    w = None if w is None else w.reshape(st.T + 1, st.n, k)
+    return np.vstack(list(_plant(st, k, u, w, live)))
 
 
 # Rectangular block sizes (n != m != p) catch a per-stage reshape that mixes
@@ -67,7 +75,7 @@ def test_build_stacked_single_stage_blocks():
     rng = np.random.default_rng(20)
     sys = random_system(rng, 2, 1, 2, 1)
     st = build_stacked(sys)
-    G, H = _plant(st, w=np.eye(4)), _plant(st, np.eye(1))
+    G, H = _stacked_plant(st, w=np.eye(4)), _stacked_plant(st, np.eye(1))
     assert np.array_equal(G[:2, :2], np.eye(2))
     assert np.array_equal(G[2:, :2], sys.A[0])
     assert np.array_equal(G[2:, 2:], np.eye(2))
@@ -99,12 +107,12 @@ def test_plant_applies_g_and_h(n, m, p, T):
     w = rng.standard_normal((n * (T + 1), 3))
     U = random_causal_gain(rng, m, p, T)
     for got, ref in (
-        (_plant(st, u, w), G @ w + H @ u),
-        (_plant(st, u), H @ u),
-        (_plant(st, w=w), G @ w),
+        (_stacked_plant(st, u, w), G @ w + H @ u),
+        (_stacked_plant(st, u), H @ u),
+        (_stacked_plant(st, w=w), G @ w),
         # zero beyond the live columns: H itself, and H U for a causal U
-        (_plant(st, np.eye(m * T), live=(0, m)), H),
-        (_plant(st, U, live=(0, p)), H @ U),
+        (_stacked_plant(st, np.eye(m * T), live=(0, m)), H),
+        (_stacked_plant(st, U, live=(0, p)), H @ U),
     ):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -117,7 +125,7 @@ def test_build_stacked_zero_dynamics_gives_identity():
         A=[np.zeros((2, 2))] * 3, B=sys.B, C=sys.C, Q=sys.Q, R=sys.R
     )
     st = build_stacked(frozen)
-    assert np.array_equal(_plant(st, w=np.eye(8)), np.eye(8))
+    assert np.array_equal(_stacked_plant(st, w=np.eye(8)), np.eye(8))
 
 
 def test_build_stacked_allocates_little_beyond_d_and_the_stage_stacks():
@@ -133,6 +141,26 @@ def test_build_stacked_allocates_little_beyond_d_and_the_stage_stacks():
     assert peak < 1.25 * sum(a.nbytes for a in (st.D, st.A, st.B, st.Q, st.R, st.C))
 
 
+def test_cost_trace_holds_one_block_row_per_stage():
+    # Here U takes 1.28 MB and the peak is 0.93 MB; an identity seed of
+    # n(T+1) columns, the stored plant state or a dense U D would each add
+    # 1.3 MB or more.
+    n = 20
+    rng = np.random.default_rng(24)
+    st = build_stacked(random_system(rng, n, n, n, n))
+    cov = random_profile(rng, n, n, n)
+    ctrl = LinearPurifiedController(
+        U=random_causal_gain(rng, n, n, n), q=rng.standard_normal(n * n), m=n, p=n, T=n
+    )
+    tracemalloc.start()
+    try:
+        controller_cost_trace(st, ctrl, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ctrl.U.nbytes
+
+
 def test_stacked_reproduces_simulated_trajectory():
     rng = np.random.default_rng(22)
     for _ in range(5):
@@ -145,7 +173,7 @@ def test_stacked_reproduces_simulated_trajectory():
         res = simulate(sys, assemble_controller(sys, cov), x0, w, v)
         G, H, _ = dense_stacked(sys)
         noise, u = _stack_noise(x0, w), res.u.ravel()
-        for stacked_x in (G @ noise + H @ u, _plant(st, u[:, None], noise[:, None])[:, 0]):
+        for stacked_x in (G @ noise + H @ u, _stacked_plant(st, u[:, None], noise[:, None])[:, 0]):
             assert np.max(np.abs(stacked_x - res.x.ravel())) <= 1e-12
 
 
@@ -412,6 +440,23 @@ def test_a_gain_of_the_other_form_is_rejected(call, given, expected):
     message = rf"^expected a Linear{expected}Controller, got a Linear{given}Controller$"
     with pytest.raises(ValueError, match=message):
         call(st, gain, amb.nominal)
+
+
+@pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
+def test_kalman_purified_gain_matches_the_converted_unroll(n, m, p, T):
+    # arbitrary gains, not only the Kalman-optimal ones
+    rng = np.random.default_rng(250 + 7 * n + T)
+    sys = random_system(rng, n, m, p, T)
+    st = build_stacked(sys)
+    ctrl = KalmanController(
+        K=[rng.standard_normal((m, n)) for _ in range(T)],
+        L=[rng.standard_normal((n, p)) for _ in range(T)],
+    )
+    ref = output_to_purified(unroll_controller(sys, ctrl), st).U
+    got = _kalman_purified(st, ctrl.K, ctrl.L)
+    assert got.shape == ref.shape
+    assert np.array_equal(got == 0.0, ref == 0.0)  # the exact zeros above the block diagonal
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_conversion_preserves_exact_causal_zeros():
