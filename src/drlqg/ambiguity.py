@@ -87,7 +87,16 @@ class OracleError(ValueError):
 
 def gelbrich_distance(s1, s2) -> float:
     """Gelbrich distance between two PSD matrices: ``_gelbrich_stack`` of one block."""
+    _check_shapes("block", (s1,), (np.shape(s2),))
     return float(_gelbrich_stack(np.asarray(s1, dtype=float)[None], symmetrize(s2)[None])[0])
+
+
+def _check_shapes(kind: str, blocks, shapes, labels=None):
+    """Name the first block whose shape is not ``shapes[i]`` by ``labels[i]``, else by i."""
+    for i, (block, shape) in enumerate(zip(blocks, shapes)):
+        if (got := np.shape(block)) != shape:
+            label = i if labels is None else labels[i]
+            raise ValueError(f"{kind} {label}: shape {got} does not match its center's {shape}")
 
 
 def _gelbrich_stack(blocks, centers, floors=None, lowest=None, name=lambda j: None):
@@ -148,9 +157,11 @@ def _contains_blocks(balls, blocks, tol: float, lowest, labels=None) -> list[boo
     ``lowest[i]`` is block i's smallest eigenvalue, or None where it is not
     known (see ``CovarianceProfile._lowest``).  A block is out when that
     eigenvalue is below the ball's floor less ``tol``, and otherwise when
-    its distance from the center exceeds the radius plus ``tol``.  PSD
-    errors name block i by ``labels[i]``.
+    its distance from the center exceeds the radius plus ``tol``.  Shape
+    and PSD errors name block i by ``labels[i]``; without labels a shape
+    error names it by i.
     """
+    _check_shapes("block", blocks, [ball.center.shape for ball in balls], labels)
     labels = (None,) * len(balls) if labels is None else labels
     out = [None] * len(balls)
     for idx in _by_shape(balls).values():
@@ -432,8 +443,9 @@ def oracle_maximize_blocks(
     with 0 iterations; its candidate, like a collapsed bracket's, keeps the
     reference when it loses to it.  No maximizer or gap is ever non-finite:
     a radius out of the range double precision resolves for its block
-    raises ``ValueError`` naming the block, and so do differing counts of
-    the three sequences.
+    raises ``ValueError`` naming the block, and so do a gradient or a
+    reference whose shape is not its ball's (with both shapes) and differing
+    counts of the three sequences.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -441,6 +453,8 @@ def oracle_maximize_blocks(
     if len(set(counts)) > 1:
         raise ValueError("{} balls, {} gradients and {} references do not pair up".format(*counts))
     labels = range(len(balls)) if labels is None else labels
+    for kind, blocks in (("gradient block", gradients), ("reference block", references)):
+        _check_shapes(kind, blocks, [ball.center.shape for ball in balls], labels)
     out = [None] * len(balls)
     for idx in _by_shape(balls).values():
         maximizers, gammas, gaps, iterations = _oracle_stack(

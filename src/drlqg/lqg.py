@@ -641,7 +641,8 @@ def monte_carlo_cost(
     advances s_t = [x_t, xhat_t], and two more add the folded-in process and
     observation noise.  Its costs agree with ``simulate``'s to roundoff.  Any
     other controller is rolled out through its ``make_policy`` on the
-    colored noise, exactly as ``simulate`` does.
+    colored noise, exactly as ``simulate`` does; a purified gain is converted
+    to its output gain once, not by ``make_policy`` for every chunk.
     """
     _check_dims(sys, cov)
     if n_samples < 2:
@@ -652,6 +653,10 @@ def monte_carlo_cost(
     maps = None
     if isinstance(controller, KalmanController):
         maps = _closed_loop_maps(sys, *_check_gains(sys, controller.K, controller.L), roots)
+    else:
+        from .stacked import LinearPurifiedController, purified_to_output  # stacked imports lqg
+        if isinstance(controller, LinearPurifiedController):
+            controller = purified_to_output(controller, sys)
     width = _noise_width(cov)
     chunk = max(1, _CHUNK_ELEMENTS // width)
     costs = np.empty(n_samples)

@@ -21,11 +21,12 @@ on affine maps of the observations.  Under u = U eta + q the state is
     x = M w + H U v + H q,        M = G + H U D,
 
 so the cost and its gradient are traces of products with M, H U and U D.
-``_plant`` is the plant recursion itself: a generator that yields block row
-x_t of G w + H u, for column stacks given stage by stage, as the recursion
-makes it.  Neither G nor H is stored, and nothing N = n(T+1) columns wide
-is held across stages: the cost keeps one block row per stage, and the
-first-order bound the pT-wide Z, Sigma_eta and U Sigma_eta.
+``_plant`` is the plant recursion, the one loop here that applies A_t and
+B_t to a state: a generator that yields block row x_t of G w + H u, for
+column stacks given stage by stage.  It makes D from the identity, and it
+is every noise-free twin, fed the input rows as they are made.  Neither G
+nor H is stored.  ``controller_cost_trace`` holds no matrix with
+N = n(T+1) rows: one block row per stage, N + pT + 1 columns wide.
 ``StackedSystem`` holds D densely, the plant's A_t and B_t, and of Qs, Rs
 and Cs only their stage blocks.  These and the blocks of
 Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
@@ -98,14 +99,13 @@ def _right(X: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
-    """Assemble D and the stage stacks from per-stage data."""
+    """Assemble D and the stage stacks from per-stage data: block row t of D,
+    C_t x_t with x_t of ``_plant`` on the identity, is written in place."""
     n, p, T = sys.n, sys.p, sys.T
     D = np.zeros((p * T, n * (T + 1)))
-    g = np.eye(n)  # block row t of G, its blocks G[t, :t+1] = (A_{t-1}..A_0, .., I)
-    for t in range(T):
-        if t > 0:
-            g = np.hstack((sys.A[t - 1] @ g, np.eye(n)))
-        D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ g
+    for t, g in zip(range(T), _plant(sys, n * T, live=(n, n))):
+        g[:, t * n : (t + 1) * n] = np.eye(n)  # w_t, block column t of the identity
+        D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ g[:, : (t + 1) * n]
     D.flags.writeable = False  # a fresh array: frozen in place, not copied
     return StackedSystem(
         A=_frozen(sys.A),
@@ -117,17 +117,19 @@ def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
     )
 
 
-def _plant(st: StackedSystem, k: int, u=None, w=None, live: tuple[int, int] | None = None):
+def _plant(st: StackedSystem | TimeVaryingSystem, k: int, u=None, w=None, live=None):
     """Yield x_0..x_T, the block rows of G w + H u, for k columns at once.
 
     ``u`` gives the T stage blocks u_t (m x k) and ``w`` the T+1 blocks w_t
-    (n x k), each as any iterable (a (T, m, k) or (T+1, n, k) stack, or a
-    generator that makes them on demand); either may be None.  Runs
-    x_0 = w_0, x_{t+1} = A_t x_t + B_t u_t + w_{t+1}, so G and H are applied
-    without being formed, and each x_t is a new array the caller may keep.
-    ``live`` = (c0, c) says that x_t vanishes beyond its first c0 + t c
-    columns, and u_t and w_{t+1} beyond c0 + (t+1) c; only those columns are
-    computed.
+    (n x k), each as any iterable (a stack, or a generator that makes them
+    on demand); either may be None.  Runs x_0 = w_0,
+    x_{t+1} = A_t x_t + B_t u_t + w_{t+1}, so G and H are applied without
+    being formed; each x_t is a new array the caller may keep.  u_t is drawn,
+    and x_{t+1} made, after x_t is yielded: a generator over the rows a
+    caller fills from x_t closes a causal loop, and a caller may add a
+    sparse w_t into x_t in place (as ``build_stacked`` does).  ``live`` =
+    (c0, c) says that x_t vanishes beyond its first c0 + t c columns, and
+    u_t and w_{t+1} beyond c0 + (t+1) c; only those columns are computed.
     """
     c0, c = live or (k, 0)  # by default every column is live
     u = None if u is None else iter(u)
@@ -138,8 +140,9 @@ def _plant(st: StackedSystem, k: int, u=None, w=None, live: tuple[int, int] | No
     yield x
     for t in range(st.T):
         now, nxt = slice(c0 + t * c), slice(c0 + (t + 1) * c)
-        x_next = np.zeros((st.n, k))
-        x_next[:, now] = st.A[t] @ x[:, now]
+        x_next = np.empty((st.n, k))
+        np.matmul(st.A[t], x[:, now], out=x_next[:, now])
+        x_next[:, now.stop :] = 0.0
         if u is not None:
             x_next[:, nxt] += st.B[t] @ next(u)[:, nxt]
         if w is not None:
@@ -198,8 +201,8 @@ class LinearPurifiedController(_CausalGain):
     _name = "purified gain"
 
     def make_policy(self, sys: TimeVaryingSystem):
-        _check_fits(self, sys, LinearPurifiedController)
-        return _PurifiedPolicy(sys, self)
+        """The policy of the equivalent output gain, ``purified_to_output(self, sys)``."""
+        return _OutputPolicy(purified_to_output(self, sys))
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,9 @@ class LinearOutputController(_CausalGain):
 
 
 class _OutputPolicy:
-    """u_t = q_t + sum_{s<=t} U[t,s] y_s (or eta_s), batched over leading dims."""
+    """u_t = q_t + sum_{s<=t} U[t,s] y_s, batched over leading dims."""
 
-    def __init__(self, ctrl: _CausalGain):
+    def __init__(self, ctrl: LinearOutputController):
         self._ctrl = ctrl
         self._ys = []
         self._t = 0
@@ -233,29 +236,13 @@ class _OutputPolicy:
         return u
 
 
-class _PurifiedPolicy:
-    """Purify on the fly with a noise-free twin, then apply u = U eta + q as an output gain."""
-
-    def __init__(self, sys: TimeVaryingSystem, ctrl: LinearPurifiedController):
-        self._sys = sys
-        self._gain = _OutputPolicy(ctrl)
-        self._xtwin = None
-
-    def step(self, t: int, y):
-        sys = self._sys
-        if self._xtwin is None:
-            self._xtwin = np.zeros(y.shape[:-1] + (sys.n,))
-        u = self._gain.step(t, y - self._xtwin @ sys.C[t].T)
-        self._xtwin = self._xtwin @ sys.A[t].T + u @ sys.B[t].T
-        return u
-
-
 def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
     """Recover eta_t = y_t - yhat_t from a recorded (u, y) trajectory.
 
-    The noise-free twin is driven by the recorded inputs: xhat_0 = 0,
-    yhat_t = C_t xhat_t, xhat_{t+1} = A_t xhat_t + B_t u_t.  ``u`` must have
-    shape (T, m) and ``y`` shape (T, p); a misfit raises ``ValueError``.
+    The noise-free twin is ``_plant`` driven by the recorded inputs:
+    xhat_0 = 0, yhat_t = C_t xhat_t, xhat_{t+1} = A_t xhat_t + B_t u_t.
+    ``u`` must have shape (T, m) and ``y`` shape (T, p); a misfit raises
+    ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,10 +251,8 @@ def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
         if a.shape != shape:
             raise ValueError(f"{name}: expected shape {shape}, got {a.shape}")
     eta = np.empty_like(y)
-    xhat = np.zeros(sys.n)
-    for t in range(T):
-        eta[t] = y[t] - sys.C[t] @ xhat
-        xhat = sys.A[t] @ xhat + sys.B[t] @ u[t]
+    for t, xhat in zip(range(T), _plant(sys, 1, u[:, :, None])):
+        eta[t] = y[t] - sys.C[t] @ xhat[:, 0]
     return eta
 
 
@@ -328,13 +313,8 @@ def controller_cost_trace(
             val += priced(st.R[t], u)
             yield u
 
-    def noise():  # w_0..w_T: block column t of the identity on the columns of w
-        for t in range(T + 1):
-            e = np.zeros((n, k))
-            e[:, t * n : (t + 1) * n] = np.eye(n)
-            yield e
-
-    for t, x in enumerate(_plant(st, k, inputs(), noise())):
+    noise = (np.eye(n, k, t * n) for t in range(T + 1))  # w_t: block column t of the identity
+    for t, x in enumerate(_plant(st, k, inputs(), noise)):
         val += priced(st.Q[t], x)
     return float(val)
 
@@ -414,8 +394,8 @@ def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
     """The purified gain U of the Kalman controller (K, L), built directly.
 
     Its estimate splits as xhat_t = xbar_t + d_t, xbar the noise-free twin
-    (xbar_0 = 0, xbar_{t+1} = A_t xbar_t + B_t u_t) and d the filter of the
-    noise-driven part, which reads eta alone: d_0 = L_0 eta_0 and
+    (``_plant`` driven by the rows of U as they are filled) and d the filter
+    of the noise-driven part, which reads eta alone: d_0 = L_0 eta_0 and
     d_{t+1} = (I - L_{t+1} C_{t+1}) A_t d_t + L_{t+1} eta_{t+1}.  As maps of
     eta, block row t of U is K_t (xbar_t + d_t), and both run on the live
     columns eta_0..eta_t only, so the zeros above the block diagonal are exact.
@@ -424,13 +404,13 @@ def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
     """
     n, m, p, T = st.n, st.m, st.p, st.T
     U = np.zeros((m * T, p * T))
-    xbar, d = np.zeros((n, p * T)), np.zeros((n, p * T))
+    d = np.zeros((n, p * T))
     d[:, :p] = L[0]
-    for t in range(T):
+    inputs = (U[t * m : (t + 1) * m] for t in range(T))  # u_t, read once row t is filled
+    for t, xbar in zip(range(T), _plant(st, p * T, inputs, live=(0, p))):
         live = slice((t + 1) * p)
         if t > 0:
-            prev, u_prev = slice(t * p), U[(t - 1) * m : t * m, : t * p]
-            xbar[:, prev] = st.A[t - 1] @ xbar[:, prev] + st.B[t - 1] @ u_prev
+            prev = slice(t * p)
             ad = st.A[t - 1] @ d[:, prev]
             d[:, prev] = ad - L[t] @ (st.C[t] @ ad)
             d[:, t * p : (t + 1) * p] = L[t]
@@ -438,37 +418,36 @@ def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
     return U
 
 
-def _twin(ctrl: _CausalGain, st: StackedSystem, sign: float, cls):
+def _twin(ctrl: _CausalGain, st: StackedSystem | TimeVaryingSystem, sign: float, cls):
     """``ctrl`` as a ``cls`` gain over the other observations (sign -1.0: eta to y, +1.0: back).
 
-    The noise-free twin of ``_PurifiedPolicy``, run on affine maps of the new
-    observations x, as columns (1, x_0, x_1, ..): the gain reads
+    The noise-free twin, ``_plant`` driven by u, run on affine maps of the
+    new observations x, as columns (1, x_0, x_1, ..): the gain reads
     z_s = x_s + sign C_s xbar_s, with xbar_0 = 0 and xbar_{s+1} = A_s xbar_s + B_s u_s.
     xbar_t reads only (1, x_0..x_{t-1}), so zeros above the block diagonal stay exact.
     """
     m, p, T = st.m, st.p, st.T
     new = np.hstack((ctrl.q[:, None], ctrl.U))  # block row t: u_t as a map of (1, x_0..x_t)
-    sC, cx = sign * st.C, np.zeros((p * T, 1 + p * T))  # block row s of cx: sign C_s xbar_s
-    xbar = np.zeros((st.n, 1 + p * T))
-    for t in range(T):
+    cx = np.zeros((p * T, 1 + p * T))  # block row s: sign C_s xbar_s
+    inputs = (new[t * m : (t + 1) * m] for t in range(T))  # u_t, read once row t is filled
+    for t, xbar in zip(range(T), _plant(st, 1 + p * T, inputs, live=(1, p))):
         rows, done = slice(t * m, (t + 1) * m), 1 + t * p  # the live columns of xbar_t
-        cx[t * p : (t + 1) * p, :done] = sC[t] @ xbar[:, :done]
+        cx[t * p : (t + 1) * p, :done] = sign * st.C[t] @ xbar[:, :done]
         new[rows, :done] += ctrl.U[rows, : (t + 1) * p] @ cx[: (t + 1) * p, :done]
-        xbar[:, : done + p] = st.A[t] @ xbar[:, : done + p] + st.B[t] @ new[rows, : done + p]
     return cls(U=new[:, 1:], q=new[:, 0], m=m, p=p, T=T)
 
 
 def purified_to_output(
-    ctrl: LinearPurifiedController, st: StackedSystem
+    ctrl: LinearPurifiedController, st: StackedSystem | TimeVaryingSystem
 ) -> LinearOutputController:
     """Convert u = U eta + q into the equivalent u = U' y + q', by eta = y - C xbar
-    with xbar the noise-free twin driven by u."""
+    with xbar the noise-free twin driven by u; ``st`` may be the system itself."""
     _check_fits(ctrl, st, LinearPurifiedController)
     return _twin(ctrl, st, -1.0, LinearOutputController)
 
 
 def output_to_purified(
-    ctrl: LinearOutputController, st: StackedSystem
+    ctrl: LinearOutputController, st: StackedSystem | TimeVaryingSystem
 ) -> LinearPurifiedController:
     """Invert :func:`purified_to_output`: substitute y = eta + C xbar."""
     _check_fits(ctrl, st, LinearOutputController)

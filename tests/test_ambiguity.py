@@ -9,8 +9,10 @@ from drlqg import (
     GelbrichBall,
     gelbrich_distance,
     oracle_maximize,
+    oracle_maximize_blocks,
     sample_feasible,
 )
+from drlqg.ambiguity import _contains_blocks
 from drlqg.linalg import NotPSDError, min_eigval, psd_eig
 
 from helpers import random_profile, random_psd, random_spd
@@ -112,6 +114,18 @@ def test_ball_membership_rejects_non_finite_entries():
         for z in ([[entry, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, entry]], [[1.0, entry], [entry, 1.0]]):
             with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
                 ball.contains(z)
+
+
+def test_a_block_whose_shape_is_not_its_balls_is_named_with_both_shapes():
+    # this once failed inside numpy: "operands could not be broadcast together"
+    ball = GelbrichBall(center=np.eye(2), radius=1.0)
+    message = r"^block 0: shape \(3, 3\) does not match its center's \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        ball.contains(np.eye(3))
+    with pytest.raises(ValueError, match=r"^block W\[0\]: shape \(2,\) does not match"):
+        _contains_blocks((ball, ball), (np.eye(2), np.ones(2)), 1e-9, (None, None), ("X0", "W[0]"))
+    with pytest.raises(ValueError, match=message):
+        gelbrich_distance(np.eye(3), np.eye(2))
 
 
 def test_spec_builds_its_balls_once():
@@ -259,6 +273,21 @@ def test_oracle_rejects_indefinite_gradient():
     ball = GelbrichBall(center=np.eye(2), radius=0.5)
     with pytest.raises(NotPSDError):
         oracle_maximize(ball, np.diag([1.0, -1.0]), ball.center)
+
+
+def test_oracle_names_a_gradient_or_reference_whose_shape_is_not_its_balls():
+    # this once failed inside numpy with a matmul core-dimension error
+    ball = GelbrichBall(center=np.eye(2), radius=0.5)
+    with pytest.raises(
+        ValueError, match=r"^gradient block 0: shape \(3, 3\) does not match its center's \(2, 2\)$"
+    ):
+        oracle_maximize(ball, np.eye(3), ball.center)
+    with pytest.raises(
+        ValueError, match=r"^reference block V\[0\]: shape \(1, 1\) does not match its center's \(2, 2\)$"
+    ):
+        oracle_maximize_blocks(
+            (ball, ball), (np.eye(2), np.eye(2)), (ball.center, np.eye(1)), labels=("X0", "V[0]")
+        )
 
 
 def test_oracle_rejects_bad_delta():

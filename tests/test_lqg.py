@@ -18,7 +18,7 @@ from drlqg import (
     sample_noise,
     simulate,
 )
-from drlqg import lqg
+from drlqg import lqg, stacked
 from drlqg.linalg import SingularMatrixError, min_eigval, psd_sqrt
 
 from helpers import (
@@ -543,6 +543,24 @@ def test_monte_carlo_chunks_match_one_draw(monkeypatch, kind, rows):
         one_draw = np.random.default_rng(8)
         one_draw.standard_normal((N, width))
         assert np.array_equal(gen.standard_normal(8), one_draw.standard_normal(8))
+
+
+def test_monte_carlo_converts_a_purified_gain_once(monkeypatch):
+    # a purified gain's make_policy converts it on every call; the rollouts
+    # of all chunks share one conversion instead
+    rng = np.random.default_rng(5)
+    n, m, p, T = 3, 2, 1, 4
+    sys = random_system(rng, n, m, p, T)
+    cov = random_profile(rng, n, p, T)
+    ctrl = LinearPurifiedController(
+        U=random_causal_gain(rng, m, p, T, scale=0.3), q=rng.standard_normal(m * T), m=m, p=p, T=T
+    )
+    calls = []
+    convert = stacked.purified_to_output
+    monkeypatch.setattr(stacked, "purified_to_output", lambda *a: calls.append(a) or convert(*a))
+    monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", n + T * (n + p))  # one row per chunk
+    monte_carlo_cost(sys, ctrl, cov, 5, rng=0)
+    assert len(calls) == 1
 
 
 def test_monte_carlo_memory_is_bounded():

@@ -242,6 +242,21 @@ def test_purified_observations_are_control_independent():
         assert np.max(np.abs(etas[0].ravel() - direct)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
+def test_a_purified_policy_applies_its_gain_to_the_purified_observations(n, m, p, T):
+    # the defining equation u = U eta + q, eta recovered from the rollout
+    rng = np.random.default_rng(300 + 7 * n + T)
+    sys = random_system(rng, n, m, p, T)
+    pur = LinearPurifiedController(
+        U=random_causal_gain(rng, m, p, T), q=rng.standard_normal(m * T), m=m, p=p, T=T
+    )
+    noise = rng.standard_normal(n), rng.standard_normal((T, n)), rng.standard_normal((T, p))
+    res = simulate(sys, pur, *noise)
+    eta = purified_from_rollout(sys, res.u, res.y)
+    expect = pur.U @ eta.ravel() + pur.q
+    assert np.max(np.abs(res.u.ravel() - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 # ------------------------------------------------------------ cost formula
 
 
