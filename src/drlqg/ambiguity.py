@@ -294,7 +294,14 @@ class OracleResult:
 
 def _diag_in_basis(vec: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Diagonals of vec' M vec for stacks (B,d,d): the M's in each eigenbasis."""
-    return np.sum(vec * (m @ vec), axis=-2)
+    prod = m @ vec
+    prod *= vec
+    return np.sum(prod, axis=-2)
+
+
+def _rows(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``a[live]``, or ``a`` itself, uncopied, when the sorted distinct ``live`` is every row."""
+    return a if live.size == len(a) else a[live]
 
 
 def _unresolved(label, radius, detail) -> ValueError:
@@ -322,6 +329,9 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     raises ``ValueError`` naming the block.
     """
     B = len(radii)
+    # At the group sizes of _sample_feasible the (B,d,d) arrays, not the
+    # eigensolve, set the peak: a stack is indexed by live only once some
+    # block has left it, and each is released once it is dead.
     maximizers = _symmetrized(np.asarray(references, dtype=float))
     gammas = np.full(B, math.nan)
     gaps = np.zeros(B)
@@ -332,17 +342,19 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     if live.size == 0:  # every block keeps its center, which its ball has checked
         return maximizers, gammas, gaps, iterations
 
-    grads = _symmetrized(np.asarray(gradients, dtype=float)[live])
+    grads = _symmetrized(_rows(np.asarray(gradients, dtype=float), live))
     lam, vec = _checked_eig(  # ascending eigenvalues
         grads, np.linalg.eigh, lambda j: f"gradient block {name(live[j])}"
     )
+    del grads
     lam = np.clip(lam, 0.0, None)
     keep = lam[:, -1] > 0.0  # a zero gradient keeps the reference, gap 0
-    live, lam, vec = live[keep], lam[keep], vec[keep]
-    ref_ip = np.sum(lam * _diag_in_basis(vec, maximizers[live]), axis=1)
+    if not keep.all():
+        live, lam, vec = live[keep], lam[keep], vec[keep]
+    ref_ip = np.sum(lam * _diag_in_basis(vec, _rows(maximizers, live)), axis=1)
     # A zero center makes the ball {L >= 0 : tr L <= rho^2}, whose maximizer
     # is s s' with s = rho p1, bitwise symmetric; the bracket would sit at lambda_max.
-    zero = ~centers[live].any(axis=(1, 2))
+    zero = ~centers.any(axis=(1, 2))[live]
     if zero.any():
         gap = radii[live[zero]] ** 2 * lam[zero, -1] - ref_ip[zero]
         won = gap > 0.0  # else the reference is kept, with gap 0
@@ -352,7 +364,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
         gaps[idx] = gap
         live, lam, vec, ref_ip = live[~zero], lam[~zero], vec[~zero], ref_ip[~zero]
 
-    zhat = centers[live]
+    zhat = _rows(centers, live)
     rho = radii[live]
     zdiag = _diag_in_basis(vec, zhat)
     lamz = lam * zdiag
@@ -410,10 +422,15 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     inv = 1.0 / (gamma[:, None] - lam)
     gap = gamma * gamma * np.add.reduce(lamz * inv * inv, axis=1) - ref_ip
     mult = (vec * (gamma[:, None] * inv)[:, None, :]) @ vec.swapaxes(-1, -2)
+    del vec
     cand = mult @ zhat @ mult
+    del mult
     # a collapsed bracket whose candidate loses to the reference keeps the reference
     won = ~(collapsed & (gap < 0.0))
-    maximizers[live[won]] = _symmetrized(cand[won])
+    if live.size == B and won.all():  # every block moves: no reference is kept
+        _symmetrized(cand, out=maximizers)
+    else:
+        maximizers[live[won]] = _symmetrized(cand[won])
     gaps[live[won]] = gap[won]
     gammas[live], iterations[live] = gamma, iters
     for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
@@ -483,9 +500,11 @@ def oracle_maximize(
 
 
 # _sample_feasible solves the profiles of one oracle call together up to this
-# many matrix entries per stacked block array (512 KiB of float64); larger
-# stacks only add memory and lockstep bisections
-_SAMPLE_ELEMENTS = 1 << 16
+# many block entries per stack (128 KiB of float64).  A group's working set is
+# about nine such stacks: 100 profiles at n=T=10, 7 per group, peak at 1.0 MiB
+# under tracemalloc, against 4.9 MiB at 2^16 entries (31 per group); larger
+# groups only add memory and lockstep bisections
+_SAMPLE_ELEMENTS = 1 << 14
 
 
 def _sample_feasible(
@@ -506,9 +525,12 @@ def _sample_feasible(
     stacks.  The oracle draws nothing and solves each block as a separate
     call would, so the profiles equal, bit for bit, those of ``count``
     consecutive one-profile calls.  A group is drawn only once the profiles
-    before it have been taken, so one group is held at a time.  Oracle
-    errors name the block by its entry in ``labels`` (else its index in
-    ``balls``) and the sample by its index, as in "W[1] of nature sample 0".
+    before it have been taken, so one group is held at a time, and its
+    working set is about nine arrays of its size: the normals, the tiled
+    centers, the directions and the oracle's stacks, whose maximizers become
+    the samples in place.  Oracle errors name the block by its entry in
+    ``labels`` (else its index in ``balls``) and the sample by its index, as
+    in "W[1] of nature sample 0".
     """
     labels = range(len(balls)) if labels is None else labels
     moving = [i for i, ball in enumerate(balls) if ball.radius != 0.0]
@@ -541,7 +563,11 @@ def _sample_feasible(
                 lambda j: f"{labels[idx[j % len(idx)]]} of nature sample "
                 f"{start + j // len(idx)}",
             )[0].reshape(normals[d].shape)
-            samples[d] = centers[d] + weights[d][:, :, None, None] * (extremes - centers[d])
+            # centers + u (extremes - centers), in place
+            extremes -= centers[d]
+            extremes *= weights[d][:, :, None, None]
+            extremes += centers[d]
+            samples[d] = extremes
         for s in range(size):
             blocks = [ball.center for ball in balls]
             for d, idx in shapes.items():

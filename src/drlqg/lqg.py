@@ -14,7 +14,7 @@ the forward Kalman recursion for the filter gains (together they are the
 optimal output-feedback controller), its exact expected cost, and a causal
 simulator for rolling out controllers against sampled (or adversarial) noise.
 
-``monte_carlo_cost`` draws its noise in chunks of 2^18 standard normals.  It
+``monte_carlo_cost`` draws its noise in chunks of 2^17 standard normals.  It
 rolls a ``KalmanController`` out as one linear recursion on the closed-loop
 state s_t = [x_t, xhat_t], with the noise square roots folded into the
 per-stage maps, so the normals are never colored on their own; every other
@@ -505,9 +505,12 @@ def simulate(sys: TimeVaryingSystem, controller, x0, w, v) -> SimulationResult:
     return SimulationResult(cost=float(cost), x=xs, u=us, y=ys)
 
 
-# monte_carlo_cost draws and rolls out this many standard normals (2 MiB of
-# float64) at a time, so its memory does not grow with the rollout count
-_CHUNK_ELEMENTS = 1 << 18
+# monte_carlo_cost draws and rolls out this many standard normals (1 MiB of
+# float64) at a time, so its memory does not grow with the rollout count: at
+# n=T=10, 10^5 rollouts peak at 2.4 MiB under tracemalloc, the chunk beside
+# the 0.8 MB of costs (3.9 MiB with 2^18 normals held through the standard
+# error).  A chunk of 2^16 rolled 2000 rollouts at n=T=20 out about 5 % slower.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 def _noise_roots(cov: CovarianceProfile) -> list[np.ndarray]:
@@ -626,14 +629,15 @@ def monte_carlo_cost(
 ) -> MonteCarloStats:
     """Estimate the expected closed-loop cost (and its standard error).
 
-    Noise is drawn and rolled out a chunk of max(1, 2^18 // (n + T n + T p))
+    Noise is drawn and rolled out a chunk of max(1, 2^17 // (n + T n + T p))
     rows at a time into one reused buffer, so memory is
-    O(chunk (n + T n + T p)), about 2 MiB of normals, plus the ``n_samples``
-    floats of ``costs``.  Consecutive ``standard_normal`` blocks of rows are
-    one draw of all rows, so the rollouts see exactly the noise of
-    ``sample_noise(cov, n_samples, rng)`` and leave ``rng`` in the same
-    state: the draw order and the meaning of a seed do not depend on the
-    chunking.
+    O(chunk (n + T n + T p)), about 1 MiB of normals, plus the ``n_samples``
+    floats of ``costs``; the buffer is released before the mean and standard
+    error, whose pass copies the costs once.  Consecutive ``standard_normal``
+    blocks of rows are one draw of all rows, so the rollouts see exactly the
+    noise of ``sample_noise(cov, n_samples, rng)`` and leave ``rng`` in the
+    same state: the draw order and the meaning of a seed do not depend on
+    the chunking.
 
     ``cov`` must fit ``sys``.  A ``KalmanController``, checked on ``sys`` as
     ``make_policy`` checks it, is rolled out on the closed loop of
@@ -669,6 +673,7 @@ def monte_carlo_cost(
             costs[start:stop] = _roll_closed_loop(sys, maps, z)
         else:
             costs[start:stop] = _roll(sys, controller.make_policy(sys), *_color(z, roots, cov))
+    del buf, z  # not held through np.std's copy of the costs
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(n_samples))
     return MonteCarloStats(mean=mean, stderr=stderr, n_samples=n_samples, costs=costs)

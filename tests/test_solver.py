@@ -14,6 +14,7 @@ from drlqg import (
     assemble_controller,
     build_stacked,
     controller_cost_trace,
+    gelbrich_distance,
     generate_instance,
     grad_f,
     lqg_value,
@@ -532,6 +533,40 @@ def test_saddle_check_flags_what_the_solution_claims(tamper, flagged):
     for message in flagged:
         assert any(v.startswith(message) for v in report.claim_violations), message
     assert len(report.claim_violations) == len(flagged)
+
+
+def test_saddle_check_flags_a_consistent_worst_case_just_outside_its_ball():
+    # W[1] moved out along the ray from its center to radius + 1e-6, with f,
+    # the gains and the minimum-gap trace row recomputed at the moved
+    # profile: every other check holds, so only the membership test's 1e-7
+    # tolerance catches it
+    sys, amb, _ = generate_instance(3, 2, 3, 4, seed=2, rho=0.5)
+    sol = solve(sys, amb, FWConfig(tol=1e-4))
+    assert saddle_check(sys, amb, sol, n_samples=10).passed
+    ball = amb.balls()[2]  # W[1]
+    blocks = list(sol.worst_case.blocks)
+    center, step = ball.center, blocks[2] - ball.center
+    lo, hi = 1.0, 2.0  # the ray's scale at radius + 1e-6, from above
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if gelbrich_distance(center + mid * step, center) < ball.radius + 1e-6:
+            lo = mid
+        else:
+            hi = mid
+    blocks[2] = center + hi * step
+    assert 1e-6 <= gelbrich_distance(blocks[2], center) - ball.radius < 1.01e-6
+    cov = CovarianceProfile(*_split(blocks))
+    f = lqg_value(sys, cov)
+    best = min(sol.trace, key=lambda r: r.surrogate_gap)
+    moved = dataclasses.replace(
+        _with_row(sol, best.k, f_value=f),
+        worst_case=cov,
+        f_value=f,
+        controller=assemble_controller(sys, cov),
+    )
+    report = saddle_check(sys, amb, moved, n_samples=10)
+    assert report.claim_violations == ("worst-case block W[1] is outside its ambiguity ball",)
+    assert report.nature_violations == () and report.controller_violations == ()
 
 
 def test_saddle_check_names_stored_gains_by_stage_k_before_l():
