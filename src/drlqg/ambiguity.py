@@ -427,10 +427,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     del mult
     # a collapsed bracket whose candidate loses to the reference keeps the reference
     won = ~(collapsed & (gap < 0.0))
-    if live.size == B and won.all():  # every block moves: no reference is kept
-        _symmetrized(cand, out=maximizers)
-    else:
-        maximizers[live[won]] = _symmetrized(cand[won])
+    maximizers[live[won]] = _symmetrized(cand[won])
     gaps[live[won]] = gap[won]
     gammas[live], iterations[live] = gamma, iters
     for j in np.flatnonzero(~(np.isfinite(gaps) & np.isfinite(maximizers).all(axis=(1, 2)))):
@@ -501,9 +498,8 @@ def oracle_maximize(
 
 # _sample_feasible solves the profiles of one oracle call together up to this
 # many block entries per stack (128 KiB of float64).  A group's working set is
-# about nine such stacks: 100 profiles at n=T=10, 7 per group, peak at 1.0 MiB
-# under tracemalloc, against 4.9 MiB at 2^16 entries (31 per group); larger
-# groups only add memory and lockstep bisections
+# about nine such stacks: 100 profiles at n=T=10, 7 per group, peak at 1.1 MiB
+# under tracemalloc; larger groups only add memory and lockstep bisections
 _SAMPLE_ELEMENTS = 1 << 14
 
 

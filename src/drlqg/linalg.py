@@ -53,13 +53,13 @@ def symmetrize(a) -> np.ndarray:
     return out
 
 
-def _symmetrized(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _symmetrized(a: np.ndarray) -> np.ndarray:
     """``symmetrize`` of a square float array, or of each matrix of a (B,d,d) stack, unchecked.
 
     The sum is halved in place, with the bits of ``0.5 * (a + a')``, so the
-    result is the one new array, or is written into ``out``.
+    result is the one new array.
     """
-    out = np.add(a, a.swapaxes(-1, -2), out=out)
+    out = a + a.swapaxes(-1, -2)
     out *= 0.5
     return out
 

@@ -508,8 +508,8 @@ def simulate(sys: TimeVaryingSystem, controller, x0, w, v) -> SimulationResult:
 # monte_carlo_cost draws and rolls out this many standard normals (1 MiB of
 # float64) at a time, so its memory does not grow with the rollout count: at
 # n=T=10, 10^5 rollouts peak at 2.4 MiB under tracemalloc, the chunk beside
-# the 0.8 MB of costs (3.9 MiB with 2^18 normals held through the standard
-# error).  A chunk of 2^16 rolled 2000 rollouts at n=T=20 out about 5 % slower.
+# the 0.8 MB of costs.  A chunk of 2^16 rolled 2000 rollouts at n=T=20 out
+# about 5 % slower.
 _CHUNK_ELEMENTS = 1 << 17
 
 

@@ -585,8 +585,7 @@ def test_monte_carlo_memory_is_bounded():
 def test_monte_carlo_peak_memory_at_audit_size():
     # 10^5 rollouts at n = T = 10: one 1 MiB chunk of normals, the 0.8 MB of
     # costs and the closed loop's small per-stage arrays, then the costs and
-    # np.std's copy of them once the chunk is released (2.4 MiB; 3.9 MiB
-    # with a 2 MiB chunk held through the standard error)
+    # np.std's copy of them once the chunk is released, 2.4 MiB
     rng = np.random.default_rng(4)
     n = T = 10
     sys = random_system(rng, n, n, n, T)
