@@ -533,9 +533,9 @@ def _sample_feasible(
     shapes = {  # the moving balls by block dimension
         d: [moving[j] for j in ix] for d, ix in _by_shape([balls[i] for i in moving]).items()
     }
-    group = max(1, _SAMPLE_ELEMENTS // max(1, sum(balls[i].dim**2 for i in moving)))
-    centers = {d: np.stack([balls[i].center for i in idx]) for d, idx in shapes.items()}
-    radii = {d: np.array([float(balls[i].radius) for i in idx]) for d, idx in shapes.items()}
+    group = max(1, min(count, _SAMPLE_ELEMENTS // max(1, sum(balls[i].dim**2 for i in moving))))
+    centers = {d: np.tile([balls[i].center for i in ix], (group, 1, 1)) for d, ix in shapes.items()}
+    radii = {d: np.tile([float(balls[i].radius) for i in ix], group) for d, ix in shapes.items()}
     for start in range(0, count, group):
         size = min(group, count - start)
         normals = {d: np.empty((size, len(idx), d, d)) for d, idx in shapes.items()}
@@ -549,21 +549,21 @@ def _sample_feasible(
         samples = {}
         for d, idx in shapes.items():
             a = normals[d].reshape(-1, d, d)  # row s * len(idx) + k: sample s, ball idx[k]
-            tiled = np.broadcast_to(centers[d], normals[d].shape).reshape(-1, d, d)
+            tiled = centers[d][: len(a)]
             extremes = _oracle_stack(
                 tiled,
-                np.tile(radii[d], size),
+                radii[d][: len(a)],
                 a @ a.swapaxes(-1, -2),
                 tiled,
                 0.9,
                 lambda j: f"{labels[idx[j % len(idx)]]} of nature sample "
                 f"{start + j // len(idx)}",
-            )[0].reshape(normals[d].shape)
+            )[0]
             # centers + u (extremes - centers), in place
-            extremes -= centers[d]
-            extremes *= weights[d][:, :, None, None]
-            extremes += centers[d]
-            samples[d] = extremes
+            extremes -= tiled
+            extremes *= weights[d].reshape(-1, 1, 1)
+            extremes += tiled
+            samples[d] = extremes.reshape(normals[d].shape)
         for s in range(size):
             blocks = [ball.center for ball in balls]
             for d, idx in shapes.items():

@@ -14,11 +14,11 @@ the forward Kalman recursion for the filter gains (together they are the
 optimal output-feedback controller), its exact expected cost, and a causal
 simulator for rolling out controllers against sampled (or adversarial) noise.
 
-``monte_carlo_cost`` draws its noise in chunks of 2^17 standard normals.  It
-rolls a ``KalmanController`` out as one linear recursion on the closed-loop
-state s_t = [x_t, xhat_t], with the noise square roots folded into the
-per-stage maps, so the normals are never colored on their own; every other
-controller goes through ``simulate``'s causal policy path.
+``_filter`` is the one loop of the Kalman estimate.  ``monte_carlo_cost``
+draws its noise in chunks of 2^17 standard normals and rolls each out by the
+controller's ``_rollout``: a ``KalmanController`` as one linear recursion on
+s_t = [x_t, xhat_t], with the noise square roots folded into the per-stage
+maps, so the normals are never colored on their own.
 """
 
 from __future__ import annotations
@@ -106,8 +106,28 @@ def _stages(mats, count: int, shape: tuple, name: str, rule: str | None = None) 
     return tuple(_stack(mats, shape, [f"{name}[{t}]" for t in range(count)], rule)[0])
 
 
+class _StageDims:
+    """T, n, m and p of a system or of its stacked form, read off the stages of A, B and C."""
+
+    @property
+    def T(self) -> int:
+        return len(self.A)
+
+    @property
+    def n(self) -> int:
+        return self.A[0].shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B[0].shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.C[0].shape[0]
+
+
 @dataclass(frozen=True)
-class TimeVaryingSystem:
+class TimeVaryingSystem(_StageDims):
     """Plant and cost data over a horizon of T stages.
 
     ``A``, ``B``, ``C`` and ``R`` each hold one matrix per stage t = 0..T-1;
@@ -137,22 +157,6 @@ class TimeVaryingSystem:
         object.__setattr__(self, "C", _stages(C, T, (p, n), "C"))
         object.__setattr__(self, "Q", _stages(self.Q, T + 1, (n, n), "Q", "psd"))
         object.__setattr__(self, "R", _stages(self.R, T, (m, m), "R", "pd"))
-
-    @property
-    def T(self) -> int:
-        return len(self.A)
-
-    @property
-    def n(self) -> int:
-        return self.A[0].shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B[0].shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.C[0].shape[0]
 
 
 def _block_labels(T: int) -> tuple[str, ...]:
@@ -401,8 +405,8 @@ class KalmanController:
         xhat_{t+1} = A_t xhat_t + B_t u_t
                      + L_{t+1} (y_{t+1} - C_{t+1} (A_t xhat_t + B_t u_t)).
 
-    Instances are immutable; per-rollout filter state lives in the policy
-    object returned by :meth:`make_policy`, which checks the gains on ``sys``.
+    ``_filter`` is its one loop; the filter state of a rollout lives in the
+    policy that :meth:`make_policy` returns, which checks the gains on ``sys``.
     """
 
     K: tuple
@@ -411,6 +415,11 @@ class KalmanController:
     def make_policy(self, sys: TimeVaryingSystem):
         return _KalmanPolicy(sys, *_check_gains(sys, self.K, self.L))
 
+    def _rollout(self, sys: TimeVaryingSystem, roots, cov):
+        """``monte_carlo_cost``'s chunk rollout: the closed loop of ``_closed_loop_maps``."""
+        maps = _closed_loop_maps(sys, *_check_gains(sys, self.K, self.L), roots)
+        return lambda z: _roll_closed_loop(sys, maps, z)
+
 
 def _check_gains(sys: TimeVaryingSystem, K, L) -> tuple[tuple, tuple]:
     """K and L as frozen stage tuples; a ValueError names the misfit."""
@@ -418,33 +427,51 @@ def _check_gains(sys: TimeVaryingSystem, K, L) -> tuple[tuple, tuple]:
     return K, _stages(L, sys.T, (sys.n, sys.p), "L")
 
 
-class _KalmanPolicy:
-    """Stateful causal rollout of a Kalman-filter controller.
+def _filter(sys, F, L, k: int | None, u=None, y=None, live=None):
+    """Yield the Kalman estimates xhat_0..xhat_{T-1} of k columns (those of y_0
+    when ``y`` is given), in one array updated in place:
+    xhat_t = P_t + L_t (y_t - C_t P_t), P_0 = 0, P_t = F_{t-1} xhat_{t-1} + B_{t-1} u_{t-1}.
 
-    Supports batched observations: ``step(t, y)`` accepts ``y`` of shape
-    ``(p,)`` or ``(N, p)`` and returns inputs of matching leading shape.
+    The iterators ``F``, ``u`` and ``y`` give F_0, F_1, .. (A_t + B_t K_t closes
+    the loop u_t = K_t xhat_t), u_t (m x k), drawn once xhat_t is yielded, and
+    y_t (p x k), drawn before xhat_t is made; ``u`` and ``y`` may be None.  Without
+    ``y`` the caller adds L_t y_t into P_t - L_t C_t P_t where y_t is nonzero,
+    as ``_plant``'s callers add a sparse w_t.  ``live`` = (c0, c), without ``u``
+    or ``y``, computes only the first c0 + t c columns, where xhat_t lives.
     """
+    xhat = np.zeros((sys.n, k)) if y is None else L[0] @ next(y)
+    yield xhat
+    for t in range(1, sys.T):
+        x = xhat if live is None else xhat[:, : live[0] + (t - 1) * live[1]]  # the live columns
+        pred = next(F) @ x
+        if u is not None:
+            pred += sys.B[t - 1] @ next(u)
+        if y is None:
+            np.subtract(pred, L[t] @ (sys.C[t] @ pred), out=x)
+        else:
+            np.add(pred, L[t] @ (next(y) - sys.C[t] @ pred), out=x)
+        yield xhat
+
+
+class _KalmanPolicy:
+    """Causal rollout of a Kalman controller: ``_filter`` on F_t = A_t, fed
+    its own inputs and the observations, one column per observation.
+    ``step(t, y)`` takes ``y`` of shape ``(p,)`` or ``(..., p)`` and returns
+    inputs of matching leading shape."""
 
     def __init__(self, sys, K, L):
-        self._sys = sys
-        self._K = K
-        self._L = L
-        self._t = 0
-        self._xhat = None
-        self._u = None
+        self._K, self._t = K, 0
+        self._feed = feed = [None, None]  # u_{t-1} and y_t; not self, or the filter makes a cycle
+        inputs, observations = (feed[0] for _ in K), (feed[1] for _ in K)
+        self._xhat = _filter(sys, iter(sys.A), L, None, inputs, observations)
 
     def step(self, t: int, y):
         if t != self._t:
             raise ValueError(f"policy stepped out of order: expected t={self._t}, got {t}")
-        sys = self._sys
-        if t == 0:
-            self._xhat = y @ self._L[0].T
-        else:
-            pred = self._xhat @ sys.A[t - 1].T + self._u @ sys.B[t - 1].T
-            self._xhat = pred + (y - pred @ sys.C[t].T) @ self._L[t].T
-        self._u = self._xhat @ self._K[t].T
+        self._feed[1] = y[:, None] if y.ndim == 1 else y.reshape(-1, y.shape[-1]).T
+        self._feed[0] = u = self._K[t] @ next(self._xhat)
         self._t += 1
-        return self._u
+        return u[:, 0] if y.ndim == 1 else u.T.reshape(y.shape[:-1] + (len(u),))
 
 
 def assemble_controller(sys: TimeVaryingSystem, cov: CovarianceProfile) -> KalmanController:
@@ -639,28 +666,18 @@ def monte_carlo_cost(
     same state: the draw order and the meaning of a seed do not depend on
     the chunking.
 
-    ``cov`` must fit ``sys``.  A ``KalmanController``, checked on ``sys`` as
-    ``make_policy`` checks it, is rolled out on the closed loop of
-    ``_closed_loop_maps``: per stage one product prices the stage and
-    advances s_t = [x_t, xhat_t], and two more add the folded-in process and
-    observation noise.  Its costs agree with ``simulate``'s to roundoff.  Any
-    other controller is rolled out through its ``make_policy`` on the
-    colored noise, exactly as ``simulate`` does; a purified gain is converted
-    to its output gain once, not by ``make_policy`` for every chunk.
+    ``cov`` must fit ``sys``.  The controller's ``_rollout`` makes the
+    rollout of a chunk once: a ``KalmanController`` the closed loop of
+    ``_closed_loop_maps``, whose costs agree with ``simulate``'s to
+    roundoff; an output gain its policy on the colored noise, exactly as
+    ``simulate`` does; a purified gain that of its output gain.
     """
     _check_dims(sys, cov)
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    roots = _noise_roots(cov)
-    maps = None
-    if isinstance(controller, KalmanController):
-        maps = _closed_loop_maps(sys, *_check_gains(sys, controller.K, controller.L), roots)
-    else:
-        from .stacked import LinearPurifiedController, purified_to_output  # stacked imports lqg
-        if isinstance(controller, LinearPurifiedController):
-            controller = purified_to_output(controller, sys)
+    rollout = controller._rollout(sys, _noise_roots(cov), cov)
     width = _noise_width(cov)
     chunk = max(1, _CHUNK_ELEMENTS // width)
     costs = np.empty(n_samples)
@@ -669,10 +686,7 @@ def monte_carlo_cost(
         stop = min(start + chunk, n_samples)
         z = buf[: stop - start]
         rng.standard_normal(out=z)
-        if maps is not None:
-            costs[start:stop] = _roll_closed_loop(sys, maps, z)
-        else:
-            costs[start:stop] = _roll(sys, controller.make_policy(sys), *_color(z, roots, cov))
+        costs[start:stop] = rollout(z)
     del buf, z  # not held through np.std's copy of the costs
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(n_samples))

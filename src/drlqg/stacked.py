@@ -25,8 +25,10 @@ so the cost and its gradient are traces of products with M, H U and U D.
 B_t to a state: a generator that yields block row x_t of G w + H u, for
 column stacks given stage by stage.  It makes D from the identity, and it
 is every noise-free twin, fed the input rows as they are made.  Neither G
-nor H is stored.  ``controller_cost_trace`` holds no matrix with
-N = n(T+1) rows: one block row per stage, N + pT + 1 columns wide.
+nor H is stored.  ``lqg._filter`` is the one filter loop, for the Kalman
+gain over y and, beside the twin, over eta.  ``controller_cost_trace``
+holds no matrix with N = n(T+1) rows: one block row per stage, N + pT + 1
+columns wide.
 ``StackedSystem`` holds D densely, the plant's A_t and B_t, and of Qs, Rs
 and Cs only their stage blocks.  These and the blocks of
 Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
@@ -48,17 +50,21 @@ from .lqg import (
     CovarianceProfile,
     KalmanController,
     TimeVaryingSystem,
+    _StageDims,
     _check_dims,
     _check_gains,
+    _color,
+    _filter,
     _frozen,
+    _roll,
     assemble_controller,
 )
 
 
 @dataclass(frozen=True)
-class StackedSystem:
+class StackedSystem(_StageDims):
     """Dense D, plus the stage stacks of the plant and of Qs, Rs and Cs; ``_plant``
-    applies G and H.  ``n``, ``m``, ``p`` and ``T`` are read off the stacks' shapes.
+    applies G and H.
     """
 
     A: np.ndarray  # (T, n, n): A_0..A_{T-1}
@@ -67,22 +73,6 @@ class StackedSystem:
     R: np.ndarray  # (T, m, m): R_0..R_{T-1}
     C: np.ndarray  # (T, p, n): C_0..C_{T-1}
     D: np.ndarray  # pT x n(T+1), equals Cs @ G
-
-    @property
-    def T(self) -> int:
-        return self.R.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.R.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.C.shape[1]
 
 
 def _left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -181,6 +171,12 @@ class _CausalGain:
             raise ValueError(f"offset: expected shape {(self.m * self.T,)}, got {q.shape}")
         object.__setattr__(self, "U", _frozen(U))
         object.__setattr__(self, "q", _frozen(q))
+
+    def _rollout(self, sys: TimeVaryingSystem, roots, cov):
+        """``monte_carlo_cost``'s chunk rollout: a fresh policy per chunk, on the colored
+        noise, of the output gain that ``make_policy`` checks, or converts, once."""
+        gain = self.make_policy(sys)._ctrl
+        return lambda z: _roll(sys, _OutputPolicy(gain), *_color(z, roots, cov))
 
 
 def _check_fits(ctrl: _CausalGain, sys, form: type):
@@ -395,25 +391,20 @@ def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
 
     Its estimate splits as xhat_t = xbar_t + d_t, xbar the noise-free twin
     (``_plant`` driven by the rows of U as they are filled) and d the filter
-    of the noise-driven part, which reads eta alone: d_0 = L_0 eta_0 and
-    d_{t+1} = (I - L_{t+1} C_{t+1}) A_t d_t + L_{t+1} eta_{t+1}.  As maps of
+    of the noise-driven part, which reads eta alone: ``lqg._filter``, the one
+    filter loop, with F_t = A_t and L_t eta_t added as block column t.  As maps of
     eta, block row t of U is K_t (xbar_t + d_t), and both run on the live
     columns eta_0..eta_t only, so the zeros above the block diagonal are exact.
     Equals ``output_to_purified(unroll_controller(sys, (K, L)), st).U`` up to
     roundoff.
     """
-    n, m, p, T = st.n, st.m, st.p, st.T
+    m, p, T = st.m, st.p, st.T
     U = np.zeros((m * T, p * T))
-    d = np.zeros((n, p * T))
-    d[:, :p] = L[0]
     inputs = (U[t * m : (t + 1) * m] for t in range(T))  # u_t, read once row t is filled
-    for t, xbar in zip(range(T), _plant(st, p * T, inputs, live=(0, p))):
+    twin = _plant(st, p * T, inputs, live=(0, p))
+    for t, xbar, d in zip(range(T), twin, _filter(st, iter(st.A), L, p * T, live=(p, p))):
         live = slice((t + 1) * p)
-        if t > 0:
-            prev = slice(t * p)
-            ad = st.A[t - 1] @ d[:, prev]
-            d[:, prev] = ad - L[t] @ (st.C[t] @ ad)
-            d[:, t * p : (t + 1) * p] = L[t]
+        d[:, t * p : (t + 1) * p] += L[t]
         U[t * m : (t + 1) * m, live] = K[t] @ (xbar[:, live] + d[:, live])
     return U
 
@@ -457,23 +448,16 @@ def output_to_purified(
 def unroll_controller(sys: TimeVaryingSystem, ctrl: KalmanController) -> LinearOutputController:
     """Expand a Kalman controller's gains into an explicit gain over y.
 
-    Maintains Phi_t with xhat_t = Phi_t (y_0..y_{t-1}, y_t, 0..):
-
-        Phi_0 = [L_0, 0, ...]
-        Phi_{t+1} = (I - L_{t+1} C_{t+1}) (A_t + B_t K_t) Phi_t + L_{t+1} E_{t+1}
-
-    and emits block row t of the gain as K_t Phi_t.  The offset is zero.
+    ``_filter`` on the closed loop F_t = A_t + B_t K_t, fed y_t as block
+    column t of the pT identity, gives Phi_t with xhat_t = Phi_t y, and block
+    row t of the gain is K_t Phi_t.  The offset is zero.
     """
     K, L = _check_gains(sys, ctrl.K, ctrl.L)
-    n, m, p, T = sys.n, sys.m, sys.p, sys.T
+    m, p, T = sys.m, sys.p, sys.T
     U = np.zeros((m * T, p * T))
-    phi = np.zeros((n, p * T))
-    phi[:, :p] = L[0]
-    for t in range(T):
-        if t > 0:
-            pred = (sys.A[t - 1] + sys.B[t - 1] @ K[t - 1]) @ phi
-            phi = pred - L[t] @ (sys.C[t] @ pred)
-            phi[:, t * p : (t + 1) * p] += L[t]
+    closed = (a + b @ k for a, b, k in zip(sys.A, sys.B, K))
+    for t, phi in enumerate(_filter(sys, closed, L, p * T)):
+        phi[:, t * p : (t + 1) * p] += L[t]
         U[t * m : (t + 1) * m, :] = K[t] @ phi
     return LinearOutputController(U=U, q=np.zeros(m * T), m=m, p=p, T=T)
 

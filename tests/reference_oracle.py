@@ -14,6 +14,12 @@ stacks of ``drlqg.ambiguity`` replaced; the stacked code must reproduce its bits
 Gelbrich distance, with the trace of a formed square root of the cross term,
 and the one-ball membership test that the stacked membership replaced; the
 stacked code must reproduce their verdicts and, to roundoff, their distances.
+
+``reference_unroll``, ``reference_kalman_purified`` and ``ReferenceKalmanPolicy``
+are the three hand-written Kalman estimate recursions that ``drlqg.lqg._filter``
+replaced: the unroll's Phi loop, the purified gain's d loop and the policy's
+step.  The two gains must be reproduced bit for bit, signed zeros included,
+and the policy's inputs to roundoff.
 """
 
 import math
@@ -26,6 +32,7 @@ from drlqg.ambiguity import OracleError
 from drlqg.gradient import _grad_from_solutions
 from drlqg.linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
 from drlqg.lqg import _value_from_solutions, kalman_forward, riccati_backward
+from drlqg.stacked import _plant
 
 MAX_BISECT = 200
 
@@ -147,3 +154,61 @@ def reference_contains(ball, z, tol, lowest=None) -> bool:
     if (min_eigval(z) if lowest is None else lowest) < ball.floor - tol:
         return False
     return reference_gelbrich_distance(z, ball.center) <= ball.radius + tol
+
+
+def reference_unroll(sys, K, L) -> np.ndarray:
+    """The gain over y of the Kalman controller (K, L), by its Phi recursion."""
+    n, m, p, T = sys.n, sys.m, sys.p, sys.T
+    U = np.zeros((m * T, p * T))
+    phi = np.zeros((n, p * T))
+    phi[:, :p] = L[0]
+    for t in range(T):
+        if t > 0:
+            pred = (sys.A[t - 1] + sys.B[t - 1] @ K[t - 1]) @ phi
+            phi = pred - L[t] @ (sys.C[t] @ pred)
+            phi[:, t * p : (t + 1) * p] += L[t]
+        U[t * m : (t + 1) * m, :] = K[t] @ phi
+    return U
+
+
+def reference_kalman_purified(st, K, L) -> np.ndarray:
+    """The purified gain of (K, L): the noise-free twin plus the d recursion on eta."""
+    n, m, p, T = st.n, st.m, st.p, st.T
+    U = np.zeros((m * T, p * T))
+    d = np.zeros((n, p * T))
+    d[:, :p] = L[0]
+    inputs = (U[t * m : (t + 1) * m] for t in range(T))  # u_t, read once row t is filled
+    for t, xbar in zip(range(T), _plant(st, p * T, inputs, live=(0, p))):
+        live = slice((t + 1) * p)
+        if t > 0:
+            prev = slice(t * p)
+            ad = st.A[t - 1] @ d[:, prev]
+            d[:, prev] = ad - L[t] @ (st.C[t] @ ad)
+            d[:, t * p : (t + 1) * p] = L[t]
+        U[t * m : (t + 1) * m, live] = K[t] @ (xbar[:, live] + d[:, live])
+    return U
+
+
+class ReferenceKalmanPolicy:
+    """The Kalman policy stepped on rows: xhat_t from the predicted A xhat + B u."""
+
+    def __init__(self, sys, K, L):
+        self._sys = sys
+        self._K = K
+        self._L = L
+        self._t = 0
+        self._xhat = None
+        self._u = None
+
+    def step(self, t: int, y):
+        if t != self._t:
+            raise ValueError(f"policy stepped out of order: expected t={self._t}, got {t}")
+        sys = self._sys
+        if t == 0:
+            self._xhat = y @ self._L[0].T
+        else:
+            pred = self._xhat @ sys.A[t - 1].T + self._u @ sys.B[t - 1].T
+            self._xhat = pred + (y - pred @ sys.C[t].T) @ self._L[t].T
+        self._u = self._xhat @ self._K[t].T
+        self._t += 1
+        return self._u

@@ -6,6 +6,7 @@ import pytest
 
 from drlqg import (
     CovarianceProfile,
+    FWConfig,
     KalmanController,
     LinearOutputController,
     LinearPurifiedController,
@@ -19,6 +20,7 @@ from drlqg import (
     purified_from_rollout,
     purified_to_output,
     simulate,
+    solve,
     unroll_controller,
     unroll_kalman,
 )
@@ -35,6 +37,7 @@ from helpers import (
     random_system,
     scalar_ones,
 )
+from reference_oracle import ReferenceKalmanPolicy, reference_kalman_purified, reference_unroll
 
 
 def _stack_noise(x0, w):
@@ -472,6 +475,40 @@ def test_kalman_purified_gain_matches_the_converted_unroll(n, m, p, T):
     assert got.shape == ref.shape
     assert np.array_equal(got == 0.0, ref == 0.0)  # the exact zeros above the block diagonal
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "n, m, p, T", RECTANGULAR + [(10, 10, 10, 10), (20, 20, 20, 20), (50, 50, 50, 20)]
+)
+def test_filter_loop_reproduces_the_hand_written_recursions(n, m, p, T):
+    # U_output is written from the unroll, so its bytes are pinned; the
+    # policy steps the same recursion in another order, to roundoff.  A
+    # reassociated update, or an unroll on live columns only, kept the
+    # smaller cases byte-equal: only the two largest catch them
+    sys, amb, _ = generate_instance(n, m, p, T, seed=0, rho=0.5)
+    ctrl = solve(sys, amb, FWConfig(tol=1e-4, step="line")).controller
+    K, L, st = ctrl.K, ctrl.L, build_stacked(sys)
+    pairs = [
+        (unroll_controller(sys, ctrl).U, reference_unroll(sys, K, L)),
+        (_kalman_purified(st, K, L), reference_kalman_purified(st, K, L)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    class Reference:
+        def make_policy(self, sys):
+            return ReferenceKalmanPolicy(sys, K, L)
+
+    rng = np.random.default_rng(T)
+    x0, w, v = rng.standard_normal(n), rng.standard_normal((T, n)), rng.standard_normal((T, p))
+    got, want = (simulate(sys, c, x0, w, v) for c in (ctrl, Reference()))
+    assert np.max(np.abs(got.u - want.u)) <= 1e-12 * np.max(np.abs(want.u))
+    assert abs(got.cost - want.cost) <= 1e-12 * want.cost
+    for lead in ((3,), (2, 3)):  # batched observations
+        policies = [c.make_policy(sys) for c in (ctrl, Reference())]
+        for t, y in enumerate(rng.standard_normal((T, *lead, p))):
+            got, want = (policy.step(t, y) for policy in policies)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_conversion_preserves_exact_causal_zeros():
