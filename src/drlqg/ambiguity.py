@@ -320,8 +320,9 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
     ``oracle_maximize_blocks``; ``name(j)`` is the label error messages give
     block j, called only to raise.  The blocks bisect in lockstep over
     full-length arrays: an ``active`` mask marks the blocks still bisecting,
-    and a block that meets an exit test leaves the mask, keeping its
-    accepted gamma, its iteration count and a frozen bracket.  The dual, its
+    and a block that meets an exit test leaves the mask with its iteration
+    count and a frozen bracket, whose midpoint is its accepted gamma (its
+    upper end, if the bracket collapsed).  The dual, its
     derivative and the primal gap are O(d) per block in the gradient's
     eigenbasis, and the maximizers are built once, after the loop.  A radius
     so large or so small against the block's scale that the bracket does not
@@ -377,22 +378,19 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
             name(live[j]), rho[j], f"dual bracket ends at {hi[j]:.17g}, lambda_max {lam1[j]:.17g}"
         )
 
-    gamma = np.empty(live.size)
     iters = np.zeros(live.size, dtype=int)
     # An isotropic Gamma = c I has its dual root at hi itself, where the
     # bisection would end only once its bracket collapsed: take hi unbisected.
     collapsed = (lam[:, 0] == lam1) & (lo < hi)
-    gamma[collapsed] = hi[collapsed]
     active = ~collapsed
     lamz2, rho2 = lamz * lam, rho**2
     for it in range(1, _MAX_BISECT + 1):
+        iters += active
         # Bracket exhausted: hi stays on the feasible side (phi' >= 0), and
         # in the scalar case the initial bracket is already the root.
         out = active & (hi - lo <= 1e-12 * np.maximum(1.0, hi))
-        gamma[out], iters[out], collapsed[out] = hi[out], it, True
-        active &= ~out
-        if not active.any():
-            break
+        collapsed |= out
+        active ^= out
         g = 0.5 * (lo + hi)
         inv = 1.0 / (g[:, None] - lam)
         inv2 = inv * inv
@@ -403,9 +401,7 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
         dphi = rho2 - np.add.reduce(lamz2 * inv2, axis=1)
         gap = g * g * np.add.reduce(lamz * inv2, axis=1) - ref_ip
         feasible = dphi > 0.0
-        out = active & feasible & (gap >= delta * phi)
-        gamma[out], iters[out] = g[out], it
-        active &= ~out
+        active &= ~(feasible & (gap >= delta * phi))
         if not active.any():
             break
         lo = np.where(active & ~feasible, g, lo)
@@ -416,6 +412,8 @@ def _oracle_stack(centers, radii, gradients, references, delta, name):
             f"gradient block {name(live[j])}: bisection did not meet the exit test "
             f"in {_MAX_BISECT} iterations; final bracket [{lo[j]:.17g}, {hi[j]:.17g}]"
         )
+    # a block that left the loop keeps its bracket: an accepted gamma is its midpoint
+    gamma = np.where(collapsed, hi, 0.5 * (lo + hi))
 
     # One build per block, at its accepted gamma: L = M Zhat M with
     # M = gamma (gamma I - Gamma)^{-1}.

@@ -20,6 +20,12 @@ are the three hand-written Kalman estimate recursions that ``drlqg.lqg._filter``
 replaced: the unroll's Phi loop, the purified gain's d loop and the policy's
 step.  The two gains must be reproduced bit for bit, signed zeros included,
 and the policy's inputs to roundoff.
+
+``reference_roll_closed_loop`` is the Monte-Carlo chunk rollout of a Kalman
+controller that ``drlqg.lqg._roll_closed_loop`` replaced: three products per
+stage, one that prices the stage and advances the state and two that add the
+process and the observation noise.  The one-product step must reproduce its
+costs to roundoff.
 """
 
 import math
@@ -31,7 +37,7 @@ from drlqg import ambiguity
 from drlqg.ambiguity import OracleError
 from drlqg.gradient import _grad_from_solutions
 from drlqg.linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
-from drlqg.lqg import _value_from_solutions, kalman_forward, riccati_backward
+from drlqg.lqg import _quad, _split, _value_from_solutions, kalman_forward, riccati_backward
 from drlqg.stacked import _plant
 
 MAX_BISECT = 200
@@ -212,3 +218,43 @@ class ReferenceKalmanPolicy:
         self._u = self._xhat @ self._K[t].T
         self._t += 1
         return self._u
+
+
+def reference_roll_closed_loop(sys, K, L, roots, z) -> np.ndarray:
+    """Costs of u_t = K_t xhat_t on the standard normals ``z`` (``sample_noise``
+    layout), rolled on s_t = [x_t, xhat_t] with the noise roots ``roots``
+    folded into the maps:
+
+        cost_t = s_t D_t s_t',   s_{t+1} = s_t Phi_t + z_wt W_t + z_v,t+1 [0, V_t],
+
+    with s_t [D_t | Phi_t] in one product, and x_T = s_{T-1} F + z_w,T-1 S_W.
+    """
+    n, p, T = sys.n, sys.p, sys.T
+    s_x0, s_w, s_v = _split(roots)
+    gain = [c.T @ l.T for c, l in zip(sys.C, L)]
+    zeros = np.zeros((n, n))
+    stages = []
+    for t in range(T):
+        A, B, k = sys.A[t], sys.B[t], K[t]
+        cost = np.block([[sys.Q[t], zeros], [zeros, k.T @ sys.R[t] @ k]])
+        F = np.vstack([A.T, k.T @ B.T])
+        if t == T - 1:
+            stages.append((np.hstack([cost, F]), s_w[t], None))
+            break
+        g = gain[t + 1]
+        pred = np.vstack([zeros, (A + B @ k).T])
+        phi = np.hstack([F, F @ g + pred @ (np.eye(n) - g)])
+        W = np.hstack([s_w[t], s_w[t] @ g])
+        stages.append((np.hstack([cost, phi]), W, s_v[t + 1] @ L[t + 1].T))
+
+    v_off = n + T * n
+    s = z[:, :n] @ np.hstack([s_x0, s_x0 @ gain[0]])
+    s[:, n:] += z[:, v_off : v_off + p] @ (s_v[0] @ L[0].T)
+    total = np.zeros(z.shape[0])
+    for t, (M, W, V) in enumerate(stages):
+        sm = s @ M
+        total += np.einsum("ij,ij->i", sm[:, : 2 * n], s)
+        s = sm[:, 2 * n :] + z[:, n + t * n : n + (t + 1) * n] @ W
+        if V is not None:
+            s[:, n:] += z[:, v_off + (t + 1) * p : v_off + (t + 2) * p] @ V
+    return total + _quad(s, sys.Q[T])

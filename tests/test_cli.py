@@ -12,7 +12,7 @@ import pytest
 
 import drlqg
 from drlqg import FWConfig, assemble_controller, lqg_value, solve
-from drlqg import io, lqg
+from drlqg import cli, io, lqg
 from drlqg.cli import EXIT_BAD_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -521,6 +521,26 @@ def test_usage_errors_are_bad_input(tmp_path, capsys, extra):
 def test_help_exits_0(capsys):
     assert main(["solve", "--help"]) == EXIT_OK
     assert "--max-iter" in capsys.readouterr().out
+
+
+def test_the_cached_parser_parses_each_call_afresh(monkeypatch):
+    # main builds its parser once per process: a parse must leave nothing
+    # that the next call sees, whether another command or the same one
+    # without its options
+    seen = []
+    for command in ("evaluate", "verify"):
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.append(vars(args)) or EXIT_OK)
+    files = ["i.json", "c.json", "w.json"]
+    assert main(["evaluate", *files, "--rollouts", "7", "--seed", "3"]) == EXIT_OK
+    assert main(["verify", "i.json", "r"]) == EXIT_OK
+    assert main(["evaluate", *files]) == EXIT_OK
+    evaluate = dict(command="evaluate", instance="i.json", controller="c.json", covariance="w.json")
+    assert seen == [
+        {**evaluate, "rollouts": 7, "seed": 3},
+        {"command": "verify", "instance": "i.json", "result_dir": "r", "samples": 100, "seed": 0},
+        {**evaluate, "rollouts": 100000, "seed": 0},
+    ]
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

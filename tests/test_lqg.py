@@ -28,6 +28,7 @@ from helpers import (
     random_system,
     scalar_ones,
 )
+from reference_oracle import reference_roll_closed_loop
 
 
 # ---------------------------------------------------------------- riccati
@@ -545,6 +546,27 @@ def test_monte_carlo_chunks_match_one_draw(monkeypatch, kind, rows):
         assert np.array_equal(gen.standard_normal(8), one_draw.standard_normal(8))
 
 
+@pytest.mark.parametrize(
+    "n, m, p, T, zero_blocks", _MC_DIMS + [(10, 10, 10, 10, False), (20, 20, 20, 20, False)]
+)
+def test_closed_loop_roll_matches_the_three_product_reference(n, m, p, T, zero_blocks):
+    # one product per stage on [s_t | z_wt | z_v,t+1] against the roll it
+    # replaced, on one whole chunk: 624 rows at n = T = 10, 159 at n = T = 20
+    rng = np.random.default_rng(12)
+    sys = random_system(rng, n, m, p, T)
+    cov = random_profile(rng, n, p, T)
+    if zero_blocks:
+        cov = CovarianceProfile(X0=np.zeros((n, n)), W=(np.zeros((n, n)),) + cov.W[1:], V=cov.V)
+    ctrl = assemble_controller(sys, cov)
+    roots = lqg._noise_roots(cov)
+    z = rng.standard_normal((_chunk_rows(cov), n + T * (n + p)))
+    z.flags.writeable = False  # the roll reads the chunk and writes nothing into it
+    got = lqg._roll_closed_loop(sys, lqg._closed_loop_maps(sys, ctrl.K, ctrl.L, roots), z)
+    want = reference_roll_closed_loop(sys, ctrl.K, ctrl.L, roots, z)
+    assert got.shape == want.shape == (len(z),)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 def test_monte_carlo_converts_a_purified_gain_once(monkeypatch):
     # a purified gain's make_policy converts it on every call; the rollouts
     # of all chunks share one conversion instead
@@ -584,8 +606,9 @@ def test_monte_carlo_memory_is_bounded():
 
 def test_monte_carlo_peak_memory_at_audit_size():
     # 10^5 rollouts at n = T = 10: one 1 MiB chunk of normals, the 0.8 MB of
-    # costs and the closed loop's small per-stage arrays, then the costs and
-    # np.std's copy of them once the chunk is released, 2.4 MiB
+    # costs and the closed loop's two 0.2 MB row buffers and its priced
+    # state, 2.4 MiB, then the costs and np.std's copy of them once the
+    # chunk is released
     rng = np.random.default_rng(4)
     n = T = 10
     sys = random_system(rng, n, n, n, T)
