@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import min_eigval, symmetrize
-from .linalg import _checked_eig, _symmetrized
+from .linalg import _checked_eig, _root, _symmetrized
 from .lqg import CovarianceProfile, _block_labels, _frozen
 
 _MAX_BISECT = 200
@@ -137,7 +137,7 @@ def _gelbrich_stack(blocks, centers, floors=None, lowest=None, name=lambda j: No
     live, w, v = kept[~same], w[~same], v[~same]
     if live.size == 0:
         return dist
-    roots = _symmetrized((v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.swapaxes(-1, -2))
+    roots = _root(np.clip(w, 0.0, None), v)
     cross = _checked_eig(
         _symmetrized(roots @ z[live] @ roots), np.linalg.eigvalsh, lambda j: name(live[j])
     )

@@ -27,14 +27,7 @@ from . import io
 from .instances import generate_instance
 from .lqg import KalmanController, _check_dims, _check_gains, monte_carlo_cost
 from .solver import FWConfig, RobustSolution, _gains_off, saddle_check, solve
-from .stacked import (
-    LinearOutputController,
-    _check_causal,
-    build_stacked,
-    controller_cost_trace,
-    output_to_purified,
-    unroll_controller,
-)
+from .stacked import LinearOutputController, _check_causal, controller_cost_trace, unroll_controller
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -176,11 +169,10 @@ def _cmd_evaluate(args) -> int:
         system, _, _ = io.read_instance(args.instance)
         ctrl, U_out, cov, _ = _read_stored(system, args.controller, args.covariance)
         with _computing_on(args.instance, args.controller, args.covariance):
-            st = build_stacked(system)
-            out_ctrl = LinearOutputController(
+            gain = LinearOutputController(
                 U=U_out, q=np.zeros(system.m * system.T), m=system.m, p=system.p, T=system.T
             )
-            exact = controller_cost_trace(st, output_to_purified(out_ctrl, st), cov)
+            exact = controller_cost_trace(system, gain, cov)
         try:
             stats = monte_carlo_cost(system, ctrl, cov, n_samples=args.rollouts, rng=args.seed)
         except MemoryError as exc:  # the one cost per rollout does not fit

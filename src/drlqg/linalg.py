@@ -118,9 +118,15 @@ def _psd_floor(stack: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(s) -> np.ndarray:
-    """Symmetric PSD square root ``S^(1/2)`` via eigendecomposition."""
-    w, v = psd_eig(s)
-    return symmetrize((v * np.sqrt(w)) @ v.T)
+    """Symmetric PSD square root ``S^(1/2)`` via eigendecomposition, of a
+    square matrix or of each matrix of a (B, d, d) stack."""
+    return _root(*psd_eig(s))
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V diag(w)^(1/2) V'``, symmetrized, from eigenpairs (w, v) with w >= 0,
+    of one matrix or of a stack."""
+    return _symmetrized((v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def _spd_solve(s: np.ndarray, b) -> np.ndarray:

@@ -545,9 +545,15 @@ def simulate(sys: TimeVaryingSystem, controller, x0, w, v) -> SimulationResult:
 _CHUNK_ELEMENTS = 1 << 17
 
 
+def _stage_stacks(cov: CovarianceProfile):
+    """(W, V): the stage stacks (X0, W_0..W_{T-1}) of Wbig and (V_0..V_{T-1}) of Vbig."""
+    return np.stack((cov.X0, *cov.W)), np.stack(cov.V)
+
+
 def _noise_roots(cov: CovarianceProfile) -> list[np.ndarray]:
-    """Symmetric PSD square roots of ``cov.blocks``, which is the draw order."""
-    return [psd_sqrt(b) for b in cov.blocks]
+    """Symmetric PSD square roots of ``cov.blocks``, which is the draw order:
+    one ``psd_sqrt`` of each stage stack."""
+    return [root for stack in _stage_stacks(cov) for root in psd_sqrt(stack)]
 
 
 def _color(z: np.ndarray, roots, cov: CovarianceProfile):

@@ -13,22 +13,22 @@ terminal state is unobserved), and D = Cs G.
 A *purified* observation is eta_t = y_t - yhat_t, where yhat comes from a
 noise-free twin of the plant driven by the same inputs.  The map from inputs
 to eta is control-independent (eta = D w + v), so causal policies u = U eta + q
-parameterize the closed loop linearly: the expected quadratic cost of such a
-policy is an explicit trace formula in the noise covariances, and a gain
-over y and one over eta are converted into each other by running that twin
-on affine maps of the observations.  Under u = U eta + q the state is
+parameterize the closed loop linearly, and a gain over y and one over eta
+are converted into each other by running that twin on affine maps of the
+observations.  Under u = U eta + q the state is
 
     x = M w + H U v + H q,        M = G + H U D,
 
-so the cost and its gradient are traces of products with M, H U and U D.
+so the cost's gradient in U is a trace of products with M, H U and U D.
+The cost itself, an explicit trace formula in the noise covariances, is
+priced on the closed loop u = U y + q of the output gain, which reads no D.
 ``_plant`` is the plant recursion, the one loop here that applies A_t and
 B_t to a state: a generator that yields block row x_t of G w + H u, for
-column stacks given stage by stage.  It makes D from the identity, and it
-is every noise-free twin, fed the input rows as they are made.  Neither G
-nor H is stored.  ``lqg._filter`` is the one filter loop, for the Kalman
-gain over y and, beside the twin, over eta.  ``controller_cost_trace``
-holds no matrix with N = n(T+1) rows: one block row per stage, N + pT + 1
-columns wide.
+column stacks given stage by stage.  It makes D from the identity, it is
+every noise-free twin, fed the input rows as they are made, and it is the
+closed loop that ``controller_cost_trace`` prices.  Neither G nor H is
+stored.  ``lqg._filter`` is the one filter loop, for the Kalman gain over y
+and, beside the twin, over eta.
 ``StackedSystem`` holds D densely, the plant's A_t and B_t, and of Qs, Rs
 and Cs only their stage blocks.  These and the blocks of
 Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
@@ -57,6 +57,7 @@ from .lqg import (
     _filter,
     _frozen,
     _roll,
+    _stage_stacks,
     assemble_controller,
 )
 
@@ -169,6 +170,9 @@ class _CausalGain:
         _check_causal(U, self.m, self.p, self.T, self._name)
         if q.shape != (self.m * self.T,):
             raise ValueError(f"offset: expected shape {(self.m * self.T,)}, got {q.shape}")
+        for field, a in (("U", U), ("offset", q)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{self._name}: {field} contains non-finite entries")
         object.__setattr__(self, "U", _frozen(U))
         object.__setattr__(self, "q", _frozen(q))
 
@@ -252,41 +256,36 @@ def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
     return eta
 
 
-def _stage_stacks(cov: CovarianceProfile):
-    """(W, V) per-stage stacks of Wbig and Vbig."""
-    return np.stack((cov.X0, *cov.W)), np.stack(cov.V)
-
-
 def controller_cost_trace(
-    st: StackedSystem, ctrl: LinearPurifiedController, cov: CovarianceProfile
+    st: StackedSystem | TimeVaryingSystem,
+    ctrl: LinearOutputController | LinearPurifiedController,
+    cov: CovarianceProfile,
 ) -> float:
-    """Exact expected cost of a purified-feedback policy as a trace formula.
+    """Exact expected cost of a causal linear policy as a trace formula.
 
-    With M = G + H U D, Wbig = diag(X0, W_0..W_{T-1}) and
-    Vbig = diag(V_0..V_{T-1}):
-
-        J(U, q) = tr[Qs M Wbig M'] + tr[Qs (H U) Vbig (H U)']
-                  + tr[Rs (U D) Wbig (U D)'] + tr[Rs U Vbig U']
-                  + q'Rs q + (H q)'Qs (H q)
-
-    Every term is added stage by stage.  As maps of (w, v, 1), block row t
-    of x = M w + H U v + H q is x_t = [M_t | (H U)_t | (H q)_t], and that of
-    u = U D w + U v + q is u_t = [(U D)_t | U_t | q_t], so with
-    Sigma = diag(Wbig, Vbig, 1)
+    A purified gain is priced as its output gain, ``purified_to_output``, so
+    the closed loop is u = U y + q with y = Cs x + v.  As maps of (w, v, 1),
+    block rows x_t and u_t are priced with Sigma = diag(Wbig, Vbig, 1),
+    Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}):
 
         J(U, q) = sum_t tr[Q_t x_t Sigma x_t'] + sum_t tr[R_t u_t Sigma u_t'].
 
-    (U D)_t is U's block row t times D on its causal columns, and ``_plant``
-    makes x_{t+1} from x_t, u_t and w_{t+1}, block column t+1 of the
-    identity; memory is one block row per stage.
+    ``_plant`` yields x_t and makes x_{t+1} from x_t, u_t and w_{t+1}, block
+    column t+1 of the identity; block row t of y, C_t x_t + v_t, is written
+    before u_t = q_t + sum_{s<=t} U[t,s] y_s is drawn.  Memory is that map of y,
+    pT x (n(T+1) + pT + 1), and one block row per stage; D is not read, so
+    ``st`` may be the system itself.
     """
     _check_dims(st, cov)
-    _check_fits(ctrl, st, LinearPurifiedController)
+    if isinstance(ctrl, LinearPurifiedController):
+        ctrl = purified_to_output(ctrl, st)
+    _check_fits(ctrl, st, LinearOutputController)
     W, V = _stage_stacks(cov)
     U, q = ctrl.U, ctrl.q
     n, m, p, T = st.n, st.m, st.p, st.T
     N = n * (T + 1)
     k = N + p * T + 1  # the columns of (w, v, 1)
+    y = np.empty((p * T, k))
 
     def priced(F, z):  # tr[F z Sigma z'] as the sum of (F z) * (z Sigma)
         Fz = F @ z
@@ -301,17 +300,18 @@ def controller_cost_trace(
     def inputs():  # u_0..u_{T-1}, each priced as it is made
         nonlocal val
         for t in range(T):
-            rows, seen = slice(t * m, (t + 1) * m), (t + 1) * p
-            u = np.zeros((m, k))
-            u[:, : (t + 1) * n] = U[rows, :seen] @ st.D[:seen, : (t + 1) * n]
-            u[:, N:-1] = U[rows]
-            u[:, -1] = q[rows]
+            rows = slice(t * m, (t + 1) * m)
+            u = U[rows, : (t + 1) * p] @ y[: (t + 1) * p]
+            u[:, -1] += q[rows]
             val += priced(st.R[t], u)
             yield u
 
     noise = (np.eye(n, k, t * n) for t in range(T + 1))  # w_t: block column t of the identity
     for t, x in enumerate(_plant(st, k, inputs(), noise)):
         val += priced(st.Q[t], x)
+        if t < T:
+            y[t * p : (t + 1) * p] = st.C[t] @ x
+            y[t * p : (t + 1) * p, N + t * p : N + (t + 1) * p] += np.eye(p)  # v_t
     return float(val)
 
 

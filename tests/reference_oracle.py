@@ -26,6 +26,11 @@ controller that ``drlqg.lqg._roll_closed_loop`` replaced: three products per
 stage, one that prices the stage and advances the state and two that add the
 process and the observation noise.  The one-product step must reproduce its
 costs to roundoff.
+
+``reference_controller_cost_trace`` is the exact cost of a purified gain by
+the loop ``drlqg.stacked.controller_cost_trace`` ran before it read the
+observations: block row t of u = U D w + U v + q from U's causal blocks
+times D.  The loop over y must price both gain forms as it did, to roundoff.
 """
 
 import math
@@ -37,8 +42,15 @@ from drlqg import ambiguity
 from drlqg.ambiguity import OracleError
 from drlqg.gradient import _grad_from_solutions
 from drlqg.linalg import min_eigval, psd_eig, psd_sqrt, symmetrize
-from drlqg.lqg import _quad, _split, _value_from_solutions, kalman_forward, riccati_backward
-from drlqg.stacked import _plant
+from drlqg.lqg import (
+    _quad,
+    _split,
+    _stage_stacks,
+    _value_from_solutions,
+    kalman_forward,
+    riccati_backward,
+)
+from drlqg.stacked import _plant, _right
 
 MAX_BISECT = 200
 
@@ -258,3 +270,42 @@ def reference_roll_closed_loop(sys, K, L, roots, z) -> np.ndarray:
         if V is not None:
             s[:, n:] += z[:, v_off + (t + 1) * p : v_off + (t + 2) * p] @ V
     return total + _quad(s, sys.Q[T])
+
+
+def reference_controller_cost_trace(st, ctrl, cov) -> float:
+    """Exact cost of a purified gain on a ``StackedSystem``: as maps of (w, v, 1),
+    x_t from ``_plant`` and u_t = [(U D)_t | U_t | q_t], each priced as
+
+        tr[F z Sigma z'],   Sigma = diag(X0, W_0.., V_0.., 1).
+    """
+    W, V = _stage_stacks(cov)
+    U, q = ctrl.U, ctrl.q
+    n, m, p, T = st.n, st.m, st.p, st.T
+    N = n * (T + 1)
+    k = N + p * T + 1
+
+    def priced(F, z):
+        Fz = F @ z
+        return (
+            np.vdot(Fz[:, :N], _right(z[:, :N], W))
+            + np.vdot(Fz[:, N:-1], _right(z[:, N:-1], V))
+            + np.vdot(Fz[:, -1], z[:, -1])
+        )
+
+    val = 0.0
+
+    def inputs():
+        nonlocal val
+        for t in range(T):
+            rows, seen = slice(t * m, (t + 1) * m), (t + 1) * p
+            u = np.zeros((m, k))
+            u[:, : (t + 1) * n] = U[rows, :seen] @ st.D[:seen, : (t + 1) * n]
+            u[:, N:-1] = U[rows]
+            u[:, -1] = q[rows]
+            val += priced(st.R[t], u)
+            yield u
+
+    noise = (np.eye(n, k, t * n) for t in range(T + 1))
+    for t, x in enumerate(_plant(st, k, inputs(), noise)):
+        val += priced(st.Q[t], x)
+    return float(val)

@@ -356,6 +356,29 @@ def test_evaluate_reports_a_disagreement(tmp_path, capsys):
     assert not any(line.startswith("agreement") for line in out.splitlines())
 
 
+def test_evaluate_prices_the_stored_output_gain_without_converting_it(
+    tmp_path, capsys, monkeypatch
+):
+    # U_output is priced as it is stored: no noise-free twin and no stacked D
+    inst, res = _solved(tmp_path, n=3, m=2, p=4, T=3, seed=0, rho=0.5)
+    args = [
+        "evaluate", str(inst), str(res / "controller.json"), str(res / "worst_case.json"),
+        "--rollouts", "2000",
+    ]
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+    expected = capsys.readouterr().out
+
+    def refused(*args):
+        raise AssertionError("evaluate converted a gain")
+
+    monkeypatch.setattr("drlqg.stacked._twin", refused)
+    monkeypatch.setattr("drlqg.cli.build_stacked", refused, raising=False)
+    assert main(args) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == expected and len(out.splitlines()) == 3
+
+
 def _no_non_finite_number(text):
     return not re.search(r"\b(inf|nan)\b", text, re.IGNORECASE)
 

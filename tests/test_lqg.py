@@ -6,6 +6,7 @@ import pytest
 
 from drlqg import (
     CovarianceProfile,
+    FWConfig,
     KalmanController,
     LinearPurifiedController,
     TimeVaryingSystem,
@@ -17,8 +18,10 @@ from drlqg import (
     riccati_backward,
     sample_noise,
     simulate,
+    solve,
 )
 from drlqg import lqg, stacked
+from drlqg.instances import generate_instance
 from drlqg.linalg import SingularMatrixError, min_eigval, psd_sqrt
 
 from helpers import (
@@ -490,6 +493,21 @@ def test_sample_noise_pins_the_draw_order():
         assert np.array_equal(w[:, t], z[:, n + t * n : n + (t + 1) * n] @ psd_sqrt(cov.W[t]))
         off = n + T * n + t * p
         assert np.array_equal(v[:, t], z[:, off : off + p] @ psd_sqrt(cov.V[t]))
+
+
+def test_noise_roots_of_the_stage_stacks_are_the_per_block_roots():
+    # one psd_sqrt of each stage stack, byte for byte the root of each block:
+    # on a rectangular profile with a zero block and on a solved worst case
+    rng = np.random.default_rng(14)
+    cov = random_profile(rng, 3, 2, 4)
+    zero = CovarianceProfile(X0=cov.X0, W=cov.W[:1] + (np.zeros((3, 3)),) + cov.W[2:], V=cov.V)
+    sys, amb, _ = generate_instance(3, 2, 4, 3, 0, 0.5)
+    worst = solve(sys, amb, FWConfig(step="line", tol=1e-4)).worst_case
+    for profile in (zero, worst):
+        roots = lqg._noise_roots(profile)
+        assert len(roots) == len(profile.blocks)
+        for root, block in zip(roots, profile.blocks):
+            assert root.tobytes() == psd_sqrt(block).tobytes()
 
 
 def test_monte_carlo_rejects_fewer_than_two_rollouts():

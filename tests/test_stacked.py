@@ -37,7 +37,12 @@ from helpers import (
     random_system,
     scalar_ones,
 )
-from reference_oracle import ReferenceKalmanPolicy, reference_kalman_purified, reference_unroll
+from reference_oracle import (
+    ReferenceKalmanPolicy,
+    reference_controller_cost_trace,
+    reference_kalman_purified,
+    reference_unroll,
+)
 
 
 def _stack_noise(x0, w):
@@ -144,24 +149,26 @@ def test_build_stacked_allocates_little_beyond_d_and_the_stage_stacks():
     assert peak < 1.25 * sum(a.nbytes for a in (st.D, st.A, st.B, st.Q, st.R, st.C))
 
 
-def test_cost_trace_holds_one_block_row_per_stage():
-    # Here U takes 1.28 MB and the peak is 0.93 MB; an identity seed of
-    # n(T+1) columns, the stored plant state or a dense U D would each add
-    # 1.3 MB or more.
+def test_cost_trace_holds_the_observation_map_and_one_block_row_per_stage():
+    # An output gain on the plain system, as evaluate prices it: the map of y
+    # takes 2.63 MB and a block row 0.13 MB, and the peak is 3.42 MB; a dense
+    # U D (1.34 MB) or the stored plant state (2.76 MB) would each break the
+    # bound, and no D is built.
     n = 20
     rng = np.random.default_rng(24)
-    st = build_stacked(random_system(rng, n, n, n, n))
+    sys = random_system(rng, n, n, n, n)
     cov = random_profile(rng, n, n, n)
-    ctrl = LinearPurifiedController(
+    ctrl = LinearOutputController(
         U=random_causal_gain(rng, n, n, n), q=rng.standard_normal(n * n), m=n, p=n, T=n
     )
+    row = n * (n * (n + 1) + n * n + 1) * 8  # one block row of (w, v, 1)
     tracemalloc.start()
     try:
-        controller_cost_trace(st, ctrl, cov)
+        controller_cost_trace(sys, ctrl, cov)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ctrl.U.nbytes
+    assert peak < n * row + 8 * row
 
 
 def test_stacked_reproduces_simulated_trajectory():
@@ -440,24 +447,72 @@ def test_conversions_match_the_triangular_solve(n, m, p, T):
 
 
 @pytest.mark.parametrize(
-    "call, given, expected",
-    [
-        (lambda st, g, cov: controller_cost_trace(st, g, cov), "Output", "Purified"),
-        (lambda st, g, cov: purified_to_output(g, st), "Output", "Purified"),
-        (lambda st, g, cov: output_to_purified(g, st), "Purified", "Output"),
-    ],
-    ids=["controller_cost_trace", "purified_to_output", "output_to_purified"],
+    "convert, given, expected",
+    [(purified_to_output, "Output", "Purified"), (output_to_purified, "Purified", "Output")],
+    ids=["purified_to_output", "output_to_purified"],
 )
-def test_a_gain_of_the_other_form_is_rejected(call, given, expected):
-    # An output gain priced as a purified one once gave 18.669341626 here,
-    # against the Kalman cost 18.669312692 of the purified gain.
+def test_a_gain_of_the_other_form_is_rejected(convert, given, expected):
     sys, amb, _ = generate_instance(3, 2, 4, 3, 0, 0.5)
     st = build_stacked(sys)
     gain = unroll_kalman(sys, amb.nominal)
     gain = {"Output": gain, "Purified": output_to_purified(gain, st)}[given]
     message = rf"^expected a Linear{expected}Controller, got a Linear{given}Controller$"
     with pytest.raises(ValueError, match=message):
-        call(st, gain, amb.nominal)
+        convert(gain, st)
+
+
+def test_cost_trace_prices_either_form_as_the_purified_reference():
+    # The loop over y against the reference loop over U D.  Rectangular
+    # shapes with q != 0, a gain of each form priced on the plain system:
+    for n, m, p, T in RECTANGULAR:
+        rng = np.random.default_rng(300 + 7 * n + T)
+        sys = random_system(rng, n, m, p, T)
+        st = build_stacked(sys)
+        cov = random_profile(rng, n, p, T)
+        for cls in (LinearPurifiedController, LinearOutputController):
+            gain = cls(
+                U=random_causal_gain(rng, m, p, T, scale=0.5),
+                q=rng.standard_normal(m * T),
+                m=m,
+                p=p,
+                T=T,
+            )
+            pur = gain if cls is LinearPurifiedController else output_to_purified(gain, st)
+            ref = reference_controller_cost_trace(st, pur, cov)
+            cost = controller_cost_trace(sys, gain, cov)
+            assert abs(cost - ref) <= 1e-13 * abs(ref)
+            assert controller_cost_trace(st, gain, cov) == cost  # D is not read
+    # the stored output gain of a solved instance, under its worst case:
+    for n in (10, 20):
+        sys, amb, _ = generate_instance(n, n, n, n, 0, 0.5)
+        sol = solve(sys, amb, FWConfig(step="line", tol=1e-4))
+        gain = unroll_controller(sys, sol.controller)
+        st = build_stacked(sys)
+        ref = reference_controller_cost_trace(st, output_to_purified(gain, st), sol.worst_case)
+        assert abs(controller_cost_trace(sys, gain, sol.worst_case) - ref) <= 1e-13 * abs(ref)
+    # An output gain priced as a purified one once gave 18.669341626 here,
+    # against the Kalman cost 18.669312692; both forms now price to the latter.
+    sys, amb, _ = generate_instance(3, 2, 4, 3, 0, 0.5)
+    st = build_stacked(sys)
+    gain = unroll_kalman(sys, amb.nominal)
+    for form in (gain, output_to_purified(gain, st)):
+        assert f"{controller_cost_trace(st, form, amb.nominal):.11g}" == "18.669312692"
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(LinearPurifiedController, "purified gain"), (LinearOutputController, "output gain")],
+)
+@pytest.mark.parametrize("field", ["U", "offset"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_gain_with_a_non_finite_entry_is_rejected(cls, name, field, bad):
+    U, q = np.zeros((2, 4)), np.zeros(2)
+    if field == "U":
+        U[1, 0] = bad
+    else:
+        q[0] = bad
+    with pytest.raises(ValueError, match=rf"^{name}: {field} contains non-finite entries$"):
+        cls(U=U, q=q, m=1, p=2, T=2)
 
 
 @pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
@@ -596,9 +651,8 @@ def test_gains_that_do_not_fit_the_system_are_rejected(cls, name, convert):
             lambda: simulate(sys, gain, x0, w, v),
             lambda: monte_carlo_cost(sys, gain, cov, 10, rng=0),
             lambda: convert(gain, st),
+            lambda: controller_cost_trace(st, gain, cov),
         ]
-        if cls is LinearPurifiedController:
-            calls.append(lambda: controller_cost_trace(st, gain, cov))
         message = rf"^{name} \(m={m}, p={p}, T={T}\) does not match system \(m=1, p=2, T=3\)$"
         for call in calls:
             with pytest.raises(ValueError, match=message):
