@@ -16,7 +16,8 @@ simulator for rolling out controllers against sampled (or adversarial) noise.
 
 ``_filter`` is the one loop of the Kalman estimate.  ``monte_carlo_cost``
 draws its noise in chunks of 2^17 standard normals and rolls each out by the
-controller's ``_rollout``: a ``KalmanController`` as one linear recursion on
+controller's ``_rollout``, or by a fresh policy of a controller without one:
+a ``KalmanController`` as one linear recursion on
 s_t = [x_t, xhat_t], with the noise square roots folded into the per-stage
 maps, so the normals are never colored on their own.  Each stage is priced
 by one product and stepped by one more: the stage's normals are copied in
@@ -108,33 +109,14 @@ def _stages(mats, count: int, shape: tuple, name: str, rule: str | None = None) 
     return tuple(_stack(mats, shape, [f"{name}[{t}]" for t in range(count)], rule)[0])
 
 
-class _StageDims:
-    """T, n, m and p of a system or of its stacked form, read off the stages of A, B and C."""
-
-    @property
-    def T(self) -> int:
-        return len(self.A)
-
-    @property
-    def n(self) -> int:
-        return self.A[0].shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B[0].shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.C[0].shape[0]
-
-
 @dataclass(frozen=True)
-class TimeVaryingSystem(_StageDims):
+class TimeVaryingSystem:
     """Plant and cost data over a horizon of T stages.
 
     ``A``, ``B``, ``C`` and ``R`` each hold one matrix per stage t = 0..T-1;
     ``Q`` holds T+1 matrices including the terminal state cost Q_T.  State
-    costs must be PSD and input costs strictly PD.
+    costs must be PSD and input costs strictly PD.  Each field is a tuple of
+    read-only views of one checked stack; T, n, m and p are read off them.
     """
 
     A: tuple
@@ -159,6 +141,22 @@ class TimeVaryingSystem(_StageDims):
         object.__setattr__(self, "C", _stages(C, T, (p, n), "C"))
         object.__setattr__(self, "Q", _stages(self.Q, T + 1, (n, n), "Q", "psd"))
         object.__setattr__(self, "R", _stages(self.R, T, (m, m), "R", "pd"))
+
+    @property
+    def T(self) -> int:
+        return len(self.A)
+
+    @property
+    def n(self) -> int:
+        return self.A[0].shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B[0].shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.C[0].shape[0]
 
 
 def _block_labels(T: int) -> tuple[str, ...]:
@@ -355,7 +353,7 @@ def kalman_forward(sys: TimeVaryingSystem, cov: CovarianceProfile) -> KalmanSolu
 
 
 def _check_dims(sys: TimeVaryingSystem, cov: CovarianceProfile):
-    """The one check of a profile against a system (or a ``StackedSystem``)."""
+    """The one check of a profile against a system."""
     if cov.T != sys.T or cov.n != sys.n or cov.p != sys.p:
         raise ValueError(
             f"covariance profile (n={cov.n}, p={cov.p}, T={cov.T}) does not match "
@@ -691,18 +689,24 @@ def monte_carlo_cost(
     same state: the draw order and the meaning of a seed do not depend on
     the chunking.
 
-    ``cov`` must fit ``sys``.  The controller's ``_rollout`` makes the
-    rollout of a chunk once: a ``KalmanController`` the closed loop of
-    ``_closed_loop_maps``, whose costs agree with ``simulate``'s to
-    roundoff; an output gain its policy on the colored noise, exactly as
-    ``simulate`` does; a purified gain that of its output gain.
+    ``cov`` must fit ``sys``.  ``controller`` is anything ``simulate``
+    takes.  One with a ``_rollout`` makes the rollout of a chunk once: a
+    ``KalmanController`` the closed loop of ``_closed_loop_maps``, whose
+    costs agree with ``simulate``'s to roundoff; an output gain its policy
+    on the colored noise, exactly as ``simulate`` does; a purified gain that
+    of its output gain.  Any other controller rolls out a fresh
+    ``make_policy(sys)`` policy per chunk on the colored noise.
     """
     _check_dims(sys, cov)
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    rollout = controller._rollout(sys, _noise_roots(cov), cov)
+    roots = _noise_roots(cov)
+    if hasattr(controller, "_rollout"):
+        rollout = controller._rollout(sys, roots, cov)
+    else:
+        rollout = lambda z: _roll(sys, controller.make_policy(sys), *_color(z, roots, cov))
     width = _noise_width(cov)
     chunk = max(1, _CHUNK_ELEMENTS // width)
     costs = np.empty(n_samples)

@@ -29,14 +29,16 @@ every noise-free twin, fed the input rows as they are made, and it is the
 closed loop that ``controller_cost_trace`` prices.  Neither G nor H is
 stored.  ``lqg._filter`` is the one filter loop, for the Kalman gain over y
 and, beside the twin, over eta.
-``StackedSystem`` holds D densely, the plant's A_t and B_t, and of Qs, Rs
-and Cs only their stage blocks.  These and the blocks of
-Wbig = diag(X0, W_0..W_{T-1}) and Vbig = diag(V_0..V_{T-1}) are applied
-stage by stage, as batched per-block products, and a trace tr(A B') is
-taken as the elementwise sum of A * B; no block-diagonal factor is ever
-formed or multiplied as a dense matrix.  Both rely on the blocks being
-symmetric, which ``TimeVaryingSystem`` and ``CovarianceProfile`` guarantee:
-tr[Q_t M_t Wbig M_t'] is the sum of (Q_t M_t) * (M_t Wbig), for instance.
+``StackedSystem`` is a ``TimeVaryingSystem`` that also holds D densely, on
+the system's own stages; the certificate ``_first_order_bound`` is the one
+reader of D, and every other function here takes the plain system.  The
+stages of Qs, Rs and Cs and the blocks of Wbig = diag(X0, W_0..W_{T-1}) and
+Vbig = diag(V_0..V_{T-1}) are applied stage by stage, as batched per-block
+products, and a trace tr(A B') is taken as the elementwise sum of A * B; no
+block-diagonal factor is ever formed or multiplied as a dense matrix.  Both
+rely on the blocks being symmetric, which ``TimeVaryingSystem`` and
+``CovarianceProfile`` guarantee: tr[Q_t M_t Wbig M_t'] is the sum of
+(Q_t M_t) * (M_t Wbig), for instance.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .lqg import (
     CovarianceProfile,
     KalmanController,
     TimeVaryingSystem,
-    _StageDims,
     _check_dims,
     _check_gains,
     _color,
@@ -63,16 +64,9 @@ from .lqg import (
 
 
 @dataclass(frozen=True)
-class StackedSystem(_StageDims):
-    """Dense D, plus the stage stacks of the plant and of Qs, Rs and Cs; ``_plant``
-    applies G and H.
-    """
+class StackedSystem(TimeVaryingSystem):
+    """A system that also holds D densely; ``_plant`` applies G and H."""
 
-    A: np.ndarray  # (T, n, n): A_0..A_{T-1}
-    B: np.ndarray  # (T, n, m): B_0..B_{T-1}
-    Q: np.ndarray  # (T+1, n, n): Q_0..Q_T
-    R: np.ndarray  # (T, m, m): R_0..R_{T-1}
-    C: np.ndarray  # (T, p, n): C_0..C_{T-1}
     D: np.ndarray  # pT x n(T+1), equals Cs @ G
 
 
@@ -90,25 +84,21 @@ def _right(X: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def build_stacked(sys: TimeVaryingSystem) -> StackedSystem:
-    """Assemble D and the stage stacks from per-stage data: block row t of D,
-    C_t x_t with x_t of ``_plant`` on the identity, is written in place."""
+    """``sys`` with D added: block row t of D, C_t x_t with x_t of ``_plant`` on
+    the identity, is written in place, and the stages are the very tuples of
+    ``sys``, checked and frozen once, neither copied nor checked again."""
     n, p, T = sys.n, sys.p, sys.T
     D = np.zeros((p * T, n * (T + 1)))
     for t, g in zip(range(T), _plant(sys, n * T, live=(n, n))):
         g[:, t * n : (t + 1) * n] = np.eye(n)  # w_t, block column t of the identity
         D[t * p : (t + 1) * p, : (t + 1) * n] = sys.C[t] @ g[:, : (t + 1) * n]
     D.flags.writeable = False  # a fresh array: frozen in place, not copied
-    return StackedSystem(
-        A=_frozen(sys.A),
-        B=_frozen(sys.B),
-        Q=_frozen(sys.Q),
-        R=_frozen(sys.R),
-        C=_frozen(sys.C),
-        D=D,
-    )
+    st = object.__new__(StackedSystem)  # not __init__, which would check the stages again
+    st.__dict__.update(vars(sys), D=D)
+    return st
 
 
-def _plant(st: StackedSystem | TimeVaryingSystem, k: int, u=None, w=None, live=None):
+def _plant(sys: TimeVaryingSystem, k: int, u=None, w=None, live=None):
     """Yield x_0..x_T, the block rows of G w + H u, for k columns at once.
 
     ``u`` gives the T stage blocks u_t (m x k) and ``w`` the T+1 blocks w_t
@@ -125,17 +115,17 @@ def _plant(st: StackedSystem | TimeVaryingSystem, k: int, u=None, w=None, live=N
     c0, c = live or (k, 0)  # by default every column is live
     u = None if u is None else iter(u)
     w = None if w is None else iter(w)
-    x = np.zeros((st.n, k))
+    x = np.zeros((sys.n, k))
     if w is not None:
         x[:] = next(w)
     yield x
-    for t in range(st.T):
+    for t in range(sys.T):
         now, nxt = slice(c0 + t * c), slice(c0 + (t + 1) * c)
-        x_next = np.empty((st.n, k))
-        np.matmul(st.A[t], x[:, now], out=x_next[:, now])
+        x_next = np.empty((sys.n, k))
+        np.matmul(sys.A[t], x[:, now], out=x_next[:, now])
         x_next[:, now.stop :] = 0.0
         if u is not None:
-            x_next[:, nxt] += st.B[t] @ next(u)[:, nxt]
+            x_next[:, nxt] += sys.B[t] @ next(u)[:, nxt]
         if w is not None:
             x_next[:, nxt] += next(w)[:, nxt]
         x = x_next
@@ -156,7 +146,8 @@ def _check_causal(U: np.ndarray, m: int, p: int, T: int, name: str):
 
 @dataclass(frozen=True)
 class _CausalGain:
-    """Causal u = U z + q, checked and frozen; subclasses say what z is and set ``_name``."""
+    """Causal u = U z + q, checked and frozen; subclasses say what z is, set ``_name``
+    and make the output gain they run as, ``_as_output(sys)``."""
 
     U: np.ndarray
     q: np.ndarray
@@ -176,17 +167,22 @@ class _CausalGain:
         object.__setattr__(self, "U", _frozen(U))
         object.__setattr__(self, "q", _frozen(q))
 
+    def make_policy(self, sys: TimeVaryingSystem):
+        """The policy of the output gain that ``_as_output`` makes on ``sys``."""
+        return _OutputPolicy(self._as_output(sys))
+
     def _rollout(self, sys: TimeVaryingSystem, roots, cov):
         """``monte_carlo_cost``'s chunk rollout: a fresh policy per chunk, on the colored
-        noise, of the output gain that ``make_policy`` checks, or converts, once."""
-        gain = self.make_policy(sys)._ctrl
+        noise, of the output gain that ``_as_output`` checks, or converts, once."""
+        gain = self._as_output(sys)
         return lambda z: _roll(sys, _OutputPolicy(gain), *_color(z, roots, cov))
 
 
-def _check_fits(ctrl: _CausalGain, sys, form: type):
-    """The one check of a causal gain used as a ``form`` against a system (or its stacked form)."""
-    if not isinstance(ctrl, form):
-        raise ValueError(f"expected a {form.__name__}, got a {type(ctrl).__name__}")
+def _check_fits(ctrl: _CausalGain, sys: TimeVaryingSystem, *forms: type):
+    """The one check of a causal gain, used as one of ``forms``, against a system."""
+    if not isinstance(ctrl, forms):
+        expected = " or ".join(form.__name__ for form in forms)
+        raise ValueError(f"expected a {expected}, got a {type(ctrl).__name__}")
     if (ctrl.m, ctrl.p, ctrl.T) != (sys.m, sys.p, sys.T):
         raise ValueError(
             f"{ctrl._name} (m={ctrl.m}, p={ctrl.p}, T={ctrl.T}) does not match "
@@ -200,9 +196,9 @@ class LinearPurifiedController(_CausalGain):
 
     _name = "purified gain"
 
-    def make_policy(self, sys: TimeVaryingSystem):
-        """The policy of the equivalent output gain, ``purified_to_output(self, sys)``."""
-        return _OutputPolicy(purified_to_output(self, sys))
+    def _as_output(self, sys: TimeVaryingSystem) -> LinearOutputController:
+        """The equivalent output gain, ``purified_to_output(self, sys)``."""
+        return purified_to_output(self, sys)
 
 
 @dataclass(frozen=True)
@@ -211,9 +207,10 @@ class LinearOutputController(_CausalGain):
 
     _name = "output gain"
 
-    def make_policy(self, sys: TimeVaryingSystem):
+    def _as_output(self, sys: TimeVaryingSystem) -> LinearOutputController:
+        """Itself, once it fits ``sys``."""
         _check_fits(self, sys, LinearOutputController)
-        return _OutputPolicy(self)
+        return self
 
 
 class _OutputPolicy:
@@ -257,7 +254,7 @@ def purified_from_rollout(sys: TimeVaryingSystem, u, y) -> np.ndarray:
 
 
 def controller_cost_trace(
-    st: StackedSystem | TimeVaryingSystem,
+    sys: TimeVaryingSystem,
     ctrl: LinearOutputController | LinearPurifiedController,
     cov: CovarianceProfile,
 ) -> float:
@@ -273,16 +270,14 @@ def controller_cost_trace(
     ``_plant`` yields x_t and makes x_{t+1} from x_t, u_t and w_{t+1}, block
     column t+1 of the identity; block row t of y, C_t x_t + v_t, is written
     before u_t = q_t + sum_{s<=t} U[t,s] y_s is drawn.  Memory is that map of y,
-    pT x (n(T+1) + pT + 1), and one block row per stage; D is not read, so
-    ``st`` may be the system itself.
+    pT x (n(T+1) + pT + 1), and one block row per stage.
     """
-    _check_dims(st, cov)
-    if isinstance(ctrl, LinearPurifiedController):
-        ctrl = purified_to_output(ctrl, st)
-    _check_fits(ctrl, st, LinearOutputController)
+    _check_dims(sys, cov)
+    _check_fits(ctrl, sys, LinearOutputController, LinearPurifiedController)
+    ctrl = ctrl._as_output(sys)
     W, V = _stage_stacks(cov)
     U, q = ctrl.U, ctrl.q
-    n, m, p, T = st.n, st.m, st.p, st.T
+    n, m, p, T = sys.n, sys.m, sys.p, sys.T
     N = n * (T + 1)
     k = N + p * T + 1  # the columns of (w, v, 1)
     y = np.empty((p * T, k))
@@ -303,14 +298,14 @@ def controller_cost_trace(
             rows = slice(t * m, (t + 1) * m)
             u = U[rows, : (t + 1) * p] @ y[: (t + 1) * p]
             u[:, -1] += q[rows]
-            val += priced(st.R[t], u)
+            val += priced(sys.R[t], u)
             yield u
 
     noise = (np.eye(n, k, t * n) for t in range(T + 1))  # w_t: block column t of the identity
-    for t, x in enumerate(_plant(st, k, inputs(), noise)):
-        val += priced(st.Q[t], x)
+    for t, x in enumerate(_plant(sys, k, inputs(), noise)):
+        val += priced(sys.Q[t], x)
         if t < T:
-            y[t * p : (t + 1) * p] = st.C[t] @ x
+            y[t * p : (t + 1) * p] = sys.C[t] @ x
             y[t * p : (t + 1) * p, N + t * p : N + (t + 1) * p] += np.eye(p)  # v_t
     return float(val)
 
@@ -377,7 +372,7 @@ def _first_order_bound(
         return np.inf
     if exact:
         H = np.vstack(list(_plant(st, m * T, np.eye(m * T).reshape(T, m, -1), live=(0, m))))
-        S = H.T @ _left(st.Q, H)
+        S = H.T @ _left(np.stack(st.Q), H)
         for t in range(T):
             S[t * m : (t + 1) * m, t * m : (t + 1) * m] += st.R[t]
         curvature = min_eigval(S) * min_eigval(sigma_eta)
@@ -386,7 +381,7 @@ def _first_order_bound(
     return norm2 / (4.0 * curvature) if curvature > 0.0 else np.inf
 
 
-def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
+def _kalman_purified(sys: TimeVaryingSystem, K, L) -> np.ndarray:
     """The purified gain U of the Kalman controller (K, L), built directly.
 
     Its estimate splits as xhat_t = xbar_t + d_t, xbar the noise-free twin
@@ -395,21 +390,21 @@ def _kalman_purified(st: StackedSystem, K, L) -> np.ndarray:
     filter loop, with F_t = A_t and L_t eta_t added as block column t.  As maps of
     eta, block row t of U is K_t (xbar_t + d_t), and both run on the live
     columns eta_0..eta_t only, so the zeros above the block diagonal are exact.
-    Equals ``output_to_purified(unroll_controller(sys, (K, L)), st).U`` up to
+    Equals ``output_to_purified(unroll_controller(sys, (K, L)), sys).U`` up to
     roundoff.
     """
-    m, p, T = st.m, st.p, st.T
+    m, p, T = sys.m, sys.p, sys.T
     U = np.zeros((m * T, p * T))
     inputs = (U[t * m : (t + 1) * m] for t in range(T))  # u_t, read once row t is filled
-    twin = _plant(st, p * T, inputs, live=(0, p))
-    for t, xbar, d in zip(range(T), twin, _filter(st, iter(st.A), L, p * T, live=(p, p))):
+    twin = _plant(sys, p * T, inputs, live=(0, p))
+    for t, xbar, d in zip(range(T), twin, _filter(sys, iter(sys.A), L, p * T, live=(p, p))):
         live = slice((t + 1) * p)
         d[:, t * p : (t + 1) * p] += L[t]
         U[t * m : (t + 1) * m, live] = K[t] @ (xbar[:, live] + d[:, live])
     return U
 
 
-def _twin(ctrl: _CausalGain, st: StackedSystem | TimeVaryingSystem, sign: float, cls):
+def _twin(ctrl: _CausalGain, sys: TimeVaryingSystem, sign: float, cls):
     """``ctrl`` as a ``cls`` gain over the other observations (sign -1.0: eta to y, +1.0: back).
 
     The noise-free twin, ``_plant`` driven by u, run on affine maps of the
@@ -417,32 +412,32 @@ def _twin(ctrl: _CausalGain, st: StackedSystem | TimeVaryingSystem, sign: float,
     z_s = x_s + sign C_s xbar_s, with xbar_0 = 0 and xbar_{s+1} = A_s xbar_s + B_s u_s.
     xbar_t reads only (1, x_0..x_{t-1}), so zeros above the block diagonal stay exact.
     """
-    m, p, T = st.m, st.p, st.T
+    m, p, T = sys.m, sys.p, sys.T
     new = np.hstack((ctrl.q[:, None], ctrl.U))  # block row t: u_t as a map of (1, x_0..x_t)
     cx = np.zeros((p * T, 1 + p * T))  # block row s: sign C_s xbar_s
     inputs = (new[t * m : (t + 1) * m] for t in range(T))  # u_t, read once row t is filled
-    for t, xbar in zip(range(T), _plant(st, 1 + p * T, inputs, live=(1, p))):
+    for t, xbar in zip(range(T), _plant(sys, 1 + p * T, inputs, live=(1, p))):
         rows, done = slice(t * m, (t + 1) * m), 1 + t * p  # the live columns of xbar_t
-        cx[t * p : (t + 1) * p, :done] = sign * st.C[t] @ xbar[:, :done]
+        cx[t * p : (t + 1) * p, :done] = sign * sys.C[t] @ xbar[:, :done]
         new[rows, :done] += ctrl.U[rows, : (t + 1) * p] @ cx[: (t + 1) * p, :done]
     return cls(U=new[:, 1:], q=new[:, 0], m=m, p=p, T=T)
 
 
 def purified_to_output(
-    ctrl: LinearPurifiedController, st: StackedSystem | TimeVaryingSystem
+    ctrl: LinearPurifiedController, sys: TimeVaryingSystem
 ) -> LinearOutputController:
     """Convert u = U eta + q into the equivalent u = U' y + q', by eta = y - C xbar
-    with xbar the noise-free twin driven by u; ``st`` may be the system itself."""
-    _check_fits(ctrl, st, LinearPurifiedController)
-    return _twin(ctrl, st, -1.0, LinearOutputController)
+    with xbar the noise-free twin driven by u."""
+    _check_fits(ctrl, sys, LinearPurifiedController)
+    return _twin(ctrl, sys, -1.0, LinearOutputController)
 
 
 def output_to_purified(
-    ctrl: LinearOutputController, st: StackedSystem | TimeVaryingSystem
+    ctrl: LinearOutputController, sys: TimeVaryingSystem
 ) -> LinearPurifiedController:
     """Invert :func:`purified_to_output`: substitute y = eta + C xbar."""
-    _check_fits(ctrl, st, LinearOutputController)
-    return _twin(ctrl, st, 1.0, LinearPurifiedController)
+    _check_fits(ctrl, sys, LinearOutputController)
+    return _twin(ctrl, sys, 1.0, LinearPurifiedController)
 
 
 def unroll_controller(sys: TimeVaryingSystem, ctrl: KalmanController) -> LinearOutputController:

@@ -8,6 +8,7 @@ from drlqg import (
     CovarianceProfile,
     FWConfig,
     KalmanController,
+    LinearOutputController,
     LinearPurifiedController,
     TimeVaryingSystem,
     assemble_controller,
@@ -564,6 +565,7 @@ def test_monte_carlo_chunks_match_one_draw(monkeypatch, kind, rows):
         assert np.array_equal(gen.standard_normal(8), one_draw.standard_normal(8))
 
 
+@pytest.mark.blas_exact
 @pytest.mark.parametrize(
     "n, m, p, T, zero_blocks", _MC_DIMS + [(10, 10, 10, 10, False), (20, 20, 20, 20, False)]
 )
@@ -601,6 +603,37 @@ def test_monte_carlo_converts_a_purified_gain_once(monkeypatch):
     monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", n + T * (n + p))  # one row per chunk
     monte_carlo_cost(sys, ctrl, cov, 5, rng=0)
     assert len(calls) == 1
+
+
+def test_monte_carlo_rolls_out_a_controller_that_only_makes_policies(monkeypatch):
+    # anything simulate takes: a controller with no _rollout of its own is
+    # rolled out by a fresh make_policy policy per chunk on the colored noise,
+    # bit for bit as the output gain it wraps, and as the Kalman controller's
+    # closed loop to roundoff
+    rng = np.random.default_rng(9)
+    n, m, p, T = 3, 2, 4, 3
+    sys = random_system(rng, n, m, p, T)
+    cov = random_profile(rng, n, p, T)
+
+    class PoliciesOnly:
+        def __init__(self, ctrl):
+            self._ctrl = ctrl
+
+        def make_policy(self, sys):
+            return self._ctrl.make_policy(sys)
+
+    gain = LinearOutputController(
+        U=random_causal_gain(rng, m, p, T, scale=0.3), q=rng.standard_normal(m * T), m=m, p=p, T=T
+    )
+    kalman = assemble_controller(sys, cov)
+    monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", 4 * (n + T * (n + p)))  # chunks of 4 rows
+
+    def costs(ctrl):
+        return monte_carlo_cost(sys, ctrl, cov, 10, rng=3).costs
+
+    assert costs(PoliciesOnly(gain)).tobytes() == costs(gain).tobytes()
+    want = costs(kalman)
+    assert np.all(np.abs(costs(PoliciesOnly(kalman)) - want) <= 1e-12 * np.abs(want))
 
 
 def test_monte_carlo_memory_is_bounded():

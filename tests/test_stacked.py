@@ -102,7 +102,34 @@ def test_build_stacked_matches_dense_reference(n, m, p, T):
     ref = dense_stacked(sys)[2]
     assert st.D.shape == ref.shape
     assert np.max(np.abs(st.D - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
-    assert [f.name for f in dataclasses.fields(st)] == ["A", "B", "Q", "R", "C", "D"]
+    # the system's own fields and D: no G or H is stored
+    plain = [f.name for f in dataclasses.fields(TimeVaryingSystem)]
+    assert [f.name for f in dataclasses.fields(st)] == plain + ["D"]
+    assert plain == ["A", "B", "C", "Q", "R"]
+
+
+def test_a_stacked_system_is_the_system_it_was_built_from():
+    # build_stacked adds D to the system's own stages, so every function that
+    # takes the system gives the same bits on its stacked form
+    rng = np.random.default_rng(41)
+    n, m, p, T = 3, 2, 4, 3
+    sys = random_system(rng, n, m, p, T)
+    cov = random_profile(rng, n, p, T)
+    st = build_stacked(sys)
+    assert isinstance(st, TimeVaryingSystem)
+    assert lqg_value(st, cov) == lqg_value(sys, cov)
+    kalman = assemble_controller(sys, cov)
+    gain = unroll_controller(sys, kalman)
+    x0, w, v = rng.standard_normal(n), rng.standard_normal((T, n)), rng.standard_normal((T, p))
+    for ctrl in (kalman, gain, output_to_purified(gain, sys)):
+        got, want = (simulate(s, ctrl, x0, w, v) for s in (st, sys))
+        assert got.cost == want.cost
+        for name in ("x", "u", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        got, want = (monte_carlo_cost(s, ctrl, cov, 50, rng=0).costs for s in (st, sys))
+        assert got.tobytes() == want.tobytes()
+        if ctrl is not kalman:
+            assert controller_cost_trace(st, ctrl, cov) == controller_cost_trace(sys, ctrl, cov)
 
 
 @pytest.mark.parametrize("n, m, p, T", RECTANGULAR)
@@ -137,8 +164,9 @@ def test_build_stacked_zero_dynamics_gives_identity():
 
 
 def test_build_stacked_allocates_little_beyond_d_and_the_stage_stacks():
-    # Here D takes 1.34 MB and the stage stacks 0.33 MB, and the peak is 1.73 MB;
-    # a stored G or H, a dense Qs, Rs or Cs, or a copy of D would add 1.28 MB or more.
+    # Here D takes 1.34 MB and the peak is 1.47 MB, since the stage stacks are
+    # the system's own; a copy of them (0.33 MB), a stored G or H, a dense Qs,
+    # Rs or Cs, or a copy of D would each break the bound.
     sys = random_system(np.random.default_rng(23), 20, 20, 20, 20)
     tracemalloc.start()
     try:
@@ -146,7 +174,8 @@ def test_build_stacked_allocates_little_beyond_d_and_the_stage_stacks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * sum(a.nbytes for a in (st.D, st.A, st.B, st.Q, st.R, st.C))
+    assert peak < 1.25 * st.D.nbytes
+    assert all(getattr(st, name) is getattr(sys, name) for name in ("A", "B", "C", "Q", "R"))
 
 
 def test_cost_trace_holds_the_observation_map_and_one_block_row_per_stage():
@@ -461,6 +490,17 @@ def test_a_gain_of_the_other_form_is_rejected(convert, given, expected):
         convert(gain, st)
 
 
+def test_cost_trace_names_both_gain_forms_for_a_gain_of_neither():
+    sys, amb, _ = generate_instance(3, 2, 4, 3, 0, 0.5)
+    ctrl = assemble_controller(sys, amb.nominal)
+    message = (
+        r"^expected a LinearOutputController or LinearPurifiedController, got a KalmanController$"
+    )
+    with pytest.raises(ValueError, match=message):
+        controller_cost_trace(sys, ctrl, amb.nominal)
+
+
+@pytest.mark.blas_exact
 def test_cost_trace_prices_either_form_as_the_purified_reference():
     # The loop over y against the reference loop over U D.  Rectangular
     # shapes with q != 0, a gain of each form priced on the plain system:
@@ -532,6 +572,7 @@ def test_kalman_purified_gain_matches_the_converted_unroll(n, m, p, T):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.blas_exact
 @pytest.mark.parametrize(
     "n, m, p, T", RECTANGULAR + [(10, 10, 10, 10), (20, 20, 20, 20), (50, 50, 50, 20)]
 )
