@@ -15,13 +15,14 @@ optimal output-feedback controller), its exact expected cost, and a causal
 simulator for rolling out controllers against sampled (or adversarial) noise.
 
 ``_filter`` is the one loop of the Kalman estimate.  ``monte_carlo_cost``
-draws its noise in chunks of 2^17 standard normals and rolls each out by the
-controller's ``_rollout``, or by a fresh policy of a controller without one:
-a ``KalmanController`` as one linear recursion on
-s_t = [x_t, xhat_t], with the noise square roots folded into the per-stage
-maps, so the normals are never colored on their own.  Each stage is priced
-by one product and stepped by one more: the stage's normals are copied in
-beside s_t, and [s_t | z_wt | z_v,t+1] times one stacked map is s_{t+1}.
+draws its noise in chunks of 2^17 standard normals.  Any controller but a
+``KalmanController`` rolls out a fresh ``make_policy(sys)`` policy per chunk
+on the colored noise.  A ``KalmanController`` rolls out as one linear
+recursion on s_t = [x_t, xhat_t], with the noise square roots folded into
+the per-stage maps, so the normals are never colored on their own.  Each
+stage is priced by one product and stepped by one more: the stage's normals
+are copied in beside s_t, and [s_t | z_wt | z_v,t+1] times one stacked map
+is s_{t+1}.
 """
 
 from __future__ import annotations
@@ -415,11 +416,6 @@ class KalmanController:
     def make_policy(self, sys: TimeVaryingSystem):
         return _KalmanPolicy(sys, *_check_gains(sys, self.K, self.L))
 
-    def _rollout(self, sys: TimeVaryingSystem, roots, cov):
-        """``monte_carlo_cost``'s chunk rollout: the closed loop of ``_closed_loop_maps``."""
-        maps = _closed_loop_maps(sys, *_check_gains(sys, self.K, self.L), roots)
-        return lambda z: _roll_closed_loop(sys, maps, z)
-
 
 def _check_gains(sys: TimeVaryingSystem, K, L) -> tuple[tuple, tuple]:
     """K and L as frozen stage tuples; a ValueError names the misfit."""
@@ -427,49 +423,50 @@ def _check_gains(sys: TimeVaryingSystem, K, L) -> tuple[tuple, tuple]:
     return K, _stages(L, sys.T, (sys.n, sys.p), "L")
 
 
-def _filter(sys, F, L, k: int | None, u=None, y=None, live=None):
-    """Yield the Kalman estimates xhat_0..xhat_{T-1} of k columns (those of y_0
-    when ``y`` is given), in one array updated in place:
-    xhat_t = P_t + L_t (y_t - C_t P_t), P_0 = 0, P_t = F_{t-1} xhat_{t-1} + B_{t-1} u_{t-1}.
+def _filter(sys, F, L, k: int, live=None):
+    """Yield the Kalman estimates xhat_0..xhat_{T-1} of k columns without their
+    measurement terms, P_t - L_t C_t P_t, in one array updated in place:
+    P_0 = 0 and P_t = F_{t-1} xhat_{t-1}, where xhat_{t-1} is the array as the
+    caller left it.
 
-    The iterators ``F``, ``u`` and ``y`` give F_0, F_1, .. (A_t + B_t K_t closes
-    the loop u_t = K_t xhat_t), u_t (m x k), drawn once xhat_t is yielded, and
-    y_t (p x k), drawn before xhat_t is made; ``u`` and ``y`` may be None.  Without
-    ``y`` the caller adds L_t y_t into P_t - L_t C_t P_t where y_t is nonzero,
-    as ``_plant``'s callers add a sparse w_t.  ``live`` = (c0, c), without ``u``
-    or ``y``, computes only the first c0 + t c columns, where xhat_t lives.
+    The iterator ``F`` gives F_0, F_1, .. (A_t + B_t K_t closes the loop
+    u_t = K_t xhat_t).  The caller adds L_t y_t into each yielded array, where
+    y_t is nonzero, to make xhat_t = P_t + L_t (y_t - C_t P_t), as ``_plant``'s
+    callers add a sparse w_t.  ``live`` = (c0, c) computes only the first
+    c0 + t c columns, where xhat_t lives.
     """
-    xhat = np.zeros((sys.n, k)) if y is None else L[0] @ next(y)
+    xhat = np.zeros((sys.n, k))
     yield xhat
     for t in range(1, sys.T):
         x = xhat if live is None else xhat[:, : live[0] + (t - 1) * live[1]]  # the live columns
         pred = next(F) @ x
-        if u is not None:
-            pred += sys.B[t - 1] @ next(u)
-        if y is None:
-            np.subtract(pred, L[t] @ (sys.C[t] @ pred), out=x)
-        else:
-            np.add(pred, L[t] @ (next(y) - sys.C[t] @ pred), out=x)
+        np.subtract(pred, L[t] @ (sys.C[t] @ pred), out=x)
         yield xhat
 
 
 class _KalmanPolicy:
-    """Causal rollout of a Kalman controller: ``_filter`` on F_t = A_t, fed
-    its own inputs and the observations, one column per observation.
-    ``step(t, y)`` takes ``y`` of shape ``(p,)`` or ``(..., p)`` and returns
-    inputs of matching leading shape."""
+    """Causal rollout of a Kalman controller: ``_filter`` on the closed loop
+    F_t = A_t + B_t K_t, as ``unroll_controller`` runs it, one column per
+    observation, with L_t y_t added to each estimate.  ``step(t, y)`` takes
+    ``y`` of shape ``(p,)`` or ``(..., p)`` and returns inputs of matching
+    leading shape; step 0 makes the filter, once the column count is known."""
 
     def __init__(self, sys, K, L):
-        self._K, self._t = K, 0
-        self._feed = feed = [None, None]  # u_{t-1} and y_t; not self, or the filter makes a cycle
-        inputs, observations = (feed[0] for _ in K), (feed[1] for _ in K)
-        self._xhat = _filter(sys, iter(sys.A), L, None, inputs, observations)
+        self._sys, self._K, self._L, self._t = sys, K, L, 0
 
     def step(self, t: int, y):
         if t != self._t:
             raise ValueError(f"policy stepped out of order: expected t={self._t}, got {t}")
-        self._feed[1] = y[:, None] if y.ndim == 1 else y.reshape(-1, y.shape[-1]).T
-        self._feed[0] = u = self._K[t] @ next(self._xhat)
+        if t == len(self._K):
+            raise ValueError(f"policy stepped past its horizon: T={len(self._K)}, got t={t}")
+        obs = y[:, None] if y.ndim == 1 else y.reshape(-1, y.shape[-1]).T
+        if t == 0:
+            sys = self._sys
+            closed = (a + b @ k for a, b, k in zip(sys.A, sys.B, self._K))
+            self._xhat = _filter(sys, closed, self._L, obs.shape[1])
+        xhat = next(self._xhat)
+        xhat += self._L[t] @ obs
+        u = self._K[t] @ xhat
         self._t += 1
         return u[:, 0] if y.ndim == 1 else u.T.reshape(y.shape[:-1] + (len(u),))
 
@@ -690,12 +687,12 @@ def monte_carlo_cost(
     the chunking.
 
     ``cov`` must fit ``sys``.  ``controller`` is anything ``simulate``
-    takes.  One with a ``_rollout`` makes the rollout of a chunk once: a
-    ``KalmanController`` the closed loop of ``_closed_loop_maps``, whose
-    costs agree with ``simulate``'s to roundoff; an output gain its policy
-    on the colored noise, exactly as ``simulate`` does; a purified gain that
-    of its output gain.  Any other controller rolls out a fresh
-    ``make_policy(sys)`` policy per chunk on the colored noise.
+    takes.  A ``KalmanController`` is rolled out on the closed loop of
+    ``_closed_loop_maps``, made once, whose costs agree with ``simulate``'s
+    to roundoff.  Any other controller rolls out a fresh ``make_policy(sys)``
+    policy per chunk on the colored noise, exactly as ``simulate`` does; one
+    ``make_policy(sys)`` call before the first draw lets a controller that
+    does not fit ``sys`` raise before ``rng`` moves.
     """
     _check_dims(sys, cov)
     if n_samples < 2:
@@ -703,9 +700,11 @@ def monte_carlo_cost(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     roots = _noise_roots(cov)
-    if hasattr(controller, "_rollout"):
-        rollout = controller._rollout(sys, roots, cov)
+    if isinstance(controller, KalmanController):
+        maps = _closed_loop_maps(sys, *_check_gains(sys, controller.K, controller.L), roots)
+        rollout = lambda z: _roll_closed_loop(sys, maps, z)
     else:
+        controller.make_policy(sys)  # a misfit raises here, before the first draw
         rollout = lambda z: _roll(sys, controller.make_policy(sys), *_color(z, roots, cov))
     width = _noise_width(cov)
     chunk = max(1, _CHUNK_ELEMENTS // width)

@@ -54,10 +54,8 @@ from .lqg import (
     TimeVaryingSystem,
     _check_dims,
     _check_gains,
-    _color,
     _filter,
     _frozen,
-    _roll,
     _stage_stacks,
     assemble_controller,
 )
@@ -171,13 +169,6 @@ class _CausalGain:
         """The policy of the output gain that ``_as_output`` makes on ``sys``."""
         return _OutputPolicy(self._as_output(sys))
 
-    def _rollout(self, sys: TimeVaryingSystem, roots, cov):
-        """``monte_carlo_cost``'s chunk rollout: a fresh policy per chunk, on the colored
-        noise, of the output gain that ``_as_output`` checks, or converts, once."""
-        gain = self._as_output(sys)
-        return lambda z: _roll(sys, _OutputPolicy(gain), *_color(z, roots, cov))
-
-
 def _check_fits(ctrl: _CausalGain, sys: TimeVaryingSystem, *forms: type):
     """The one check of a causal gain, used as one of ``forms``, against a system."""
     if not isinstance(ctrl, forms):
@@ -222,10 +213,12 @@ class _OutputPolicy:
         self._t = 0
 
     def step(self, t: int, y):
+        c = self._ctrl
         if t != self._t:
             raise ValueError(f"policy stepped out of order: expected t={self._t}, got {t}")
+        if t == c.T:
+            raise ValueError(f"policy stepped past its horizon: T={c.T}, got t={t}")
         self._ys.append(y)
-        c = self._ctrl
         u = np.broadcast_to(c.q[t * c.m : (t + 1) * c.m], y.shape[:-1] + (c.m,)).copy()
         for s, ys in enumerate(self._ys):
             u += ys @ c.U[t * c.m : (t + 1) * c.m, s * c.p : (s + 1) * c.p].T
@@ -443,10 +436,12 @@ def output_to_purified(
 def unroll_controller(sys: TimeVaryingSystem, ctrl: KalmanController) -> LinearOutputController:
     """Expand a Kalman controller's gains into an explicit gain over y.
 
-    ``_filter`` on the closed loop F_t = A_t + B_t K_t, fed y_t as block
+    ``_filter`` on the closed loop F_t = A_t + B_t K_t, with y_t added as block
     column t of the pT identity, gives Phi_t with xhat_t = Phi_t y, and block
     row t of the gain is K_t Phi_t.  The offset is zero.
     """
+    if not isinstance(ctrl, KalmanController):
+        raise ValueError(f"expected a KalmanController, got a {type(ctrl).__name__}")
     K, L = _check_gains(sys, ctrl.K, ctrl.L)
     m, p, T = sys.m, sys.p, sys.T
     U = np.zeros((m * T, p * T))

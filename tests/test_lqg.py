@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from drlqg import (
     simulate,
     solve,
 )
-from drlqg import lqg, stacked
+from drlqg import lqg
 from drlqg.instances import generate_instance
 from drlqg.linalg import SingularMatrixError, min_eigval, psd_sqrt
 
@@ -436,6 +438,63 @@ def test_policy_rejects_out_of_order_steps():
         policy.step(0, np.array([1.0]))
 
 
+_FORMS = ["kalman", "output", "purified"]
+
+
+def _controller(kind, rng, n, m, p, T):
+    """A controller of form ``kind`` with random gains of sizes (n, m, p, T)."""
+    if kind == "kalman":
+        K, L = 0.3 * rng.standard_normal((T, m, n)), 0.3 * rng.standard_normal((T, n, p))
+        return KalmanController(K=tuple(K), L=tuple(L))
+    cls = LinearOutputController if kind == "output" else LinearPurifiedController
+    U = random_causal_gain(rng, m, p, T, scale=0.3)
+    return cls(U=U, q=rng.standard_normal(m * T), m=m, p=p, T=T)
+
+
+class PoliciesOnly:
+    """A controller that has nothing but the ``make_policy`` of the one it wraps."""
+
+    def __init__(self, ctrl):
+        self._ctrl = ctrl
+
+    def make_policy(self, sys):
+        return self._ctrl.make_policy(sys)
+
+
+@pytest.mark.parametrize("kind", _FORMS)
+def test_policy_rejects_a_step_past_its_horizon(kind):
+    # a Kalman policy raised IndexError here, and a gain's policy numpy's
+    # "operands could not be broadcast together"
+    rng = np.random.default_rng(36)
+    n, m, p, T = 3, 2, 1, 2
+    sys = random_system(rng, n, m, p, T)
+    policy = _controller(kind, rng, n, m, p, T).make_policy(sys)
+    for t in range(T):
+        policy.step(t, np.ones(p))
+    with pytest.raises(ValueError, match=rf"^policy stepped past its horizon: T={T}, got t={T}$"):
+        policy.step(T, np.ones(p))
+
+
+@pytest.mark.parametrize("kind", _FORMS)
+def test_a_stepped_policy_needs_no_cycle_collector(kind):
+    # a policy in a reference cycle lives until the cycle collector runs,
+    # which once cost simulate about 15 %
+    rng = np.random.default_rng(37)
+    n, m, p, T = 3, 2, 2, 3
+    sys = random_system(rng, n, m, p, T)
+    ctrl = _controller(kind, rng, n, m, p, T)
+    gc.disable()
+    try:
+        policy = ctrl.make_policy(sys)
+        for t, y in enumerate(rng.standard_normal((T, 4, p))):
+            policy.step(t, y)
+        freed = weakref.ref(policy)
+        del policy
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 # -------------------------------------------------------------- simulate
 
 
@@ -587,41 +646,15 @@ def test_closed_loop_roll_matches_the_three_product_reference(n, m, p, T, zero_b
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-def test_monte_carlo_converts_a_purified_gain_once(monkeypatch):
-    # a purified gain's make_policy converts it on every call; the rollouts
-    # of all chunks share one conversion instead
-    rng = np.random.default_rng(5)
-    n, m, p, T = 3, 2, 1, 4
-    sys = random_system(rng, n, m, p, T)
-    cov = random_profile(rng, n, p, T)
-    ctrl = LinearPurifiedController(
-        U=random_causal_gain(rng, m, p, T, scale=0.3), q=rng.standard_normal(m * T), m=m, p=p, T=T
-    )
-    calls = []
-    convert = stacked.purified_to_output
-    monkeypatch.setattr(stacked, "purified_to_output", lambda *a: calls.append(a) or convert(*a))
-    monkeypatch.setattr(lqg, "_CHUNK_ELEMENTS", n + T * (n + p))  # one row per chunk
-    monte_carlo_cost(sys, ctrl, cov, 5, rng=0)
-    assert len(calls) == 1
-
-
 def test_monte_carlo_rolls_out_a_controller_that_only_makes_policies(monkeypatch):
-    # anything simulate takes: a controller with no _rollout of its own is
+    # anything simulate takes: a controller other than a KalmanController is
     # rolled out by a fresh make_policy policy per chunk on the colored noise,
-    # bit for bit as the output gain it wraps, and as the Kalman controller's
-    # closed loop to roundoff
+    # so a wrapper costs bit for bit as the output gain it wraps, and as the
+    # Kalman controller's closed loop to roundoff
     rng = np.random.default_rng(9)
     n, m, p, T = 3, 2, 4, 3
     sys = random_system(rng, n, m, p, T)
     cov = random_profile(rng, n, p, T)
-
-    class PoliciesOnly:
-        def __init__(self, ctrl):
-            self._ctrl = ctrl
-
-        def make_policy(self, sys):
-            return self._ctrl.make_policy(sys)
-
     gain = LinearOutputController(
         U=random_causal_gain(rng, m, p, T, scale=0.3), q=rng.standard_normal(m * T), m=m, p=p, T=T
     )
@@ -634,6 +667,23 @@ def test_monte_carlo_rolls_out_a_controller_that_only_makes_policies(monkeypatch
     assert costs(PoliciesOnly(gain)).tobytes() == costs(gain).tobytes()
     want = costs(kalman)
     assert np.all(np.abs(costs(PoliciesOnly(kalman)) - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("kind", _FORMS + ["wrapper"])
+def test_monte_carlo_checks_the_controller_before_the_first_draw(kind):
+    # a controller whose m does not fit raises and leaves the generator as it was
+    rng = np.random.default_rng(38)
+    n, m, p, T = 3, 2, 1, 4
+    sys = random_system(rng, n, m, p, T)
+    cov = random_profile(rng, n, p, T)
+    ctrl = _controller("output" if kind == "wrapper" else kind, rng, n, m + 1, p, T)
+    if kind == "wrapper":
+        ctrl = PoliciesOnly(ctrl)
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError):
+        monte_carlo_cost(sys, ctrl, cov, 10, rng=gen)
+    assert gen.bit_generator.state == state
 
 
 def test_monte_carlo_memory_is_bounded():

@@ -750,6 +750,16 @@ def test_unroll_controller_matches_rollout_of_arbitrary_gains():
         assert np.max(np.abs(rec.u - lin.u)) <= 1e-10 * max(1.0, np.max(np.abs(rec.u)))
 
 
+def test_unroll_controller_names_the_form_it_expects():
+    # a gain once raised AttributeError: ... has no attribute 'K'
+    sys, _ = scalar_ones()
+    gain = LinearOutputController(U=np.eye(1), q=np.zeros(1), m=1, p=1, T=1)
+    with pytest.raises(
+        ValueError, match=r"^expected a KalmanController, got a LinearOutputController$"
+    ):
+        unroll_controller(sys, gain)
+
+
 def test_unroll_controller_rejects_gains_that_do_not_fit():
     sys, _ = scalar_ones()
     with pytest.raises(ValueError, match=r"^L: expected 1 matrices, got 2$"):
